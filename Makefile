@@ -28,5 +28,6 @@ examples:
 	$(PYTHON) examples/protocol_server.py --smoke
 
 clean:
-	rm -rf .pytest_cache benchmarks/out build *.egg-info src/*.egg-info
+	rm -rf .pytest_cache .hypothesis benchmarks/e2e/out build *.egg-info src/*.egg-info
+	rm -f benchmarks/out/obs_overhead*.txt
 	find . -name __pycache__ -type d -exec rm -rf {} +

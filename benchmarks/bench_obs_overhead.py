@@ -16,14 +16,23 @@ for the baseline runs only), at two scales:
 
 A third comparison (disabled vs. a live registry) documents what
 *enabling* telemetry costs; that one has no bound.
+
+The live tier gets the same treatment on its hottest instrumented path:
+disabled-telemetry proxy ``get`` p99 over a real socket must stay under
+1.05x the uninstrumented router.
 """
 
+import math
 import time
+import types
 
 from repro.memcached.items import Item
 from repro.memcached.node import MemcachedNode
 from repro.memcached.slab import PAGE_SIZE
-from repro.obs import create_telemetry
+from repro.net.client import NodeClient
+from repro.obs import NULL_TELEMETRY, create_telemetry
+from repro.proxy.router import ProxyRouter
+from repro.proxy.server import ProxyHarness
 from repro.sim.experiment import ExperimentConfig, run_experiment
 from repro.workloads.traces import make_trace
 
@@ -132,25 +141,85 @@ def test_disabled_overhead_under_three_percent():
     assert off_get <= on_get * 1.10
 
 
-def test_live_proxy_disabled_overhead_under_five_percent():
-    """Live-path variant: proxy get p99 over a real socket round trip.
+_PROXY_KEYS = [f"bench:{i:04d}" for i in range(64)]
 
-    Reuses the perf-gate measurement (interleaved blocks on one
-    harness, pooled p99 ratio, best of three passes -- see
-    ``repro.analysis.perfgate.bench_live_proxy``) so the bound asserted
-    here is exactly the one ``repro bench --gate`` enforces and records
-    in ``BENCH_latest.json``.
+
+async def _proxy_get_latencies(client, count: int) -> list[float]:
+    """Per-op ``get`` latencies, timed inside the event loop."""
+    latencies = []
+    for i in range(count):
+        start = time.perf_counter()
+        await client.get(_PROXY_KEYS[i % len(_PROXY_KEYS)])
+        latencies.append(time.perf_counter() - start)
+    return latencies
+
+
+def _p99(latencies: list[float]) -> float:
+    ordered = sorted(latencies)
+    return ordered[min(len(ordered) - 1, int(0.99 * len(ordered)))]
+
+
+def _live_proxy_p99() -> tuple[float, float]:
+    """(disabled / uninstrumented p99 ratio, disabled p99 seconds).
+
+    The shipped "observability off" configuration (disabled telemetry
+    through the normal entry points) against an *uninstrumented* router
+    whose timing wrapper is patched away -- the ``_baseline`` trick on
+    the live path.  Localhost socket p99 is noisy (scheduler jitter
+    dwarfs the nanosecond instrumentation branches), so the two modes
+    are interleaved in small alternating blocks on ONE harness -- both
+    pools sample the same machine conditions -- and the ratio of pooled
+    p99s is taken per pass, best (min) of three passes.
     """
-    from repro.analysis.perfgate import bench_live_proxy
+    blocks, block_ops, passes = 40, 150, 3
+    harness = ProxyHarness(
+        ["bench-00", "bench-01"],
+        memory_per_node=1 << 20,
+        telemetry=NULL_TELEMETRY,
+    )
+    ratio = math.inf
+    disabled: list[float] = []
+    with harness:
+        host, port = harness.proxy_endpoint
+        client = NodeClient("bench", host, port, timeout_s=5.0)
+        loop, router = harness.loop, harness.router
 
-    metrics = bench_live_proxy(quick=True)
-    overhead = metrics["live_proxy_p99_overhead"]
+        async def seed() -> None:
+            for key in _PROXY_KEYS:
+                await client.set(key, b"x" * 64)
+
+        def drive(uninstrumented: bool) -> list[float]:
+            if uninstrumented:
+                router.get = types.MethodType(ProxyRouter._get_inner, router)
+            else:  # back to the class's instrumented wrapper
+                vars(router).pop("get", None)
+            return loop.call(
+                _proxy_get_latencies(client, block_ops), timeout=120.0
+            )
+
+        try:
+            loop.call(seed(), timeout=30.0)
+            loop.call(_proxy_get_latencies(client, 600), timeout=60.0)
+            for _ in range(passes):
+                pools: dict[bool, list[float]] = {True: [], False: []}
+                for block in range(blocks):
+                    first = block % 2 == 0
+                    for uninstrumented in (first, not first):
+                        pools[uninstrumented].extend(drive(uninstrumented))
+                ratio = min(ratio, _p99(pools[False]) / _p99(pools[True]))
+                disabled.extend(pools[False])
+        finally:
+            vars(router).pop("get", None)
+            loop.call(client.close(), timeout=5.0)
+    return ratio, _p99(disabled)
+
+
+def test_live_proxy_disabled_overhead_under_five_percent():
+    """Live-path variant: proxy get p99 over a real socket round trip."""
+    overhead, disabled_p99_s = _live_proxy_p99()
     lines = [
-        f"proxy get p99    disabled {metrics['live_proxy_get_p99_ms']:8.3f} ms"
+        f"proxy get p99    disabled {disabled_p99_s * 1e3:8.3f} ms"
         f" ({overhead - 1.0:+.1%} vs uninstrumented router)",
-        f"proxy get p99    traced   "
-        f"{metrics['live_proxy_traced_p99_ms']:8.3f} ms"
-        " (live metrics + 1% trace sampling)",
         "bound: disabled telemetry must cost <5% proxy get p99.",
     ]
     write_report("obs_overhead_live", lines)

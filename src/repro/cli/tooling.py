@@ -1,0 +1,361 @@
+"""Developer and operator tooling: check (lint + invariants), obs (trace
+renderer), top (live dashboard).
+"""
+
+from __future__ import annotations
+
+import argparse
+
+from repro.cli._shared import parse_endpoint, shutdown_signals
+
+
+def _check_rule_rows(args: argparse.Namespace) -> "list[tuple[str, str, str]]":
+    """The rule catalogue covering every pack this invocation runs."""
+    from repro.check import async_rule_catalogue, rule_catalogue
+    from repro.check.protocol_conformance import conformance_catalogue
+
+    rows = list(rule_catalogue())
+    if getattr(args, "async_rules", False) or getattr(args, "list_rules", False):
+        rows.extend(async_rule_catalogue())
+    if getattr(args, "protocol", False) or getattr(args, "list_rules", False):
+        rows.extend(conformance_catalogue())
+    return rows
+
+
+def _cmd_check(args: argparse.Namespace) -> int:
+    from repro.check import DEFAULT_RULES, lint_paths
+    from repro.check.output import (
+        github_annotations,
+        violations_json,
+        write_sarif,
+    )
+    from repro.check.strict import (
+        strict_fault_sweep_report,
+        strict_smoke_report,
+    )
+
+    paths = args.paths or ["src/repro"]
+    if args.list_rules:
+        for code, name, description in _check_rule_rows(args):
+            print(f"  {code}  {name:24s} {description}")
+        return 0
+
+    machine = args.json_out
+    rules = list(DEFAULT_RULES)
+    if args.async_rules:
+        from repro.check import ASYNC_RULES
+
+        rules.extend(ASYNC_RULES)
+
+    if not machine:
+        print(f"lint: checking {', '.join(paths)}")
+    violations = lint_paths(paths, rules=rules)
+    conformance = []
+    if args.protocol:
+        from repro.check.protocol_conformance import default_conformance
+
+        conformance = default_conformance()
+    findings = violations + conformance
+    failed = bool(findings)
+
+    if not machine:
+        for violation in findings:
+            print("  " + violation.render())
+        if violations:
+            print(f"lint: {len(violations)} violation(s)")
+        else:
+            print("lint: clean")
+        if args.protocol:
+            if conformance:
+                print(f"protocol: {len(conformance)} drift finding(s)")
+            else:
+                print("protocol: client/server/proxy models agree")
+
+    sim_reports = []
+    if not args.no_sim:
+        sim_reports.append(strict_smoke_report())
+        if args.strict_sim:
+            sim_reports.append(strict_fault_sweep_report())
+        if not machine:
+            for report in sim_reports:
+                print(
+                    f"invariants: {report['label']}: "
+                    f"{report['checks_run']} checks over "
+                    f"{report['migrations']} migration(s), "
+                    f"{report['violations']} violation(s) "
+                    f"(hit rate {report['hit_rate']:.3f})"
+                )
+
+    if args.sarif:
+        write_sarif(args.sarif, findings, _check_rule_rows(args))
+        if not machine:
+            print(f"sarif: wrote {args.sarif}")
+    if args.annotate:
+        for line in github_annotations(findings):
+            print(line)
+    if machine:
+        import json
+
+        print(
+            json.dumps(
+                {
+                    "paths": paths,
+                    "lint": violations_json(violations),
+                    "conformance": violations_json(conformance),
+                    "invariants": sim_reports,
+                    "failed": failed,
+                },
+                indent=2,
+            )
+        )
+    return 1 if failed else 0
+
+
+def _add_check(sub: argparse._SubParsersAction) -> None:
+    check = sub.add_parser(
+        "check",
+        help="repo-specific lint rules + invariant smoke run",
+    )
+    check.add_argument(
+        "paths",
+        nargs="*",
+        help="files or directories to lint (default: src/repro)",
+    )
+    check.add_argument(
+        "--list-rules",
+        action="store_true",
+        help="print the rule catalogue and exit",
+    )
+    check.add_argument(
+        "--no-sim",
+        action="store_true",
+        help="lint only; skip the strict-mode invariant smoke run",
+    )
+    check.add_argument(
+        "--strict-sim",
+        action="store_true",
+        help="also run the fault-sweep scenario under strict mode",
+    )
+    check.add_argument(
+        "--async",
+        dest="async_rules",
+        action="store_true",
+        help="also run the REP1xx concurrency-safety rules (live tier)",
+    )
+    check.add_argument(
+        "--protocol",
+        action="store_true",
+        help="cross-check server/client/proxy wire-protocol models",
+    )
+    check.add_argument(
+        "--json",
+        dest="json_out",
+        action="store_true",
+        help="print a machine-readable JSON report instead of prose",
+    )
+    check.add_argument(
+        "--sarif",
+        metavar="PATH",
+        default=None,
+        help="also write findings as a SARIF 2.1.0 document",
+    )
+    check.add_argument(
+        "--annotate",
+        action="store_true",
+        help="emit GitHub ::error workflow commands for findings",
+    )
+    check.set_defaults(func=_cmd_check)
+
+
+def _cmd_obs(args: argparse.Namespace) -> int:
+    from repro.obs.livetrace import read_live_spans
+    from repro.obs.export import read_jsonl
+    from repro.obs.timeline import render_timeline, summary_table
+
+    live_spans = read_live_spans(args.jsonl)
+    if live_spans:
+        return _obs_stitch(args, live_spans)
+    if len(args.jsonl) != 1:
+        print("multiple files given but none contain live spans")
+        return 1
+    dump = read_jsonl(args.jsonl[0])
+    meta = {k: v for k, v in dump.meta.items() if k != "version"}
+    if meta:
+        print("run: " + ", ".join(f"{k}={v}" for k, v in meta.items()))
+    if not dump.spans:
+        print("(no span trees recorded)")
+    for span in dump.spans:
+        print()
+        print(render_timeline(span, width=args.width, clock=args.clock))
+    if dump.spans:
+        print()
+        print(summary_table(dump.spans, clock=args.clock))
+    if dump.events:
+        print()
+        print(f"run-level events ({len(dump.events)}):")
+        for event in dump.events:
+            when = (
+                f"t={event.sim_s:8.1f}s"
+                if event.sim_s is not None
+                else "t=       ?"
+            )
+            attrs = ", ".join(
+                f"{k}={v}"
+                for k, v in event.attributes.items()
+                if k != "reason"
+            )
+            print(f"  [{when}] {event.name}  {attrs}")
+    if dump.metrics:
+        counters = [
+            m for m in dump.metrics if m.get("kind") == "counter"
+        ]
+        if counters:
+            print()
+            print(f"counters ({len(counters)}):")
+            for sample in sorted(
+                counters, key=lambda m: -m.get("value", 0)
+            ):
+                labels = sample.get("labels") or {}
+                label_text = (
+                    "{"
+                    + ",".join(f"{k}={v}" for k, v in labels.items())
+                    + "}"
+                    if labels
+                    else ""
+                )
+                print(
+                    f"  {sample['name']}{label_text} "
+                    f"{sample.get('value', 0):g}"
+                )
+    return 0
+
+
+def _obs_stitch(args: argparse.Namespace, live_spans: list) -> int:
+    """Merge live-trace JSONL files and render stitched span trees."""
+    from repro.obs.livetrace import stitch_spans, trace_to_span_tree
+    from repro.obs.timeline import render_timeline
+
+    traces = stitch_spans(live_spans)
+    print(
+        f"stitched {len(live_spans)} live span(s) from "
+        f"{len(args.jsonl)} file(s) into {len(traces)} trace(s)"
+    )
+    shown = traces if args.limit <= 0 else traces[: args.limit]
+    for trace in shown:
+        print()
+        print(
+            f"trace {trace.trace_id}  "
+            f"processes: {', '.join(trace.processes)}  "
+            f"spans: {len(trace.spans)}  "
+            f"wall: {(trace.end_s - trace.start_s) * 1000:.2f}ms"
+        )
+        print(
+            render_timeline(
+                trace_to_span_tree(trace), width=args.width, clock="wall"
+            )
+        )
+    if len(shown) < len(traces):
+        print()
+        print(
+            f"... {len(traces) - len(shown)} more trace(s); "
+            "raise --limit to render them"
+        )
+    return 0
+
+
+def _add_obs(sub: argparse._SubParsersAction) -> None:
+    obs = sub.add_parser(
+        "obs",
+        help="render telemetry JSONL as ASCII timelines; multiple "
+        "live-trace files are stitched by trace id",
+    )
+    obs.add_argument(
+        "jsonl",
+        nargs="+",
+        help="file(s) written by run --trace-jsonl / --obs-jsonl",
+    )
+    obs.add_argument("--width", type=int, default=60)
+    obs.add_argument("--clock", choices=["sim", "wall"], default="sim")
+    obs.add_argument(
+        "--limit",
+        type=int,
+        default=5,
+        help="stitched traces to render (0 renders all)",
+    )
+    obs.set_defaults(func=_cmd_obs)
+
+
+def _cmd_top(args: argparse.Namespace) -> int:
+    from repro.obs.top import TopDashboard
+
+    proxy = parse_endpoint(args.proxy)
+    nodes = {}
+    for spec in args.node or []:
+        name, _, endpoint = spec.partition("=")
+        if not endpoint:
+            name, endpoint = spec, spec
+        nodes[name] = parse_endpoint(endpoint)
+    dashboard = TopDashboard(proxy, nodes, timeout_s=args.timeout)
+    frames = 0
+    with shutdown_signals() as wait_for_signal:
+        while True:
+            snapshot = dashboard.sample()
+            print(dashboard.render(snapshot, width=args.width), flush=True)
+            frames += 1
+            if args.iterations is not None and frames >= args.iterations:
+                break
+            print(flush=True)
+            if wait_for_signal(args.interval):
+                break
+    return 0
+
+
+def _add_top(sub: argparse._SubParsersAction) -> None:
+    top = sub.add_parser(
+        "top",
+        help="terminal dashboard over a live proxy's stats obs page",
+    )
+    top.add_argument(
+        "--proxy",
+        required=True,
+        metavar="HOST:PORT",
+        help="proxy endpoint to scrape",
+    )
+    top.add_argument(
+        "--node",
+        action="append",
+        metavar="NAME=HOST:PORT",
+        help="backend to scrape plain stats from (repeatable)",
+    )
+    top.add_argument(
+        "--interval",
+        type=float,
+        default=2.0,
+        help="seconds between polls",
+    )
+    top.add_argument(
+        "--iterations",
+        type=int,
+        default=None,
+        help="frames to render then exit (default: until a signal)",
+    )
+    top.add_argument(
+        "--once",
+        action="store_const",
+        dest="iterations",
+        const=1,
+        help="render a single frame and exit",
+    )
+    top.add_argument("--timeout", type=float, default=5.0)
+    top.add_argument("--width", type=int, default=78)
+    top.set_defaults(func=_cmd_top)
+
+
+def register(sub: argparse._SubParsersAction) -> None:
+    """Add this group's subcommands to the top-level parser."""
+    for add in (
+        _add_check,
+        _add_obs,
+        _add_top,
+    ):
+        add(sub)

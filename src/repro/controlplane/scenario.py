@@ -37,16 +37,12 @@ from repro.core.autoscaler import (
 )
 from repro.core.master import Master
 from repro.errors import ConfigurationError
-from repro.loadgen.driver import LoadGenerator
 from repro.loadgen.runner import (
     DEFAULT_MEMORY_PER_NODE,
-    join_generator,
-    run_generator_thread,
-    seed_keys,
+    LoadRun,
+    degradation_window,
+    drive_load,
 )
-from repro.loadgen.schedule import build_schedule
-from repro.net.cluster import LiveCluster
-from repro.net.procs import ProcessClusterHarness
 from repro.obs import create_telemetry
 
 __all__ = [
@@ -179,14 +175,6 @@ def run_controlplane_scenario(
             f"retire must leave >= 2 nodes, got {retire} of {nodes}"
         )
     started_wall = time.perf_counter()
-    schedule = build_schedule(
-        rate,
-        duration_s,
-        seed=seed,
-        num_keys=num_keys,
-        set_fraction=set_fraction,
-        value_bytes=value_bytes,
-    )
     telemetry = create_telemetry("controlplane")
     engine = ScalingEngine(
         AutoScaler(
@@ -210,50 +198,52 @@ def run_controlplane_scenario(
         ),
     )
     failures: list[str] = []
-    names = [f"proc-{index:02d}" for index in range(nodes)]
-    with ProcessClusterHarness(names, memory_per_node) as harness:
-        live = LiveCluster(harness.endpoints, timeout_s=timeout_s)
-        control: ControlPlane | None = None
-        try:
-            seed_keys(live, [op.key for op in schedule], value_bytes)
-            generator = LoadGenerator(
-                harness.endpoints,
-                schedule,
-                timeout_s=timeout_s,
-                key_observer=engine.observe_many,
-            )
-            master = Master(live, telemetry=telemetry)
-            master.subscribe_membership(generator.set_membership)
-            thread, failure = run_generator_thread(generator)
-            if not generator.started.wait(timeout=30.0):
-                raise ConfigurationError("load generator failed to start")
-            control = ControlPlane(
-                live,
-                engine,
-                master=master,
-                config=ControlPlaneConfig(poll_interval_s=poll_interval_s),
-                clock=generator.now,
-                node_stopper=harness.stop_node,
-                telemetry=telemetry,
-            )
-            control.start()
-            # Probe the admin surface while traffic flows and before
-            # the decision can land (the window is still filling).
-            admin = _probe_admin(control.admin_endpoint)
-            # Wait for the engine's confirmed decision to execute.
-            decision_deadline = duration_s * 0.9
-            while (
-                not control.migrations
-                and generator.now() < decision_deadline
-            ):
-                time.sleep(poll_interval_s / 2.0)
-            join_generator(thread, failure, duration_s)
-        finally:
-            if control is not None:
-                control.stop()
-            live.close()
+    admin: dict[str, Any] = {}
+    migrations: list[dict[str, Any]] = []
 
-    migration = dict(control.migrations[0]) if control.migrations else None
+    def supervise(run: LoadRun) -> None:
+        nonlocal admin, migrations
+        master = Master(run.live, telemetry=telemetry)
+        master.subscribe_membership(run.generator.set_membership)
+        control = ControlPlane(
+            run.live,
+            engine,
+            master=master,
+            config=ControlPlaneConfig(poll_interval_s=poll_interval_s),
+            clock=run.generator.now,
+            node_stopper=run.stop_node,
+            telemetry=telemetry,
+        )
+        migrations = control.migrations
+        # The daemon keeps deciding until the tape ends.
+        run.cleanup.callback(control.stop)
+        control.start()
+        # Probe the admin surface while traffic flows and before
+        # the decision can land (the window is still filling).
+        admin = _probe_admin(control.admin_endpoint)
+        # Wait for the engine's confirmed decision to execute.
+        decision_deadline = duration_s * 0.9
+        while (
+            not control.migrations
+            and run.generator.now() < decision_deadline
+        ):
+            time.sleep(poll_interval_s / 2.0)
+
+    generator = drive_load(
+        rate,
+        duration_s,
+        seed,
+        nodes=nodes,
+        memory_per_node=memory_per_node,
+        num_keys=num_keys,
+        set_fraction=set_fraction,
+        value_bytes=value_bytes,
+        timeout_s=timeout_s,
+        action=supervise,
+        key_observer=engine.observe_many,
+    )
+
+    migration = dict(migrations[0]) if migrations else None
     degradation: dict[str, Any] = {
         "killed_at_s": None,
         "recovered_at_s": None,
@@ -264,17 +254,9 @@ def run_controlplane_scenario(
     if migration is None:
         failures.append("the engine never executed a scale decision")
     else:
-        killed_at = migration["killed_at_s"]
-        window_errors = [
-            t for t, _ in generator.error_timeline if t >= killed_at
-        ]
-        recovered_at = max([migration["executed_at_s"], *window_errors])
-        degradation = {
-            "killed_at_s": killed_at,
-            "recovered_at_s": round(recovered_at, 3),
-            "window_s": round(recovered_at - killed_at, 3),
-            "errors_in_window": len(window_errors),
-        }
+        degradation = degradation_window(
+            generator, migration["killed_at_s"], migration["executed_at_s"]
+        )
         if migration["source"] != "autoscaler":
             failures.append(
                 f"scale-in came from {migration['source']!r}, "

@@ -1,33 +1,38 @@
 """End-to-end load runs: steady state, and scale-in under load.
 
-Two entry points back the CLI and CI:
+One spine, :func:`drive_load`, scripts every load-driven run: boot (or
+target) a cluster, seed the keyspace, replay an open-loop tape on a
+worker thread (its own asyncio loop), and -- while the tape replays --
+run an optional *action* on the calling thread.  The entry points that
+back the CLI and CI are that spine plus an action:
 
-- :func:`run_load` -- boot (or target) a cluster, seed the keyspace,
-  replay an open-loop tape, return the :class:`~repro.loadgen.report.LoadReport`;
-- :func:`run_load_migration` -- the ElMem experiment: a
-  :class:`~repro.net.procs.ProcessClusterHarness` cluster absorbs load
-  on every core while the *unmodified*
-  :class:`~repro.core.master.Master` plans and executes a three-phase
-  scale-in mid-run.  The Master's post-switch membership callback swaps
-  the generator's routing ring, the retired node's process is then
-  drained away, and the report carries a ``killed_at -> recovered_at``
-  degradation window derived from the migration span and any trailing
-  transport errors on the load timeline.
+- :func:`run_load` -- no action: a steady-state run;
+- :func:`run_load_migration` -- the ElMem experiment: sleep, then the
+  *unmodified* :class:`~repro.core.master.Master` plans and executes a
+  three-phase scale-in against a
+  :class:`~repro.net.cluster.LiveCluster` exactly as it would without
+  any load.  The Master's post-switch membership callback swaps the
+  generator's routing ring, and the retired node's process is then
+  drained away;
+- :func:`repro.controlplane.scenario.run_controlplane_scenario` -- the
+  action starts a control plane and waits for the engine's decision.
 
-The load generator runs on a worker thread (its own asyncio loop); the
-Master runs on the calling thread against a
-:class:`~repro.net.cluster.LiveCluster` exactly as it would without any
-load -- nothing about migration code knows the generator exists.
+:func:`degradation_window` turns an action's ``killed_at`` /
+``executed_at`` instants into the ``killed_at -> recovered_at`` window:
+recovery is when both the migration and the last load-side transport
+error after it are behind us.
 """
 
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import threading
 import time
-from typing import Any
+from dataclasses import dataclass
+from typing import Any, Callable
 
-from repro.core.master import Master
+from repro.core.master import Master, MigrationReport
 from repro.errors import ConfigurationError
 from repro.loadgen.driver import (
     DEFAULT_LATE_THRESHOLD_S,
@@ -39,17 +44,13 @@ from repro.loadgen.schedule import build_schedule, payload_for
 from repro.memcached.slab import PAGE_SIZE
 from repro.net.cluster import LiveCluster
 from repro.net.procs import ProcessClusterHarness
-from repro.workloads.traces import RateTrace, make_trace
+from repro.workloads.traces import make_trace
 
 SEED_BATCH = 2000
 """Keys per pipelined seeding batch."""
 
 DEFAULT_MEMORY_PER_NODE = 8 * PAGE_SIZE
 """Node memory for self-hosted load runs (plenty for the default tape)."""
-
-
-def _resolve_trace(trace: str | None) -> RateTrace | None:
-    return None if trace is None else make_trace(trace)
 
 
 def seed_keys(
@@ -69,36 +70,106 @@ def seed_keys(
     return stored
 
 
-def run_generator_thread(
-    generator: LoadGenerator,
-) -> tuple[threading.Thread, dict[str, BaseException]]:
-    """Start ``generator.run()`` on a worker thread; returns the thread
-    and a holder that carries any exception out of it."""
-    failure: dict[str, BaseException] = {}
+@dataclass
+class LoadRun:
+    """What a mid-run action may touch while the tape replays."""
 
-    def _worker() -> None:
-        try:
-            asyncio.run(generator.run())
-        except BaseException as exc:  # re-raised on the caller thread
-            failure["error"] = exc
-
-    thread = threading.Thread(
-        target=_worker, name="loadgen-driver", daemon=True
-    )
-    thread.start()
-    return thread, failure
+    generator: LoadGenerator
+    live: LiveCluster
+    stop_node: Callable[[str], None] | None
+    """Drains one self-hosted node process; ``None`` on external targets."""
+    cleanup: contextlib.ExitStack
+    """Runs after the tape ends, before the cluster goes away."""
 
 
-def join_generator(
-    thread: threading.Thread,
-    failure: dict[str, BaseException],
+def drive_load(
+    rate: float,
     duration_s: float,
-) -> None:
-    thread.join(timeout=duration_s + 120.0)
-    if thread.is_alive():
-        raise ConfigurationError("load generator did not finish in time")
-    if "error" in failure:
-        raise failure["error"]
+    seed: int,
+    endpoints: dict[str, tuple[str, int]] | None = None,
+    nodes: int = 3,
+    memory_per_node: int = DEFAULT_MEMORY_PER_NODE,
+    num_keys: int = 5000,
+    set_fraction: float = 0.1,
+    value_bytes: int = 64,
+    trace: str | None = None,
+    timeout_s: float = 5.0,
+    seed_data: bool = True,
+    action: Callable[[LoadRun], None] | None = None,
+    **generator_options: Any,
+) -> LoadGenerator:
+    """Replay one open-loop tape; returns the finished generator.
+
+    With ``endpoints`` the run targets an externally managed cluster;
+    otherwise it boots ``nodes`` node *processes* for the duration.
+    ``action`` runs on the calling thread once the tape is flowing;
+    ``generator_options`` go to :class:`LoadGenerator` verbatim.
+    """
+    schedule = build_schedule(
+        rate,
+        duration_s,
+        seed=seed,
+        num_keys=num_keys,
+        set_fraction=set_fraction,
+        value_bytes=value_bytes,
+        trace=None if trace is None else make_trace(trace),
+    )
+    with contextlib.ExitStack() as cleanup:
+        stop_node = None
+        if endpoints is None:
+            if nodes < 1:
+                raise ConfigurationError("need at least one node")
+            names = [f"proc-{index:02d}" for index in range(nodes)]
+            harness = cleanup.enter_context(
+                ProcessClusterHarness(names, memory_per_node)
+            )
+            endpoints, stop_node = harness.endpoints, harness.stop_node
+        live = cleanup.enter_context(
+            LiveCluster(endpoints, timeout_s=timeout_s)
+        )
+        if seed_data:
+            seed_keys(live, [op.key for op in schedule], value_bytes)
+        generator = LoadGenerator(
+            endpoints, schedule, timeout_s=timeout_s, **generator_options
+        )
+        failure: list[BaseException] = []
+
+        def _replay() -> None:
+            try:
+                asyncio.run(generator.run())
+            except BaseException as exc:  # re-raised on the caller thread
+                failure.append(exc)
+
+        thread = threading.Thread(
+            target=_replay, name="loadgen-driver", daemon=True
+        )
+        thread.start()
+        if action is not None:
+            if not generator.started.wait(timeout=30.0):
+                raise ConfigurationError("load generator failed to start")
+            action(LoadRun(generator, live, stop_node, cleanup))
+        thread.join(timeout=duration_s + 120.0)
+        if thread.is_alive():
+            raise ConfigurationError("load generator did not finish in time")
+        if failure:
+            raise failure[0]
+    return generator
+
+
+def degradation_window(
+    generator: LoadGenerator, killed_at: float, executed_at: float
+) -> dict[str, Any]:
+    """The ``killed_at -> recovered_at`` window on the load timeline."""
+    window_errors = [
+        t for t, _ in generator.error_timeline if t >= killed_at
+    ]
+    recovered_at = max([executed_at, *window_errors])
+    return {
+        "killed_at_s": round(killed_at, 3),
+        "recovered_at_s": round(recovered_at, 3),
+        "window_s": round(recovered_at - killed_at, 3),
+        "errors_in_window": len(window_errors),
+    }
 
 
 def run_load(
@@ -123,42 +194,24 @@ def run_load(
     With ``endpoints`` the run targets an externally managed cluster;
     otherwise it boots ``nodes`` node *processes* for the duration.
     """
-    schedule = build_schedule(
+    generator = drive_load(
         rate,
         duration_s,
-        seed=seed,
+        seed,
+        endpoints=endpoints,
+        nodes=nodes,
+        memory_per_node=memory_per_node,
         num_keys=num_keys,
         set_fraction=set_fraction,
         value_bytes=value_bytes,
-        trace=_resolve_trace(trace),
+        trace=trace,
+        timeout_s=timeout_s,
+        seed_data=seed_data,
+        tick_s=tick_s,
+        max_inflight=max_inflight,
+        late_threshold_s=late_threshold_s,
     )
-
-    def _drive(targets: dict[str, tuple[str, int]]) -> LoadReport:
-        if seed_data:
-            with LiveCluster(targets, timeout_s=timeout_s) as live:
-                seed_keys(
-                    live, [op.key for op in schedule], value_bytes
-                )
-        generator = LoadGenerator(
-            targets,
-            schedule,
-            tick_s=tick_s,
-            max_inflight=max_inflight,
-            timeout_s=timeout_s,
-            late_threshold_s=late_threshold_s,
-        )
-        asyncio.run(generator.run())
-        return generator.report(
-            "steady", rate, duration_s, seed, trace=trace
-        )
-
-    if endpoints is not None:
-        return _drive(dict(endpoints))
-    if nodes < 1:
-        raise ConfigurationError("need at least one node")
-    names = [f"proc-{index:02d}" for index in range(nodes)]
-    with ProcessClusterHarness(names, memory_per_node) as harness:
-        return _drive(harness.endpoints)
+    return generator.report("steady", rate, duration_s, seed, trace=trace)
 
 
 def run_load_migration(
@@ -196,67 +249,46 @@ def run_load_migration(
         )
     if not 0.0 < migrate_at_frac < 1.0:
         raise ConfigurationError("migrate_at_frac must be within (0, 1)")
-    schedule = build_schedule(
+    done: list[tuple[MigrationReport, float, float]] = []
+
+    def scale_in(run: LoadRun) -> None:
+        master = Master(run.live)
+        master.subscribe_membership(run.generator.set_membership)
+        time.sleep(duration_s * migrate_at_frac)
+        plan = master.plan_scale_in(master.choose_retiring(retire))
+        killed_at = run.generator.now()
+        moved = master.execute(plan)
+        done.append((moved, killed_at, run.generator.now()))
+        # The retired processes drain away for real: scale-in means
+        # the OS process is gone, not just out of the ring.
+        assert run.stop_node is not None  # self-hosted: no endpoints given
+        for name in plan.retiring:
+            run.stop_node(name)
+
+    generator = drive_load(
         rate,
         duration_s,
-        seed=seed,
+        seed,
+        nodes=nodes,
+        memory_per_node=memory_per_node,
         num_keys=num_keys,
         set_fraction=set_fraction,
         value_bytes=value_bytes,
-        trace=_resolve_trace(trace),
+        trace=trace,
+        timeout_s=timeout_s,
+        action=scale_in,
+        tick_s=tick_s,
+        max_inflight=max_inflight,
+        late_threshold_s=late_threshold_s,
     )
-    names = [f"proc-{index:02d}" for index in range(nodes)]
-    with ProcessClusterHarness(names, memory_per_node) as harness:
-        live = LiveCluster(harness.endpoints, timeout_s=timeout_s)
-        try:
-            seed_keys(live, [op.key for op in schedule], value_bytes)
-            generator = LoadGenerator(
-                harness.endpoints,
-                schedule,
-                tick_s=tick_s,
-                max_inflight=max_inflight,
-                timeout_s=timeout_s,
-                late_threshold_s=late_threshold_s,
-            )
-            master = Master(live)
-            master.subscribe_membership(generator.set_membership)
-            thread, failure = run_generator_thread(generator)
-            if not generator.started.wait(timeout=30.0):
-                raise ConfigurationError("load generator failed to start")
-            time.sleep(duration_s * migrate_at_frac)
-
-            retiring = master.choose_retiring(retire)
-            plan = master.plan_scale_in(retiring)
-            killed_at = generator.now()
-            migration_report = master.execute(plan)
-            executed_at = generator.now()
-            # The retired processes drain away for real: scale-in means
-            # the OS process is gone, not just out of the ring.
-            for name in plan.retiring:
-                harness.stop_node(name)
-            join_generator(thread, failure, duration_s)
-
-            window_errors = [
-                t for t, _ in generator.error_timeline if t >= killed_at
-            ]
-            recovered_at = max([executed_at, *window_errors])
-            migration: dict[str, Any] = {
-                "retired": list(plan.retiring),
-                "membership_after": list(
-                    migration_report.membership_after
-                ),
-                "outcome": migration_report.outcome,
-                "items_exported": migration_report.items_exported,
-                "items_imported": migration_report.items_imported,
-                "killed_at_s": round(killed_at, 3),
-                "recovered_at_s": round(recovered_at, 3),
-                "window_s": round(recovered_at - killed_at, 3),
-                "errors_in_window": len(window_errors),
-            }
-            report = generator.report(
-                "migrate", rate, duration_s, seed, trace=trace
-            )
-            report.migration = migration
-            return report
-        finally:
-            live.close()
+    moved, killed_at, executed_at = done[0]
+    report = generator.report("migrate", rate, duration_s, seed, trace=trace)
+    report.migration = {
+        "retired": list(moved.plan.retiring),
+        "membership_after": list(moved.membership_after),
+        "outcome": moved.outcome,
+        "items_exported": moved.items_exported,
+        "items_imported": moved.items_imported,
+        **degradation_window(generator, killed_at, executed_at),
+    }
+    return report

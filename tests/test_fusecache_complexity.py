@@ -21,8 +21,8 @@ from repro.core.fusecache import (
 )
 
 # Envelope constant: comparisons <= ENVELOPE_C * k * (log2 N)^2.  The
-# measured fit constant sits near 0.5 (see benchmarks/bench_baseline.json);
-# 16 leaves a wide margin for unlucky pivots while still catching any
+# measured fit constant sits near 0.5 (0.466 at k = 8, N = 2^17; see the
+# frozen ratio table in EXPERIMENTS.md); 16 leaves a wide margin for unlucky pivots while still catching any
 # linear-in-n regression (at n = 2^16 per list the envelope is ~100x
 # below the k-way merge's pop count).
 ENVELOPE_C = 16.0
