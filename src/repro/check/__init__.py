@@ -18,8 +18,6 @@ from a seed.  This package *checks* them, from two sides:
   :class:`~repro.core.master.Master` calls after each migration phase;
 - :mod:`repro.check.async_rules` -- the REP1xx concurrency-safety rule
   pack for the asyncio/threading live tier (``repro check --async``);
-- :mod:`repro.check.protocol_conformance` -- the REP2xx static
-  wire-protocol drift checker (``repro check --protocol``);
 - :mod:`repro.check.loopcheck` -- the opt-in runtime loop sanitizer
   behind ``--sanitize`` (asyncio debug mode + blocking-call trap).
 """
@@ -42,10 +40,6 @@ from repro.check.lint import (
 )
 from repro.check.loopcheck import LoopSanitizer, create_sanitizer
 from repro.check.oracle import check_fusecache, fusecache_oracle
-from repro.check.protocol_conformance import (
-    check_conformance,
-    default_conformance,
-)
 from repro.check.rules import DEFAULT_RULES, rule_catalogue
 from repro.check.strict import StrictChecker
 from repro.errors import InvariantViolation
@@ -60,14 +54,12 @@ __all__ = [
     "StrictChecker",
     "Violation",
     "async_rule_catalogue",
-    "check_conformance",
     "check_fusecache",
     "check_lru",
     "check_ring",
     "check_ring_remap",
     "check_slabs",
     "create_sanitizer",
-    "default_conformance",
     "fusecache_oracle",
     "lint_paths",
     "lint_source",

@@ -10,8 +10,8 @@ Two consumers beyond a human reading stdout:
   show up inline on the pull-request diff.
 
 Both consume the same :class:`~repro.check.lint.Violation` records the
-linter and the conformance checker produce, so every REP0xx/REP1xx/
-REP2xx finding flows through one serialization path.
+linter produces, so every REP0xx/REP1xx finding flows through one
+serialization path.
 """
 
 from __future__ import annotations

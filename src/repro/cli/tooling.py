@@ -12,13 +12,10 @@ from repro.cli._shared import parse_endpoint, shutdown_signals
 def _check_rule_rows(args: argparse.Namespace) -> "list[tuple[str, str, str]]":
     """The rule catalogue covering every pack this invocation runs."""
     from repro.check import async_rule_catalogue, rule_catalogue
-    from repro.check.protocol_conformance import conformance_catalogue
 
     rows = list(rule_catalogue())
     if getattr(args, "async_rules", False) or getattr(args, "list_rules", False):
         rows.extend(async_rule_catalogue())
-    if getattr(args, "protocol", False) or getattr(args, "list_rules", False):
-        rows.extend(conformance_catalogue())
     return rows
 
 
@@ -50,26 +47,15 @@ def _cmd_check(args: argparse.Namespace) -> int:
     if not machine:
         print(f"lint: checking {', '.join(paths)}")
     violations = lint_paths(paths, rules=rules)
-    conformance = []
-    if args.protocol:
-        from repro.check.protocol_conformance import default_conformance
-
-        conformance = default_conformance()
-    findings = violations + conformance
-    failed = bool(findings)
+    failed = bool(violations)
 
     if not machine:
-        for violation in findings:
+        for violation in violations:
             print("  " + violation.render())
         if violations:
             print(f"lint: {len(violations)} violation(s)")
         else:
             print("lint: clean")
-        if args.protocol:
-            if conformance:
-                print(f"protocol: {len(conformance)} drift finding(s)")
-            else:
-                print("protocol: client/server/proxy models agree")
 
     sim_reports = []
     if not args.no_sim:
@@ -87,11 +73,11 @@ def _cmd_check(args: argparse.Namespace) -> int:
                 )
 
     if args.sarif:
-        write_sarif(args.sarif, findings, _check_rule_rows(args))
+        write_sarif(args.sarif, violations, _check_rule_rows(args))
         if not machine:
             print(f"sarif: wrote {args.sarif}")
     if args.annotate:
-        for line in github_annotations(findings):
+        for line in github_annotations(violations):
             print(line)
     if machine:
         import json
@@ -101,7 +87,6 @@ def _cmd_check(args: argparse.Namespace) -> int:
                 {
                     "paths": paths,
                     "lint": violations_json(violations),
-                    "conformance": violations_json(conformance),
                     "invariants": sim_reports,
                     "failed": failed,
                 },
@@ -141,11 +126,6 @@ def _add_check(sub: argparse._SubParsersAction) -> None:
         dest="async_rules",
         action="store_true",
         help="also run the REP1xx concurrency-safety rules (live tier)",
-    )
-    check.add_argument(
-        "--protocol",
-        action="store_true",
-        help="cross-check server/client/proxy wire-protocol models",
     )
     check.add_argument(
         "--json",

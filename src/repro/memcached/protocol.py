@@ -9,8 +9,9 @@ or a client library would drive real Memcached:
 
 Supported commands: ``get``/``gets`` (multi-key), ``set``/``add``/
 ``replace``/``append``/``prepend``/``cas``, ``delete``, ``incr``/``decr``,
-``touch``, ``flush_all``, ``stats`` (+ ``stats slabs``), ``version``, plus
-the paper's two custom migration commands (Section V-A1):
+``touch``, ``flush_all``, ``stats`` (+ ``stats slabs``, ``stats obs``),
+``version``, ``quit`` -- the rows of :data:`repro.wire.COMMANDS` -- among
+them the paper's custom migration commands (Section V-A1):
 
 - ``ts_dump <class_id>`` -- the *timestamp dump*: streams
   ``TS <key> <last_access> <size>`` for every item of one slab class in
@@ -31,12 +32,12 @@ the paper's two custom migration commands (Section V-A1):
   by ``END``.  Unlike ``get``, the export does not touch MRU positions
   or timestamps, so hotness metadata survives the move.
 
-The parser is incremental: :meth:`TextProtocolServer.feed` accepts
-arbitrary byte chunks and returns whatever complete responses they
-produce, holding partial commands (or partial data blocks) until more
-bytes arrive.  ``exptime`` is interpreted as relative seconds
-(simulation time); Memcached's 30-day absolute-timestamp rule is not
-modeled.
+Framing is :mod:`repro.wire`'s: :meth:`TextProtocolServer.feed` pushes
+arbitrary byte chunks through a :class:`~repro.wire.RequestFramer` and
+runs the ``_cmd_<verb>`` handler of every request they complete, so
+arity, sizes and data trailers are already checked when a handler
+runs.  ``exptime`` is interpreted as relative seconds (simulation
+time); Memcached's 30-day absolute-timestamp rule is not modeled.
 """
 
 from __future__ import annotations
@@ -44,67 +45,19 @@ from __future__ import annotations
 import time
 from typing import Any, Callable
 
+from repro import wire
 from repro.memcached.node import MemcachedNode, MigratedItem
 from repro.obs import NULL_TELEMETRY, Telemetry
-from repro.obs.livetrace import TraceContext, parse_trace_args
+from repro.obs.export import to_prometheus
+from repro.obs.livetrace import TraceContext
 from repro.obs.metrics import LATENCY_SECONDS_BUCKETS
+from repro.wire import BAD_FORMAT, CRLF
 
-CRLF = b"\r\n"
-MAX_KEY_LENGTH = 250
-
-IMPORT_MODES = frozenset({"merge", "prepend", "fresh"})
-
-
-def _wire_value(value: object) -> tuple[int, bytes]:
-    """Serialize a cached value as ``(flags, payload)`` for the wire.
-
-    Values stored through the protocol are always ``(flags, payload)``
-    tuples; values planted directly on the node by simulation code are
-    coerced via ``str`` so an export never crashes the connection.
-    """
-    if (
-        isinstance(value, tuple)
-        and len(value) == 2
-        and isinstance(value[1], (bytes, bytearray))
-    ):
-        flags = value[0] if isinstance(value[0], int) else 0
-        return flags, bytes(value[1])
-    if isinstance(value, (bytes, bytearray)):
-        return 0, bytes(value)
-    return 0, str(value).encode("utf-8")
-
-
-class _ImportState:
-    """Parser state for one in-flight ``batch_import`` command."""
-
-    __slots__ = ("mode", "remaining", "records", "header")
-
-    def __init__(self, mode: str, count: int) -> None:
-        self.mode = mode
-        self.remaining = count
-        self.records: list[MigratedItem] = []
-        # (key, last_access, size, flags) of the item whose payload is
-        # awaited.
-        self.header: tuple[str, float, int, int] | None = None
-
-
-class _ExportState:
-    """Parser state for one in-flight ``mig_export`` command."""
-
-    __slots__ = ("remaining", "keys")
-
-    def __init__(self, count: int) -> None:
-        self.remaining = count
-        self.keys: list[str] = []
-
-
-STORAGE_COMMANDS = frozenset(
-    {"set", "add", "replace", "append", "prepend", "cas"}
-)
+Handler = Callable[[str, list[str], Any], bytes]
 
 
 class TextProtocolServer:
-    """Incremental text-protocol handler for one Memcached node.
+    """Text-protocol handler for one Memcached node.
 
     Parameters
     ----------
@@ -131,17 +84,7 @@ class TextProtocolServer:
         self.node = node
         self.clock = clock
         self.telemetry = telemetry or NULL_TELEMETRY
-        self._buffer = b""
-        # When a storage command header has been read, this holds
-        # (command line parts, payload bytes expected, trace context).
-        self._pending: tuple[list[str], int, TraceContext | None] | None = None
-        # In-flight batch_import command, if any.
-        self._import: _ImportState | None = None
-        # In-flight mig_export command, if any.
-        self._export: _ExportState | None = None
-        # Trace context announced by a `trace` frame, consumed by the
-        # next dispatched command.
-        self._trace: TraceContext | None = None
+        self._framer = wire.RequestFramer()
         metrics = self.telemetry.metrics
         self._obs: bool = bool(getattr(metrics, "enabled", False))
         self._live: Any = self.telemetry.live
@@ -158,143 +101,45 @@ class TextProtocolServer:
         # can derive parse time as (feed wall time - execute delta).
         self.execute_seconds = 0.0
 
+    @property
+    def closed(self) -> bool:
+        """True once the peer must be dropped (``quit``, over-long line)."""
+        return self._framer.closed
+
     # ------------------------------------------------------------------
     # Stream interface
     # ------------------------------------------------------------------
 
     def feed(self, data: bytes) -> bytes:
         """Consume ``data`` and return the responses it completes."""
-        self._buffer += data
         responses: list[bytes] = []
-        while True:
-            if self._pending is not None:
-                parts, size, ctx = self._pending
-                # Payload plus its trailing CRLF must be available.
-                if len(self._buffer) < size + 2:
-                    break
-                payload = self._buffer[:size]
-                trailer = self._buffer[size : size + 2]
-                self._buffer = self._buffer[size + 2 :]
-                self._pending = None
-                if trailer != CRLF:
-                    responses.append(b"CLIENT_ERROR bad data chunk" + CRLF)
-                else:
-                    responses.append(self._run_store(parts, payload, ctx))
+        for verb, args, body, ctx in self._framer.feed(data):
+            if verb is None:
+                responses.append(body)
                 continue
-            if self._import is not None and self._import.header is not None:
-                key, last_access, size, flags = self._import.header
-                if len(self._buffer) < size + 2:
-                    break
-                payload = self._buffer[:size]
-                trailer = self._buffer[size : size + 2]
-                self._buffer = self._buffer[size + 2 :]
-                state = self._import
-                if trailer != CRLF:
-                    self._import = None
-                    responses.append(b"CLIENT_ERROR bad data chunk" + CRLF)
-                    continue
-                state.header = None
-                state.records.append(
-                    MigratedItem(
-                        key=key,
-                        value=(flags, payload),
-                        value_size=size,
-                        last_access=last_access,
-                    )
-                )
-                if state.remaining == 0:
-                    responses.append(self._finish_import(state))
-                continue
-            line_end = self._buffer.find(CRLF)
-            if line_end < 0:
-                break
-            line = self._buffer[:line_end].decode("utf-8", "replace")
-            self._buffer = self._buffer[line_end + 2 :]
-            if self._import is not None:
-                response = self._import_header_line(line)
-            elif self._export is not None:
-                response = self._export_key_line(line)
+            handler: Handler = getattr(self, "_cmd_" + verb)
+            if self._obs or ctx is not None:
+                responses.append(self._run_timed(handler, verb, args, body, ctx))
             else:
-                response = self._dispatch(line)
-            if response is not None:
-                responses.append(response)
+                responses.append(handler(verb, args, body))
         return b"".join(responses)
 
     def execute(self, command: str, payload: bytes | None = None) -> bytes:
         """One-shot helper: run a single command line (plus payload)."""
-        data = command.encode("utf-8") + CRLF
-        if payload is not None:
-            data += payload + CRLF
-        return self.feed(data)
-
-    # ------------------------------------------------------------------
-    # Dispatch
-    # ------------------------------------------------------------------
-
-    def _dispatch(self, line: str) -> bytes | None:
-        parts = line.split()
-        if not parts:
-            self._trace = None
-            return b"ERROR" + CRLF
-        command = parts[0].lower()
-        if command == "trace":
-            return self._trace_frame(parts[1:])
-        # The context announced by a preceding `trace` frame applies to
-        # exactly one command.
-        ctx, self._trace = self._trace, None
-        if command in STORAGE_COMMANDS:
-            return self._begin_storage(parts, ctx)
-        handler = getattr(self, f"_cmd_{command}", None)
-        if handler is None:
-            return b"ERROR" + CRLF
-        if self._obs or ctx is not None:
-            return self._run_timed(command, handler, parts[1:], ctx)
-        return handler(parts[1:])
-
-    def _trace_frame(self, args: list[str]) -> bytes | None:
-        """Handle a ``trace <trace_id> <span_id>`` framing line."""
-        ctx = parse_trace_args(args)
-        if ctx is None:
-            self._trace = None
-            return b"CLIENT_ERROR bad trace frame" + CRLF
-        self._trace = ctx
-        return None
+        return self.feed(wire.encode_line(command, payload))
 
     def _run_timed(
         self,
-        command: str,
-        handler: Callable[[list[str]], bytes | None],
+        handler: Handler,
+        verb: str,
         args: list[str],
+        body: Any,
         ctx: TraceContext | None,
-    ) -> bytes | None:
-        # live-path timing, not sim time
-        start = time.perf_counter()  # repro: allow[REP001]
-        try:
-            return handler(args)
-        finally:
-            elapsed = time.perf_counter() - start  # repro: allow[REP001]
-            self.execute_seconds += elapsed
-            if self._m_execute is not None:
-                self._m_execute.observe(elapsed)
-            if ctx is not None and self._live.enabled:
-                wall_end = time.time()  # repro: allow[REP001]
-                span = self._live.start_span(
-                    f"server.{command}",
-                    ctx,
-                    start_s=wall_end - elapsed,
-                    node=self.node.name,
-                )
-                span.end(wall_end)
-
-    def _run_store(
-        self, parts: list[str], payload: bytes, ctx: TraceContext | None
     ) -> bytes:
-        if not (self._obs or ctx is not None):
-            return self._store(parts, payload)
         # live-path timing, not sim time
         start = time.perf_counter()  # repro: allow[REP001]
         try:
-            return self._store(parts, payload)
+            return handler(verb, args, body)
         finally:
             elapsed = time.perf_counter() - start  # repro: allow[REP001]
             self.execute_seconds += elapsed
@@ -303,63 +148,48 @@ class TextProtocolServer:
             if ctx is not None and self._live.enabled:
                 wall_end = time.time()  # repro: allow[REP001]
                 span = self._live.start_span(
-                    f"server.{parts[0].lower()}",
+                    f"server.{verb}",
                     ctx,
                     start_s=wall_end - elapsed,
                     node=self.node.name,
                 )
                 span.end(wall_end)
 
-    def _begin_storage(
-        self, parts: list[str], ctx: TraceContext | None = None
-    ) -> bytes | None:
-        command = parts[0].lower()
-        expected = 6 if command == "cas" else 5
-        if len(parts) not in (expected, expected + 1):
-            return b"CLIENT_ERROR bad command line format" + CRLF
-        try:
-            size = int(parts[4])
-        except ValueError:
-            return b"CLIENT_ERROR bad command line format" + CRLF
-        if size < 0:
-            return b"CLIENT_ERROR bad data chunk" + CRLF
-        if len(parts[1]) > MAX_KEY_LENGTH:
-            return b"CLIENT_ERROR key too long" + CRLF
-        self._pending = (parts, size, ctx)
-        return None
+    # ------------------------------------------------------------------
+    # Storage commands
+    # ------------------------------------------------------------------
 
-    def _store(self, parts: list[str], payload: bytes) -> bytes:
-        command = parts[0].lower()
-        key = parts[1]
+    def _cmd_set(self, verb: str, args: list[str], payload: bytes) -> bytes:
+        key = args[0]
         try:
-            flags = int(parts[2])
-            exptime = float(parts[3])
+            flags = int(args[1])
+            exptime = float(args[2])
         except ValueError:
-            return b"CLIENT_ERROR bad command line format" + CRLF
+            return BAD_FORMAT
         now = self.clock()
         value = (flags, payload)
         size = len(payload)
-        if command == "set":
+        if verb == "set":
             stored = self.node.set(key, value, size, now, exptime=exptime)
             if not stored:
                 return b"SERVER_ERROR object too large for cache" + CRLF
             return b"STORED" + CRLF
-        if command == "add":
+        if verb == "add":
             stored = self.node.add(key, value, size, now, exptime=exptime)
             return (b"STORED" if stored else b"NOT_STORED") + CRLF
-        if command == "replace":
+        if verb == "replace":
             stored = self.node.replace(
                 key, value, size, now, exptime=exptime
             )
             return (b"STORED" if stored else b"NOT_STORED") + CRLF
-        if command in ("append", "prepend"):
+        if verb in ("append", "prepend"):
             existing = self.node.peek(key)
             if existing is None or existing.is_expired(now):
                 return b"NOT_STORED" + CRLF
             old_flags, old_payload = existing.value
             merged = (
                 old_payload + payload
-                if command == "append"
+                if verb == "append"
                 else payload + old_payload
             )
             self.node.set(
@@ -368,9 +198,9 @@ class TextProtocolServer:
             return b"STORED" + CRLF
         # cas
         try:
-            token = int(parts[5])
+            token = int(args[4])
         except ValueError:
-            return b"CLIENT_ERROR bad command line format" + CRLF
+            return BAD_FORMAT
         outcome = self.node.cas(
             key, value, size, token, now, exptime=exptime
         )
@@ -380,52 +210,39 @@ class TextProtocolServer:
             "not_found": b"NOT_FOUND",
         }[outcome] + CRLF
 
+    _cmd_add = _cmd_replace = _cmd_append = _cmd_prepend = _cmd_cas = _cmd_set
+
     # ------------------------------------------------------------------
     # Retrieval / mutation commands
     # ------------------------------------------------------------------
 
-    def _cmd_get(self, keys: list[str], with_cas: bool = False) -> bytes:
-        if not keys:
-            return b"ERROR" + CRLF
+    def _cmd_get(self, verb: str, keys: list[str], body: None) -> bytes:
         now = self.clock()
+        with_cas = verb == "gets"
         chunks: list[bytes] = []
         for key in keys:
             value = self.node.get(key, now)
             if value is None:
                 continue
             flags, payload = value
-            header = f"VALUE {key} {flags} {len(payload)}"
-            if with_cas:
-                header += f" {self.node.peek(key).cas_id}"
-            chunks.append(header.encode("utf-8") + CRLF + payload + CRLF)
-        chunks.append(b"END" + CRLF)
+            item = self.node.peek(key) if with_cas else None
+            cas = item.cas_id if item else None
+            chunks.append(wire.value_block(key, flags, payload, cas))
+        chunks.append(wire.END)
         return b"".join(chunks)
 
-    def _cmd_gets(self, keys: list[str]) -> bytes:
-        return self._cmd_get(keys, with_cas=True)
+    _cmd_gets = _cmd_get
 
-    def _cmd_delete(self, args: list[str]) -> bytes:
-        if len(args) != 1:
-            return b"CLIENT_ERROR bad command line format" + CRLF
+    def _cmd_delete(self, verb: str, args: list[str], body: None) -> bytes:
         deleted = self.node.delete(args[0])
         return (b"DELETED" if deleted else b"NOT_FOUND") + CRLF
 
-    def _cmd_incr(self, args: list[str]) -> bytes:
-        return self._arith(args, sign=1)
-
-    def _cmd_decr(self, args: list[str]) -> bytes:
-        return self._arith(args, sign=-1)
-
-    def _arith(self, args: list[str], sign: int) -> bytes:
-        if len(args) != 2:
-            return b"CLIENT_ERROR bad command line format" + CRLF
+    def _cmd_incr(self, verb: str, args: list[str], body: None) -> bytes:
         key = args[0]
         try:
             delta = int(args[1])
         except ValueError:
-            return (
-                b"CLIENT_ERROR invalid numeric delta argument" + CRLF
-            )
+            return wire.BAD_DELTA
         now = self.clock()
         item = self.node.peek(key)
         if item is None or item.is_expired(now):
@@ -438,201 +255,93 @@ class TextProtocolServer:
                 b"CLIENT_ERROR cannot increment or decrement "
                 b"non-numeric value" + CRLF
             )
-        updated = max(0, current + sign * delta)
+        if verb == "decr":
+            delta = -delta
+        updated = max(0, current + delta)
         new_payload = str(updated).encode("utf-8")
         self.node.set(key, (flags, new_payload), len(new_payload), now)
-        return str(updated).encode("utf-8") + CRLF
+        return new_payload + CRLF
 
-    def _cmd_touch(self, args: list[str]) -> bytes:
-        if len(args) != 2:
-            return b"CLIENT_ERROR bad command line format" + CRLF
+    _cmd_decr = _cmd_incr
+
+    def _cmd_touch(self, verb: str, args: list[str], body: None) -> bytes:
         try:
             exptime = float(args[1])
         except ValueError:
-            return b"CLIENT_ERROR bad command line format" + CRLF
+            return BAD_FORMAT
         touched = self.node.touch_item(args[0], exptime, self.clock())
         return (b"TOUCHED" if touched else b"NOT_FOUND") + CRLF
 
-    def _cmd_flush_all(self, args: list[str]) -> bytes:
+    def _cmd_flush_all(self, verb: str, args: list[str], body: None) -> bytes:
         self.node.flush_all()
         return b"OK" + CRLF
 
-    def _cmd_version(self, args: list[str]) -> bytes:
+    def _cmd_version(self, verb: str, args: list[str], body: None) -> bytes:
         return b"VERSION repro-1.4.25-elmem" + CRLF
 
-    def _cmd_stats(self, args: list[str]) -> bytes:
+    def _cmd_stats(self, verb: str, args: list[str], body: None) -> bytes:
         if args and args[0] == "slabs":
             return self._stats_slabs()
         if args and args[0] == "obs":
-            return self._stats_obs()
+            return wire.obs_reply(to_prometheus(self.telemetry.metrics))
         stats = self.node.stats
-        pairs = [
-            ("curr_items", self.node.curr_items),
-            ("bytes", self.node.used_bytes),
-            ("limit_maxbytes", self.node.memory_bytes),
-            ("cmd_get", stats.gets),
-            ("cmd_set", stats.sets),
-            ("get_hits", stats.get_hits),
-            ("get_misses", stats.get_misses),
-            ("delete_hits", stats.deletes),
-            ("evictions", stats.evictions),
-            ("expired_unfetched", stats.expired),
-        ]
-        body = b"".join(
-            f"STAT {name} {value}".encode("utf-8") + CRLF
-            for name, value in pairs
+        return wire.stats_reply(
+            [
+                ("curr_items", self.node.curr_items),
+                ("bytes", self.node.used_bytes),
+                ("limit_maxbytes", self.node.memory_bytes),
+                ("cmd_get", stats.gets),
+                ("cmd_set", stats.sets),
+                ("get_hits", stats.get_hits),
+                ("get_misses", stats.get_misses),
+                ("delete_hits", stats.deletes),
+                ("evictions", stats.evictions),
+                ("expired_unfetched", stats.expired),
+            ]
         )
-        return body + b"END" + CRLF
-
-    def _stats_obs(self) -> bytes:
-        """``stats obs``: this process's metrics in Prometheus text.
-
-        The payload rides in standard ``VALUE`` framing so any client
-        that can read a ``get`` response (including
-        :meth:`repro.net.client.NodeClient.execute`) can scrape it.
-        With metrics disabled the payload is empty.
-        """
-        from repro.obs.export import to_prometheus
-
-        metrics = self.telemetry.metrics
-        if getattr(metrics, "enabled", False):
-            payload = to_prometheus(metrics).encode("utf-8")
-        else:
-            payload = b""
-        header = f"VALUE obs 0 {len(payload)}".encode("utf-8")
-        return header + CRLF + payload + CRLF + b"END" + CRLF
 
     def _stats_slabs(self) -> bytes:
-        chunks: list[bytes] = []
+        rows: list[tuple[str, int]] = []
         for slab_class in self.node.slabs.classes:
             if slab_class.pages == 0:
                 continue
             cid = slab_class.class_id
-            rows = [
+            rows += [
                 (f"{cid}:chunk_size", slab_class.chunk_size),
                 (f"{cid}:chunks_per_page", slab_class.chunks_per_page),
                 (f"{cid}:total_pages", slab_class.pages),
                 (f"{cid}:used_chunks", slab_class.used_chunks),
                 (f"{cid}:free_chunks", slab_class.free_chunks),
             ]
-            chunks.extend(
-                f"STAT {name} {value}".encode("utf-8") + CRLF
-                for name, value in rows
+        rows.append(
+            (
+                "active_slabs",
+                sum(1 for c in self.node.slabs.classes if c.pages),
             )
-        chunks.append(
-            "STAT active_slabs "
-            f"{sum(1 for c in self.node.slabs.classes if c.pages)}".encode()
-            + CRLF
         )
-        chunks.append(b"END" + CRLF)
-        return b"".join(chunks)
+        return wire.stats_reply(rows)
 
     # ------------------------------------------------------------------
     # Paper-custom migration commands (Section V-A1)
     # ------------------------------------------------------------------
 
-    def _cmd_ts_dump(self, args: list[str]) -> bytes:
-        if len(args) != 1:
-            return b"CLIENT_ERROR bad command line format" + CRLF
+    def _cmd_ts_dump(self, verb: str, args: list[str], body: None) -> bytes:
         try:
             class_id = int(args[0])
         except ValueError:
-            return b"CLIENT_ERROR bad command line format" + CRLF
+            return BAD_FORMAT
         if not 0 <= class_id < len(self.node.slabs.classes):
             return b"CLIENT_ERROR unknown slab class" + CRLF
         chunks = [
-            f"TS {item.key} {item.last_access} {item.value_size}".encode(
-                "utf-8"
-            )
-            + CRLF
+            wire.ts_line(item.key, item.last_access, item.value_size)
             for item in self.node.items_in_mru_order(class_id)
         ]
-        chunks.append(b"END" + CRLF)
+        chunks.append(wire.END)
         return b"".join(chunks)
 
-    def _cmd_batch_import(self, args: list[str]) -> bytes | None:
-        if len(args) != 2:
-            return b"CLIENT_ERROR bad command line format" + CRLF
-        mode = args[0]
-        if mode not in IMPORT_MODES:
-            return b"CLIENT_ERROR unknown import mode" + CRLF
-        try:
-            count = int(args[1])
-        except ValueError:
-            return b"CLIENT_ERROR bad command line format" + CRLF
-        if count < 0:
-            return b"CLIENT_ERROR bad command line format" + CRLF
-        if count == 0:
-            return b"IMPORTED 0" + CRLF
-        self._import = _ImportState(mode, count)
-        return None
-
-    def _import_header_line(self, line: str) -> bytes | None:
-        """Parse one ``<key> <last_access> <size> [flags]`` item header."""
-        state = self._import
-        assert state is not None
-        parts = line.split()
-        if len(parts) not in (3, 4) or len(parts[0]) > MAX_KEY_LENGTH:
-            self._import = None
-            return b"CLIENT_ERROR bad item header" + CRLF
-        try:
-            last_access = float(parts[1])
-            size = int(parts[2])
-            flags = int(parts[3]) if len(parts) == 4 else 0
-        except ValueError:
-            self._import = None
-            return b"CLIENT_ERROR bad item header" + CRLF
-        if size < 0:
-            self._import = None
-            return b"CLIENT_ERROR bad item header" + CRLF
-        state.remaining -= 1
-        state.header = (parts[0], last_access, size, flags)
-        return None
-
-    def _cmd_mig_export(self, args: list[str]) -> bytes | None:
-        if len(args) != 1:
-            return b"CLIENT_ERROR bad command line format" + CRLF
-        try:
-            count = int(args[0])
-        except ValueError:
-            return b"CLIENT_ERROR bad command line format" + CRLF
-        if count < 0:
-            return b"CLIENT_ERROR bad command line format" + CRLF
-        if count == 0:
-            return b"END" + CRLF
-        self._export = _ExportState(count)
-        return None
-
-    def _export_key_line(self, line: str) -> bytes | None:
-        """Consume one requested key of an in-flight ``mig_export``."""
-        state = self._export
-        assert state is not None
-        key = line.strip()
-        if not key or " " in key or len(key) > MAX_KEY_LENGTH:
-            self._export = None
-            return b"CLIENT_ERROR bad export key" + CRLF
-        state.keys.append(key)
-        state.remaining -= 1
-        if state.remaining > 0:
-            return None
-        self._export = None
-        return self._finish_export(state)
-
-    def _finish_export(self, state: _ExportState) -> bytes:
-        chunks: list[bytes] = []
-        for record in self.node.export_items(state.keys):
-            flags, payload = _wire_value(record.value)
-            header = (
-                f"ITEM {record.key} {flags} {record.last_access} "
-                f"{len(payload)}"
-            )
-            chunks.append(header.encode("utf-8") + CRLF + payload + CRLF)
-        chunks.append(b"END" + CRLF)
-        return b"".join(chunks)
-
-    def _finish_import(self, state: _ImportState) -> bytes:
-        self._import = None
-        records = state.records
+    def _cmd_batch_import(
+        self, verb: str, args: list[str], records: list[MigratedItem]
+    ) -> bytes:
         seen: set[str] = set()
         for record in records:
             if record.key in seen:
@@ -641,6 +350,15 @@ class TextProtocolServer:
                 ).encode("utf-8") + CRLF
             seen.add(record.key)
         imported = self.node.batch_import(
-            records, mode=state.mode, now=self.clock()
+            records, mode=args[0], now=self.clock()
         )
         return f"IMPORTED {imported}".encode("utf-8") + CRLF
+
+    def _cmd_mig_export(
+        self, verb: str, args: list[str], keys: list[str]
+    ) -> bytes:
+        chunks = [
+            wire.item_block(record) for record in self.node.export_items(keys)
+        ]
+        chunks.append(wire.END)
+        return b"".join(chunks)

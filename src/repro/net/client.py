@@ -25,25 +25,19 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Any, Awaitable, Callable, Iterable
 
+from repro import wire
 from repro.core.retry import RetryPolicy
 from repro.errors import TransportError, WireProtocolError
 from repro.memcached.node import MigratedItem
 from repro.obs import NULL_TELEMETRY, Telemetry
 from repro.obs.livetrace import TraceContext, current_context
 from repro.obs.metrics import LATENCY_SECONDS_BUCKETS
-
-CRLF = b"\r\n"
-
-GET_BATCH_KEYS = 64
-"""Keys per multi-key ``get`` command inside a pipelined ``get_many``."""
-
-EXPORT_BATCH_KEYS = 512
-"""Keys per ``mig_export`` command inside a pipelined export."""
-
-IMPORT_BATCH_RECORDS = 1024
-"""Records per ``batch_import`` command inside a pipelined import."""
-
-_ERROR_PREFIXES = (b"ERROR", b"CLIENT_ERROR", b"SERVER_ERROR")
+from repro.wire import (
+    CRLF,
+    EXPORT_BATCH_KEYS,
+    GET_BATCH_KEYS,
+    IMPORT_BATCH_RECORDS,
+)
 
 DEFAULT_CLIENT_RETRY = RetryPolicy(
     max_attempts=3, base_backoff_s=0.05, max_backoff_s=1.0
@@ -53,9 +47,8 @@ DEFAULT_CLIENT_RETRY = RetryPolicy(
 
 def _raise_on_error(line: bytes) -> bytes:
     """Pass ``line`` through unless it is a protocol error line."""
-    for prefix in _ERROR_PREFIXES:
-        if line.startswith(prefix):
-            raise WireProtocolError(line.decode("utf-8", "replace"))
+    if line.startswith(wire.ERROR_PREFIXES):
+        raise WireProtocolError(line.decode("utf-8", "replace"))
     return line
 
 
@@ -100,7 +93,7 @@ class _Conn:
 
 
 # ---------------------------------------------------------------------------
-# Response readers (one per response shape)
+# Response readers (one per reply framing of the command table)
 # ---------------------------------------------------------------------------
 
 
@@ -110,31 +103,33 @@ async def _read_simple(conn: _Conn) -> bytes:
 
 
 async def _read_values(conn: _Conn) -> dict[str, tuple[int, bytes]]:
-    """``VALUE`` blocks until ``END`` -> ``{key: (flags, payload)}``."""
+    """Value blocks until ``END`` -> ``{key: (flags, payload)}``."""
+    token, width, size_at = wire.BLOCKS[wire.VALUES]
     values: dict[str, tuple[int, bytes]] = {}
     while True:
         line = _raise_on_error(await conn.read_line())
         if line == b"END":
             return values
         parts = line.split()
-        if len(parts) < 4 or parts[0] != b"VALUE":
+        if len(parts) < width or parts[0] != token:
             raise WireProtocolError(
                 f"unexpected line in value block: {line!r}"
             )
         key = parts[1].decode("utf-8")
-        flags, size = int(parts[2]), int(parts[3])
+        flags, size = int(parts[2]), int(parts[size_at])
         values[key] = (flags, await conn.read_payload(size))
 
 
 async def _read_ts(conn: _Conn) -> list[tuple[str, float, int]]:
-    """``TS`` lines until ``END`` -> ``[(key, last_access, size)]``."""
+    """Timestamp rows until ``END`` -> ``[(key, last_access, size)]``."""
+    token, width, _ = wire.BLOCKS[wire.TS]
     rows: list[tuple[str, float, int]] = []
     while True:
         line = _raise_on_error(await conn.read_line())
         if line == b"END":
             return rows
         parts = line.split()
-        if len(parts) != 4 or parts[0] != b"TS":
+        if len(parts) != width or parts[0] != token:
             raise WireProtocolError(f"unexpected ts_dump line: {line!r}")
         rows.append(
             (parts[1].decode("utf-8"), float(parts[2]), int(parts[3]))
@@ -142,61 +137,69 @@ async def _read_ts(conn: _Conn) -> list[tuple[str, float, int]]:
 
 
 async def _read_items(conn: _Conn) -> list[MigratedItem]:
-    """``ITEM`` blocks until ``END`` -> migrated KV records."""
+    """Item blocks until ``END`` -> migrated KV records."""
+    token, width, size_at = wire.BLOCKS[wire.ITEMS]
     records: list[MigratedItem] = []
     while True:
         line = _raise_on_error(await conn.read_line())
         if line == b"END":
             return records
         parts = line.split()
-        if len(parts) != 5 or parts[0] != b"ITEM":
+        if len(parts) != width or parts[0] != token:
             raise WireProtocolError(f"unexpected export line: {line!r}")
-        key = parts[1].decode("utf-8")
-        flags, last_access, size = (
-            int(parts[2]),
-            float(parts[3]),
-            int(parts[4]),
-        )
-        payload = await conn.read_payload(size)
+        size = int(parts[size_at])
         records.append(
             MigratedItem(
-                key=key,
-                value=(flags, payload),
+                key=parts[1].decode("utf-8"),
+                value=(int(parts[2]), await conn.read_payload(size)),
                 value_size=size,
-                last_access=last_access,
+                last_access=float(parts[3]),
             )
         )
 
 
 async def _read_stats(conn: _Conn) -> dict[str, str]:
-    """``STAT`` lines until ``END`` -> ``{name: value}``."""
+    """Stat rows until ``END`` -> ``{name: value}``."""
+    token, width, _ = wire.BLOCKS[wire.STATS]
     stats: dict[str, str] = {}
     while True:
         line = _raise_on_error(await conn.read_line())
         if line == b"END":
             return stats
-        parts = line.split(None, 2)
-        if len(parts) != 3 or parts[0] != b"STAT":
+        parts = line.split(None, width - 1)
+        if len(parts) != width or parts[0] != token:
             raise WireProtocolError(f"unexpected stats line: {line!r}")
         stats[parts[1].decode("utf-8")] = parts[2].decode("utf-8")
+
+
+_SIZE_AT = {block.token: block.size_at for block in wire.BLOCKS.values()}
 
 
 async def _read_sniffed(conn: _Conn) -> bytes:
     """Raw response for :meth:`NodeClient.execute`: single line or an
     END-terminated block, returned verbatim (errors included)."""
-    first = await conn.read_line()
-    chunks = [first + CRLF]
-    starter = first.split(b" ", 1)[0]
-    if starter not in (b"VALUE", b"ITEM", b"TS", b"STAT"):
+    line = await conn.read_line()
+    chunks = [line + CRLF]
+    if line.split(b" ", 1)[0] not in _SIZE_AT:
         return chunks[0]
-    line = first
     while line != b"END":
-        if line.split(b" ", 1)[0] in (b"VALUE", b"ITEM"):
-            size = int(line.split()[-1])
+        # a dict lookup, not a contextvar read
+        size_at = _SIZE_AT.get(line.split(b" ", 1)[0])  # repro: allow[REP106]
+        if size_at is not None:
+            size = int(line.split()[size_at])
             chunks.append(await conn.read_payload(size) + CRLF)
         line = await conn.read_line()
         chunks.append(line + CRLF)
     return b"".join(chunks)
+
+
+_READERS: dict[str, Callable[[_Conn], Awaitable[Any]]] = {
+    wire.LINE: _read_simple,
+    wire.VALUES: _read_values,
+    wire.TS: _read_ts,
+    wire.ITEMS: _read_items,
+    wire.STATS: _read_stats,
+}
 
 
 @dataclass(frozen=True)
@@ -207,11 +210,12 @@ class _Request:
     reader: Callable[[_Conn], Awaitable[Any]]
 
 
-def _command(text: str, payload: bytes | None = None) -> bytes:
-    wire = text.encode("utf-8") + CRLF
-    if payload is not None:
-        wire += payload + CRLF
-    return wire
+def _call(verb: str, *args: str, body: Any = None) -> _Request:
+    """One request of the command table: its bytes and its reply reader."""
+    return _Request(
+        wire.encode_request(verb, args, body),
+        _READERS[wire.COMMANDS[verb].reply_for(args)],
+    )
 
 
 class NodeClient:
@@ -447,12 +451,13 @@ class NodeClient:
     # Client operations
     # ------------------------------------------------------------------
 
+    async def _one(self, verb: str, *args: str, body: Any = None) -> Any:
+        """Ship one request of the command table; its decoded reply."""
+        return (await self._request([_call(verb, *args, body=body)]))[0]
+
     async def get(self, key: str) -> tuple[int, bytes] | None:
         """Routed ``get``; ``(flags, payload)`` or ``None`` on a miss."""
-        values = (
-            await self._request([_Request(_command(f"get {key}"), _read_values)])
-        )[0]
-        return values.get(key)
+        return (await self._one("get", key)).get(key)
 
     async def get_many(
         self, keys: Iterable[str]
@@ -460,10 +465,7 @@ class NodeClient:
         """Pipelined multi-key ``get``: one value (or ``None``) per key."""
         keys = list(keys)
         requests = [
-            _Request(
-                _command("get " + " ".join(keys[i : i + GET_BATCH_KEYS])),
-                _read_values,
-            )
+            _call("get", *keys[i : i + GET_BATCH_KEYS])
             for i in range(0, len(keys), GET_BATCH_KEYS)
         ]
         merged: dict[str, tuple[int, bytes]] = {}
@@ -479,23 +481,17 @@ class NodeClient:
         exptime: float = 0.0,
     ) -> bool:
         """``set``; True when stored."""
-        request = _Request(
-            _command(f"set {key} {flags} {exptime} {len(payload)}", payload),
-            _read_simple,
+        reply = await self._one(
+            "set", key, f"{flags}", f"{exptime}", body=payload
         )
-        return (await self._request([request]))[0] == b"STORED"
+        return reply == b"STORED"
 
     async def set_many(
         self, entries: Iterable[tuple[str, int, bytes]]
     ) -> int:
         """Pipelined ``set`` of ``(key, flags, payload)``; count stored."""
         requests = [
-            _Request(
-                _command(
-                    f"set {key} {flags} 0 {len(payload)}", payload
-                ),
-                _read_simple,
-            )
+            _call("set", key, f"{flags}", "0", body=payload)
             for key, flags, payload in entries
         ]
         responses = await self._request(requests)
@@ -503,49 +499,36 @@ class NodeClient:
 
     async def delete(self, key: str) -> bool:
         """``delete``; True when the key existed."""
-        request = _Request(_command(f"delete {key}"), _read_simple)
-        return (await self._request([request]))[0] == b"DELETED"
+        return await self._one("delete", key) == b"DELETED"
 
     async def delete_many(self, keys: Iterable[str]) -> int:
         """Pipelined ``delete``; returns how many keys existed."""
-        requests = [
-            _Request(_command(f"delete {key}"), _read_simple)
-            for key in keys
-        ]
-        responses = await self._request(requests)
+        responses = await self._request(
+            [_call("delete", key) for key in keys]
+        )
         return sum(1 for response in responses if response == b"DELETED")
 
     async def incr(self, key: str, delta: int = 1) -> int | None:
         """``incr``; the new value, or ``None`` when the key is absent."""
-        request = _Request(_command(f"incr {key} {delta}"), _read_simple)
-        response = (await self._request([request]))[0]
+        response = await self._one("incr", key, f"{delta}")
         return None if response == b"NOT_FOUND" else int(response)
 
     async def flush_all(self) -> None:
         """Drop every item on the node."""
-        await self._request([_Request(_command("flush_all"), _read_simple)])
+        await self._one("flush_all")
 
     async def version(self) -> str:
         """The server's ``version`` banner."""
-        response = (
-            await self._request([_Request(_command("version"), _read_simple)])
-        )[0]
-        return response.decode("utf-8")
+        return (await self._one("version")).decode("utf-8")
 
     async def stats(self) -> dict[str, int]:
         """``stats`` counters, parsed to integers."""
-        raw = (
-            await self._request([_Request(_command("stats"), _read_stats)])
-        )[0]
+        raw = await self._one("stats")
         return {name: int(value) for name, value in raw.items()}
 
     async def stats_slabs(self) -> dict[str, int]:
         """``stats slabs`` rows, parsed to integers."""
-        raw = (
-            await self._request(
-                [_Request(_command("stats slabs"), _read_stats)]
-            )
-        )[0]
+        raw = await self._one("stats", "slabs")
         return {name: int(value) for name, value in raw.items()}
 
     async def stats_obs(self) -> str:
@@ -553,19 +536,14 @@ class NodeClient:
 
         Empty string when the server runs with metrics disabled.
         """
-        values = (
-            await self._request(
-                [_Request(_command("stats obs"), _read_values)]
-            )
-        )[0]
-        entry = values.get("obs")
+        entry = (await self._one("stats", "obs")).get("obs")
         return entry[1].decode("utf-8") if entry else ""
 
     async def execute(
         self, command: str, payload: bytes | None = None
     ) -> bytes:
         """One raw command; returns the verbatim response bytes."""
-        request = _Request(_command(command, payload), _read_sniffed)
+        request = _Request(wire.encode_line(command, payload), _read_sniffed)
         return (await self._request([request]))[0]
 
     # ------------------------------------------------------------------
@@ -575,8 +553,7 @@ class NodeClient:
     async def ts_dump(self, class_id: int) -> list[tuple[str, float, int]]:
         """The timestamp dump: ``(key, last_access, value_size)`` rows in
         MRU order for one slab class."""
-        request = _Request(_command(f"ts_dump {class_id}"), _read_ts)
-        return (await self._request([request]))[0]
+        return await self._one("ts_dump", f"{class_id}")
 
     async def mig_export(
         self, keys: Iterable[str]
@@ -587,13 +564,10 @@ class NodeClient:
         :meth:`~repro.memcached.node.MemcachedNode.export_items`.
         """
         keys = list(keys)
-        requests = []
-        for start in range(0, len(keys), EXPORT_BATCH_KEYS):
-            chunk = keys[start : start + EXPORT_BATCH_KEYS]
-            wire = _command(f"mig_export {len(chunk)}") + b"".join(
-                key.encode("utf-8") + CRLF for key in chunk
-            )
-            requests.append(_Request(wire, _read_items))
+        requests = [
+            _call("mig_export", body=keys[i : i + EXPORT_BATCH_KEYS])
+            for i in range(0, len(keys), EXPORT_BATCH_KEYS)
+        ]
         exported: list[MigratedItem] = []
         for records in await self._request(requests):
             exported.extend(records)
@@ -604,20 +578,10 @@ class NodeClient:
     ) -> int:
         """Install migrated pairs via ``batch_import``; count imported."""
         records = list(records)
-        requests = []
-        for start in range(0, len(records), IMPORT_BATCH_RECORDS):
-            chunk = records[start : start + IMPORT_BATCH_RECORDS]
-            frames = [_command(f"batch_import {mode} {len(chunk)}")]
-            for record in chunk:
-                flags, payload = _wire_payload(record)
-                frames.append(
-                    _command(
-                        f"{record.key} {record.last_access} "
-                        f"{len(payload)} {flags}",
-                        payload,
-                    )
-                )
-            requests.append(_Request(b"".join(frames), _read_simple))
+        requests = [
+            _call("batch_import", mode, body=records[i : i + IMPORT_BATCH_RECORDS])
+            for i in range(0, len(records), IMPORT_BATCH_RECORDS)
+        ]
         imported = 0
         for response in await self._request(requests):
             if not response.startswith(b"IMPORTED "):
@@ -626,18 +590,3 @@ class NodeClient:
                 )
             imported += int(response.split()[1])
         return imported
-
-
-def _wire_payload(record: MigratedItem) -> tuple[int, bytes]:
-    """Flags + payload bytes of one migrated record."""
-    value = record.value
-    if (
-        isinstance(value, tuple)
-        and len(value) == 2
-        and isinstance(value[1], (bytes, bytearray))
-    ):
-        flags = value[0] if isinstance(value[0], int) else 0
-        return flags, bytes(value[1])
-    if isinstance(value, (bytes, bytearray)):
-        return 0, bytes(value)
-    return 0, str(value).encode("utf-8")

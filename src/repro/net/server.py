@@ -236,6 +236,8 @@ class NodeServer:
                     writer.write(responses)
                     self._m_bytes_out.inc(len(responses))
                     await writer.drain()
+            if protocol.closed:
+                return  # `quit`, or a line the framer refused to buffer
 
 
 class LiveClusterHarness:

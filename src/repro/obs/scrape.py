@@ -5,7 +5,8 @@ as Prometheus text behind ``stats obs``; the payload rides in standard
 ``VALUE`` framing so ordinary memcached clients can fetch it.  This
 module provides the other side:
 
-- :func:`scrape_text` -- one blocking-socket scrape of one endpoint;
+- :func:`scrape_text` / :func:`scrape_stats` -- one blocking scrape of
+  one endpoint (a throwaway :class:`~repro.net.client.NodeClient`);
 - :func:`parse_prometheus` -- text exposition back into samples;
 - :class:`MetricsScraper` -- polls a fleet and aggregates same-named
   samples across processes (counters/buckets sum, gauges keep the last
@@ -18,67 +19,61 @@ cluster's event loops.
 
 from __future__ import annotations
 
-import socket
+import asyncio
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import Any, Iterable, Mapping
 
-from repro.errors import TransportError
+from repro.errors import TransportError, WireProtocolError
 from repro.obs.metrics import bucket_quantile
-
-CRLF = b"\r\n"
 
 __all__ = [
     "MetricsScraper",
     "Sample",
     "histogram_quantile",
     "parse_prometheus",
+    "scrape_stats",
     "scrape_text",
 ]
 
 
-def scrape_text(
-    host: str, port: int, timeout_s: float = 5.0
-) -> str:
+def _scrape(host: str, port: int, timeout_s: float, method: str) -> Any:
+    """One blocking ``NodeClient.<method>()`` on a throwaway client."""
+    # repro.net imports repro.obs for telemetry; import it late.
+    from repro.net.client import NodeClient
+
+    async def once() -> Any:
+        client = NodeClient(
+            f"{host}:{port}", host, port, pool_size=1, timeout_s=timeout_s
+        )
+        try:
+            return await getattr(client, method)()
+        finally:
+            await client.close()
+
+    try:
+        return asyncio.run(once())
+    except (WireProtocolError, ValueError) as exc:
+        raise TransportError(
+            f"scrape of {host}:{port} got an unexpected reply: {exc!r}"
+        ) from exc
+
+
+def scrape_text(host: str, port: int, timeout_s: float = 5.0) -> str:
     """Fetch one endpoint's ``stats obs`` Prometheus page.
 
     Raises :class:`~repro.errors.TransportError` when the endpoint is
-    unreachable or answers with something other than the expected
-    ``VALUE obs 0 <len>`` framing.
+    unreachable or answers with something other than a value block.
     """
-    try:
-        with socket.create_connection((host, port), timeout=timeout_s) as sock:
-            sock.settimeout(timeout_s)
-            sock.sendall(b"stats obs" + CRLF)
-            buffer = b""
-            # Header line first: VALUE obs 0 <len>
-            while CRLF not in buffer:
-                chunk = sock.recv(65536)
-                if not chunk:
-                    raise TransportError(
-                        f"{host}:{port} closed during stats obs header"
-                    )
-                buffer += chunk
-            header, _, buffer = buffer.partition(CRLF)
-            parts = header.split()
-            if len(parts) != 4 or parts[0] != b"VALUE" or parts[1] != b"obs":
-                raise TransportError(
-                    f"{host}:{port} unexpected stats obs header: {header!r}"
-                )
-            size = int(parts[3])
-            # Payload + CRLF + END + CRLF.
-            needed = size + 2 + 3 + 2
-            while len(buffer) < needed:
-                chunk = sock.recv(65536)
-                if not chunk:
-                    raise TransportError(
-                        f"{host}:{port} closed during stats obs payload"
-                    )
-                buffer += chunk
-            return buffer[:size].decode("utf-8")
-    except (OSError, ValueError) as exc:
-        raise TransportError(
-            f"stats obs scrape of {host}:{port} failed: {exc!r}"
-        ) from exc
+    return _scrape(host, port, timeout_s, "stats_obs")
+
+
+def scrape_stats(host: str, port: int, timeout_s: float = 5.0) -> dict[str, int]:
+    """One blocking ``stats`` scrape -> integer counters.
+
+    Used for per-backend hit rates (``get_hits``/``get_misses``) and for
+    the proxy's own ``stats`` snapshot (breaker states, hot keys).
+    """
+    return _scrape(host, port, timeout_s, "stats")
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,6 @@ it with canned scrapes; the CLI loop just polls and reprints.
 
 from __future__ import annotations
 
-import socket
 import time
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
@@ -26,50 +25,14 @@ from repro.obs.scrape import (
     Sample,
     histogram_quantile,
     parse_prometheus,
+    scrape_stats,
     scrape_text,
 )
 from repro.proxy.breaker import STATE_CODES
 
-CRLF = b"\r\n"
-
 _STATE_NAMES = {code: name for name, code in STATE_CODES.items()}
 
 __all__ = ["FleetSample", "TopDashboard", "scrape_stats"]
-
-
-def scrape_stats(
-    host: str, port: int, timeout_s: float = 5.0
-) -> dict[str, int]:
-    """One blocking ``stats`` scrape -> integer counters.
-
-    Used for per-backend hit rates (``get_hits``/``get_misses``) and for
-    the proxy's own ``stats`` snapshot (breaker states, hot keys).
-    """
-    try:
-        with socket.create_connection((host, port), timeout=timeout_s) as sock:
-            sock.settimeout(timeout_s)
-            sock.sendall(b"stats" + CRLF)
-            buffer = b""
-            while b"END" + CRLF not in buffer:
-                chunk = sock.recv(65536)
-                if not chunk:
-                    raise TransportError(
-                        f"{host}:{port} closed during stats"
-                    )
-                buffer += chunk
-    except OSError as exc:
-        raise TransportError(
-            f"stats scrape of {host}:{port} failed: {exc!r}"
-        ) from exc
-    stats: dict[str, int] = {}
-    for line in buffer.decode("utf-8", "replace").splitlines():
-        parts = line.split()
-        if len(parts) == 3 and parts[0] == "STAT":
-            try:
-                stats[parts[1]] = int(parts[2])
-            except ValueError:
-                continue
-    return stats
 
 
 def _counter_total(samples: Iterable[Sample], name: str, **match: str) -> float:

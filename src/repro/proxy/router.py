@@ -38,6 +38,7 @@ from repro.errors import (
     ConfigurationError,
     MembershipError,
     TransportError,
+    WireProtocolError,
 )
 from repro.hashing.hashutil import hash32
 from repro.hashing.ketama import DEFAULT_VNODES, ConsistentHashRing
@@ -308,6 +309,10 @@ class ProxyRouter:
         except TransportError:
             breaker.record_failure()
             return None
+        except WireProtocolError:
+            # The backend answered; its rejection is the client's to see.
+            breaker.record_success()
+            raise
         breaker.record_success()
         return stored
 
@@ -613,6 +618,9 @@ class ProxyRouter:
             breaker.record_failure()
             self._m_degraded["incr"].inc()
             return None
+        except WireProtocolError:
+            breaker.record_success()
+            raise
         breaker.record_success()
         await self._invalidate_replicas(key)
         return value

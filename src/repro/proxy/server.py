@@ -3,19 +3,22 @@
 :class:`ProxyServer` accepts the same memcached text dialect
 :class:`~repro.net.server.NodeServer` speaks, so any existing client
 (including :class:`~repro.net.client.NodeClient`) can point at the proxy
-instead of a node without changing a line.  Each parsed command is
-executed through a :class:`~repro.proxy.router.ProxyRouter`, which is
-where coalescing, hot-key replication, and circuit breaking happen; the
+instead of a node without changing a line.  Requests are framed by the
+same :class:`~repro.wire.RequestFramer` the node uses and executed
+through a :class:`~repro.proxy.router.ProxyRouter`, which is where
+coalescing, hot-key replication, and circuit breaking happen; the
 listener itself stays a thin protocol adapter.
 
 Commands are handled sequentially per connection (the protocol is
 request/response ordered) but concurrently *across* connections, which
 is what lets the coalescer collapse a thundering herd of clients.
 
-Unlike a node server, the proxy never surfaces backend trouble to a
-client: a dead backend degrades ``get`` to a miss and ``set`` to
-``NOT_STORED``, so the client-visible stream stays error-free while the
-fleet churns underneath -- the property the chaos suite asserts.
+Unlike a node server, the proxy never surfaces backend *transport*
+trouble to a client: a dead backend degrades ``get`` to a miss and
+``set`` to ``NOT_STORED``, so the client-visible stream stays error-free
+while the fleet churns underneath -- the property the chaos suite
+asserts.  A backend's deterministic ``CLIENT_ERROR``/``SERVER_ERROR``
+(object too large for cache) is relayed as the client's own answer.
 
 :class:`ProxyHarness` composes a backend
 :class:`~repro.net.server.LiveClusterHarness` with a router and a proxy
@@ -26,27 +29,19 @@ every other harness in the repo.
 from __future__ import annotations
 
 import asyncio
-from typing import Iterable
+from typing import Any, Awaitable, Callable, Iterable
 
+from repro import wire
 from repro.check.loopcheck import create_sanitizer
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, WireProtocolError
 from repro.faults.sockets import SocketFaultPolicy
 from repro.net.runtime import EventLoopThread
-from repro.net.server import LiveClusterHarness
+from repro.net.server import RECV_CHUNK, LiveClusterHarness
 from repro.obs import Telemetry, create_telemetry
-from repro.obs.livetrace import (
-    CURRENT_CONTEXT,
-    TraceContext,
-    parse_trace_args,
-)
+from repro.obs.export import to_prometheus
+from repro.obs.livetrace import CURRENT_CONTEXT, TraceContext
 from repro.proxy.router import ProxyConfig, ProxyRouter
-
-ROUTED_COMMANDS = frozenset({"get", "gets", "set", "delete", "incr", "decr"})
-"""Commands that fan into backends and therefore get traced/spanned."""
-
-CRLF = b"\r\n"
-MAX_LINE = 8192
-"""Longest accepted command line (multi-key gets stay well under it)."""
+from repro.wire import BAD_FORMAT, CRLF
 
 PROXY_VERSION = b"VERSION repro-proxy-1.0-elmem" + CRLF
 
@@ -106,7 +101,7 @@ class ProxyServer:
         self._closing = False
         self.router.bind_loop(asyncio.get_running_loop())
         self._server = await asyncio.start_server(
-            self._handle, self.host, self.port, limit=MAX_LINE
+            self._handle, self.host, self.port
         )
         self.port = self._server.sockets[0].getsockname()[1]
         return self
@@ -168,38 +163,21 @@ class ProxyServer:
     async def _serve_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
-        # Trace context announced by a `trace` framing line, consumed by
-        # the next command on this connection.
-        pending_trace: TraceContext | None = None
-        while not self._closing:
-            try:
-                line = await reader.readuntil(CRLF)
-            except asyncio.IncompleteReadError:
+        framer = wire.RequestFramer()
+        while not (self._closing or framer.closed):
+            chunk = await reader.read(RECV_CHUNK)
+            if not chunk:
                 return
-            except asyncio.LimitOverrunError:
-                writer.write(b"CLIENT_ERROR line too long" + CRLF)
-                await writer.drain()
-                return
-            self._m_commands.inc()
-            text = line[:-2].decode("utf-8", "replace")
-            first = text.split(None, 1)[0].lower() if text.split() else ""
-            if first == "trace":
-                ctx = parse_trace_args(text.split()[1:])
-                if ctx is None:
-                    pending_trace = None
+            for verb, args, body, trace_ctx in framer.feed(chunk):
+                self._m_commands.inc()
+                if verb is None:
                     self._m_protocol_errors.inc()
-                    writer.write(b"CLIENT_ERROR bad trace frame" + CRLF)
-                    await writer.drain()
+                    writer.write(body)
                 else:
-                    pending_trace = ctx
-                continue
-            trace_ctx, pending_trace = pending_trace, None
-            response = await self._execute(text, reader, trace_ctx)
-            if response is None:
-                return  # quit
-            if response:
-                writer.write(response)
-                await writer.drain()
+                    writer.write(
+                        await self._execute(verb, args, body, trace_ctx)
+                    )
+            await writer.drain()
 
     # ------------------------------------------------------------------
     # Command execution
@@ -207,37 +185,35 @@ class ProxyServer:
 
     async def _execute(
         self,
-        line: str,
-        reader: asyncio.StreamReader,
-        trace_ctx: TraceContext | None = None,
-    ) -> bytes | None:
-        """Run one command line; ``None`` means close the connection."""
-        parts = line.split()
-        if not parts:
-            return b"ERROR" + CRLF
-        command = parts[0].lower()
-        args = parts[1:]
-        if command in ROUTED_COMMANDS:
-            return await self._execute_routed(command, args, reader, trace_ctx)
-        if command == "stats":
-            if args and args[0] == "obs":
-                return self._cmd_stats_obs()
-            return self._cmd_stats()
-        if command == "version":
-            return PROXY_VERSION
-        if command == "flush_all":
-            await self.router.flush_all()
-            return b"OK" + CRLF
-        if command == "quit":
-            return None
-        self._m_protocol_errors.inc()
-        return b"ERROR" + CRLF
+        verb: str,
+        args: list[str],
+        body: Any,
+        trace_ctx: TraceContext | None,
+    ) -> bytes:
+        """Run one framed request: routed, answered locally, or refused."""
+        handler = getattr(self, "_cmd_" + verb, None)
+        if handler is None:
+            self._m_protocol_errors.inc()
+            return wire.ERROR
+        if not wire.COMMANDS[verb].proxied:
+            return await handler(verb, args, body)
+        try:
+            return await self._execute_routed(handler, verb, args, body, trace_ctx)
+        except WireProtocolError as exc:
+            # A backend's deterministic rejection (object too large,
+            # non-numeric incr target) is the client's answer too.
+            self._m_protocol_errors.inc()
+            line = str(exc).encode("utf-8")
+            if not line.startswith(wire.ERROR_PREFIXES):
+                line = b"SERVER_ERROR " + line
+            return line + CRLF
 
     async def _execute_routed(
         self,
-        command: str,
+        handler: Callable[[str, list[str], Any], Awaitable[bytes]],
+        verb: str,
         args: list[str],
-        reader: asyncio.StreamReader,
+        body: Any,
         trace_ctx: TraceContext | None,
     ) -> bytes:
         """Run one backend-fanning command under a trace span.
@@ -251,122 +227,89 @@ class ProxyServer:
         live = self.router.telemetry.live
         span = None
         if trace_ctx is not None and live.enabled:
-            span = live.start_span(f"proxy.{command}", trace_ctx)
+            span = live.start_span(f"proxy.{verb}", trace_ctx)
         elif trace_ctx is None and live.enabled:
-            span = live.start_trace(f"proxy.{command}")
+            span = live.start_trace(f"proxy.{verb}")
         token = None
         if span is not None:
             token = CURRENT_CONTEXT.set(span.context)
         elif trace_ctx is not None:
             token = CURRENT_CONTEXT.set(trace_ctx)
         try:
-            if command in ("get", "gets"):
-                return await self._cmd_get(args, with_cas=command == "gets")
-            if command == "set":
-                return await self._cmd_set(args, reader)
-            if command == "delete":
-                return await self._cmd_delete(args)
-            return await self._cmd_arith(args, command)
+            return await handler(verb, args, body)
         finally:
             if token is not None:
                 CURRENT_CONTEXT.reset(token)
             if span is not None:
                 span.end()
 
-    async def _cmd_get(self, keys: list[str], with_cas: bool) -> bytes:
-        if not keys:
-            self._m_protocol_errors.inc()
-            return b"ERROR" + CRLF
+    async def _cmd_get(self, verb: str, keys: list[str], body: None) -> bytes:
+        # The proxy does not route cas tokens (replicated keys have
+        # several); a zero token keeps gets parseable while making any
+        # cas attempt through the proxy a clean miss.
+        cas = 0 if verb == "gets" else None
         chunks: list[bytes] = []
         for key in keys:
             value = await self.router.get(key)
-            if value is None:
-                continue
-            flags, payload = value
-            header = f"VALUE {key} {flags} {len(payload)}"
-            if with_cas:
-                # The proxy does not route cas tokens (replicated keys
-                # have several); a zero token keeps gets parseable while
-                # making any cas attempt through the proxy a clean miss.
-                header += " 0"
-            chunks.append(header.encode("utf-8") + CRLF + payload + CRLF)
-        chunks.append(b"END" + CRLF)
+            if value is not None:
+                chunks.append(wire.value_block(key, *value, cas))
+        chunks.append(wire.END)
         return b"".join(chunks)
 
+    _cmd_gets = _cmd_get
+
     async def _cmd_set(
-        self, args: list[str], reader: asyncio.StreamReader
+        self, verb: str, args: list[str], payload: bytes
     ) -> bytes:
-        # set <key> <flags> <exptime> <bytes> [noreply-token ignored]
-        if len(args) not in (4, 5):
-            self._m_protocol_errors.inc()
-            return b"CLIENT_ERROR bad command line format" + CRLF
-        key = args[0]
         try:
             flags = int(args[1])
             exptime = float(args[2])
-            size = int(args[3])
         except ValueError:
             self._m_protocol_errors.inc()
-            return b"CLIENT_ERROR bad command line format" + CRLF
-        if size < 0:
-            self._m_protocol_errors.inc()
-            return b"CLIENT_ERROR bad data chunk" + CRLF
-        block = await reader.readexactly(size + 2)
-        if block[-2:] != CRLF:
-            self._m_protocol_errors.inc()
-            return b"CLIENT_ERROR bad data chunk" + CRLF
+            return BAD_FORMAT
         stored = await self.router.set(
-            key, block[:-2], flags=flags, exptime=exptime
+            args[0], payload, flags=flags, exptime=exptime
         )
         return (b"STORED" if stored else b"NOT_STORED") + CRLF
 
-    async def _cmd_delete(self, args: list[str]) -> bytes:
-        if len(args) != 1:
-            self._m_protocol_errors.inc()
-            return b"CLIENT_ERROR bad command line format" + CRLF
+    async def _cmd_delete(
+        self, verb: str, args: list[str], body: None
+    ) -> bytes:
         existed = await self.router.delete(args[0])
         return (b"DELETED" if existed else b"NOT_FOUND") + CRLF
 
-    async def _cmd_arith(self, args: list[str], command: str) -> bytes:
-        if len(args) != 2:
-            self._m_protocol_errors.inc()
-            return b"CLIENT_ERROR bad command line format" + CRLF
+    async def _cmd_incr(self, verb: str, args: list[str], body: None) -> bytes:
         try:
             delta = int(args[1])
         except ValueError:
             self._m_protocol_errors.inc()
-            return b"CLIENT_ERROR invalid numeric delta argument" + CRLF
-        if command == "decr":
+            return wire.BAD_DELTA
+        if verb == "decr":
             delta = -delta
         value = await self.router.incr(args[0], delta)
         if value is None:
             return b"NOT_FOUND" + CRLF
         return str(value).encode("utf-8") + CRLF
 
-    def _cmd_stats(self) -> bytes:
-        body = b"".join(
-            f"STAT {name} {value}".encode("utf-8") + CRLF
-            for name, value in sorted(
-                self.router.stats_snapshot().items()
-            )
-        )
-        return body + b"END" + CRLF
+    _cmd_decr = _cmd_incr
 
-    def _cmd_stats_obs(self) -> bytes:
-        """``stats obs``: this proxy process's Prometheus text page.
+    async def _cmd_stats(self, verb: str, args: list[str], body: None) -> bytes:
+        if args and args[0] == "obs":
+            # The harness shares one registry between the proxy and its
+            # in-process backends, so a single scrape covers the tier.
+            return wire.obs_reply(to_prometheus(self.router.telemetry.metrics))
+        return wire.stats_reply(sorted(self.router.stats_snapshot().items()))
 
-        Because the harness shares one registry between the proxy and
-        its in-process backends, a single scrape covers the whole tier.
-        """
-        from repro.obs.export import to_prometheus
+    async def _cmd_version(
+        self, verb: str, args: list[str], body: None
+    ) -> bytes:
+        return PROXY_VERSION
 
-        metrics = self.router.telemetry.metrics
-        if getattr(metrics, "enabled", False):
-            payload = to_prometheus(metrics).encode("utf-8")
-        else:
-            payload = b""
-        header = f"VALUE obs 0 {len(payload)}".encode("utf-8")
-        return header + CRLF + payload + CRLF + b"END" + CRLF
+    async def _cmd_flush_all(
+        self, verb: str, args: list[str], body: None
+    ) -> bytes:
+        await self.router.flush_all()
+        return b"OK" + CRLF
 
 
 class ProxyHarness:

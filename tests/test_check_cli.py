@@ -19,11 +19,10 @@ def test_check_list_rules(capsys):
     out = capsys.readouterr().out
     for index in range(1, 9):
         assert f"REP00{index}" in out
-    # The full catalogue includes the async and conformance packs.
+    # The full catalogue includes the async pack, and nothing else.
     for index in range(1, 7):
         assert f"REP10{index}" in out
-    for index in range(1, 6):
-        assert f"REP20{index}" in out
+    assert "REP2" not in out
 
 
 def test_check_lint_only_passes_on_source_tree(capsys):
@@ -68,15 +67,21 @@ def test_strict_fault_sweep_completes_without_violations():
 
 
 # ----------------------------------------------------------------------
-# --async / --protocol / machine output
+# --async / machine output
 # ----------------------------------------------------------------------
 
 
-def test_check_async_and_protocol_pass_on_source_tree(capsys):
-    assert main(["check", "--async", "--protocol", "--no-sim", SRC]) == 0
+def test_check_async_passes_on_source_tree(capsys):
+    assert main(["check", "--async", "--no-sim", SRC]) == 0
     out = capsys.readouterr().out
     assert "lint: clean" in out
-    assert "protocol: client/server/proxy models agree" in out
+    assert "protocol:" not in out
+
+
+def test_check_protocol_flag_is_gone(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["check", "--protocol", "--no-sim", SRC])
+    assert exit_info.value.code == 2
 
 
 def test_check_async_fails_on_a_blocking_coroutine(tmp_path, capsys):
@@ -92,15 +97,13 @@ def test_check_async_fails_on_a_blocking_coroutine(tmp_path, capsys):
 
 def test_check_json_output_is_machine_readable(capsys):
     assert (
-        main(
-            ["check", "--async", "--protocol", "--no-sim", "--json", SRC]
-        )
+        main(["check", "--async", "--no-sim", "--json", SRC])
         == 0
     )
     payload = json.loads(capsys.readouterr().out)
     assert payload["failed"] is False
     assert payload["lint"] == []
-    assert payload["conformance"] == []
+    assert "conformance" not in payload
 
 
 def test_check_sarif_and_annotations(tmp_path, capsys):

@@ -40,7 +40,6 @@ PARENT_SURFACE = {'run': {'--trace': 'etc',
            '--no-sim': False,
            '--strict-sim': False,
            '--async': False,
-           '--protocol': False,
            '--json': False,
            '--sarif': None,
            '--annotate': False},
