@@ -190,9 +190,12 @@ def _live_proxy_p99() -> tuple[float, float]:
 
         def drive(uninstrumented: bool) -> list[float]:
             if uninstrumented:
-                router.get = types.MethodType(ProxyRouter._get_inner, router)
+                # The listener's only read entry point is get_many.
+                router.get_many = types.MethodType(
+                    ProxyRouter._get_many_inner, router
+                )
             else:  # back to the class's instrumented wrapper
-                vars(router).pop("get", None)
+                vars(router).pop("get_many", None)
             return loop.call(
                 _proxy_get_latencies(client, block_ops), timeout=120.0
             )
@@ -209,7 +212,7 @@ def _live_proxy_p99() -> tuple[float, float]:
                 ratio = min(ratio, _p99(pools[False]) / _p99(pools[True]))
                 disabled.extend(pools[False])
         finally:
-            vars(router).pop("get", None)
+            vars(router).pop("get_many", None)
             loop.call(client.close(), timeout=5.0)
     return ratio, _p99(disabled)
 

@@ -29,9 +29,10 @@ a stable client surface.
 from __future__ import annotations
 
 import asyncio
+import itertools
 import time
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable
+from typing import Any, Callable, Iterable, Sequence
 
 from repro.core.retry import RetryPolicy
 from repro.errors import (
@@ -43,7 +44,7 @@ from repro.errors import (
 from repro.hashing.hashutil import hash32
 from repro.hashing.ketama import DEFAULT_VNODES, ConsistentHashRing
 from repro.net.client import NodeClient
-from repro.obs import Telemetry, create_telemetry
+from repro.obs import Telemetry, create_telemetry, current_context
 from repro.obs.metrics import LATENCY_SECONDS_BUCKETS
 from repro.proxy.breaker import STATE_CODES, CircuitBreaker
 from repro.proxy.coalesce import GetCoalescer
@@ -104,6 +105,44 @@ class ProxyConfig:
             raise ConfigurationError("replication_factor must be >= 0")
 
 
+class _Lead:
+    """One key a ``get_many`` call fetches for itself and its followers."""
+
+    __slots__ = (
+        "primary",
+        "replicas",
+        "stamp",
+        "primary_admitted",
+        "fanned",
+        "waiting",
+        "missed",
+    )
+
+    def __init__(
+        self, primary: str, replicas: tuple[str, ...], stamp: int | None
+    ) -> None:
+        self.primary = primary
+        self.replicas = replicas
+        self.stamp = stamp  # write stamp the read is valid under
+        self.primary_admitted = False
+        self.fanned = False
+        self.waiting = 0  # candidate batches yet to answer
+        self.missed: list[str] = []  # candidates that answered a miss
+
+
+class _Fetch:
+    """What one ``get_many`` call leads, shared with its backend batches."""
+
+    __slots__ = ("leads", "batches", "admitted", "done", "start")
+
+    def __init__(self, done: asyncio.Future, start: float) -> None:
+        self.leads: dict[str, _Lead] = {}  # led keys not yet resolved
+        self.batches: dict[str, list[str]] = {}  # backend -> keys to ask
+        self.admitted: dict[str, bool] = {}  # one breaker verdict each
+        self.done = done  # set when ``leads`` empties
+        self.start = start
+
+
 class ProxyRouter:
     """Routes client operations to backends with robustness mechanisms.
 
@@ -154,6 +193,12 @@ class ProxyRouter:
             max_hot_keys=self.config.max_hot_keys,
             telemetry=self.telemetry,
         )
+        # Last-write stamp per key that is promoted or being promoted:
+        # a copy made from a value read under an older stamp is void.
+        # Stamps come from one counter so a re-created entry never
+        # repeats a value an in-flight promotion may still hold.
+        self._write_stamp: dict[str, int] = {}
+        self._stamps = itertools.count(1)
         self._loop: asyncio.AbstractEventLoop | None = None
         self._background: set[asyncio.Task] = set()
         self._closed = False
@@ -279,16 +324,41 @@ class ProxyRouter:
     # Breaker-guarded backend primitives
     # ------------------------------------------------------------------
 
-    async def _admitted_get(self, backend: str, key: str) -> Value | None:
-        """One backend ``get`` whose breaker already admitted it."""
+    async def _get_batch(
+        self, backend: str, keys: list[str]
+    ) -> list[Value | None]:
+        """One ``get_many`` round trip to a backend its breaker admitted.
+
+        The breaker hears one outcome per batch, however many keys it
+        carries.  A transport failure reads as a miss on every key --
+        the breaker, not the client, decides when to stop trying.
+        """
         breaker = self.breakers[backend]
         try:
-            value = await self.client(backend).get(key)
+            values = await self.client(backend).get_many(keys)
         except TransportError:
             breaker.record_failure()
-            return None
+            return [None] * len(keys)
+        except WireProtocolError:
+            # The backend answered, if unintelligibly; no probe slot leaks.
+            breaker.record_success()
+            raise
+        finally:
+            self._tag_rpc_span(len(keys))
         breaker.record_success()
-        return value
+        return values
+
+    def _tag_rpc_span(self, keys: int) -> None:
+        """Stamp ``keys`` on the ``client.rpc`` span a batch just ended.
+
+        ``NodeClient`` opens that span whenever a trace context is
+        ambient and ends it before its awaiter resumes, so here it is
+        the tracer's newest record -- ``repro.net`` needs no change for
+        the proxy's batches to say how many keys they carried.
+        """
+        live = self.telemetry.live
+        if live.enabled and current_context() is not None:
+            live.spans[-1].set_attribute("keys", keys)
 
     async def _guarded_set(
         self,
@@ -334,140 +404,184 @@ class ProxyRouter:
     # ------------------------------------------------------------------
 
     async def get(self, key: str) -> Value | None:
-        """Routed ``get``: coalesced, replicated, breaker-degraded.
+        """Routed ``get``: a one-key :meth:`get_many`."""
+        return (await self.get_many([key]))[0]
+
+    async def get_many(self, keys: Sequence[str]) -> list[Value | None]:
+        """Routed multiget: coalesced, replicated, breaker-degraded.
+
+        One backend round trip per backend touched, not per key: the
+        keys this call leads are grouped by candidate backend (the ring
+        primary plus every replica of a promoted key, each if its
+        breaker admits -- a hot key rides in more than one batch), one
+        ``get_many`` per backend goes out concurrently, and a key
+        resolves on the first *hit* from any candidate or as a miss
+        once all of them have answered.  The call returns when its last
+        key resolves.
 
         Never raises for backend trouble -- a dead or open backend reads
         as a miss (or is papered over by a replica for hot keys).
         """
         if not self._obs:
-            return await self._get_inner(key)
+            return await self._get_many_inner(keys)
         start = time.perf_counter()
         try:
-            return await self._get_inner(key)
+            return await self._get_many_inner(keys)
         finally:
             self._m_route["get"].observe(time.perf_counter() - start)
 
-    async def _get_inner(self, key: str) -> Value | None:
-        self._m_ops["get"].inc()
+    async def _get_many_inner(
+        self, keys: Sequence[str]
+    ) -> list[Value | None]:
+        self._m_ops["get"].inc(len(keys))
         if not self.ring.members:
-            self._m_degraded["get"].inc()
-            return None
-        primary = self.ring.node_for_key(key)
-        hot = self.detector.observe(key)
-        replicas = self.replicas.replicas_for(key)
-        if hot and not replicas and self.config.replication_factor > 0:
-            replicas = await self._promote(key, primary)
-        return await self.coalescer.fetch(
-            key, lambda: self._fetch(key, primary, replicas)
+            self._m_degraded["get"].inc(len(keys))
+            return [None] * len(keys)
+        for key in keys:
+            if (
+                self.detector.observe(key)
+                and self.config.replication_factor > 0
+                and not self.replicas.replicas_for(key)
+            ):
+                await self._promote(key, self.ring.node_for_key(key))
+        # No await from the first claim to the last batch spawned: every
+        # key this call leads is in some batch before anyone can follow it.
+        claims = [self.coalescer.claim(key) for key in keys]
+        fetch = _Fetch(
+            asyncio.get_running_loop().create_future(),
+            time.perf_counter() if self._obs else 0.0,
         )
+        for key, (_, leads) in zip(keys, claims):
+            if leads:
+                self._plan(key, fetch)
+        if fetch.leads:
+            for backend, batch in fetch.batches.items():
+                self._spawn(self._run_batch(backend, batch, fetch))
+            # The batches, not this call, settle the shared futures, and
+            # ``done`` is private: cancelling the call strands no
+            # follower, and a batch that outlives it (a black-holed
+            # primary behind a replica's hit) still reports to its
+            # breaker from ``_background``.
+            await fetch.done
+        return [
+            future.result()
+            if future.done()
+            else await self.coalescer.wait(future)
+            for future, _ in claims
+        ]
 
-    async def _fetch(
-        self, key: str, primary: str, replicas: tuple[str, ...]
-    ) -> Value | None:
-        """The coalesced leader fetch: single-path or fan-out."""
-        start = time.perf_counter() if self._obs else 0.0
-        primary_admitted = self.breakers[primary].allow()
-        if not replicas:
-            if not primary_admitted:
-                self._m_degraded["get"].inc()
-                if self._obs:
-                    self._m_breaker_reject_seconds.observe(
-                        time.perf_counter() - start
-                    )
-                return None
-            # A transport failure reads as a miss too -- the breaker,
-            # not the client, decides when to stop trying.
-            return await self._admitted_get(primary, key)
-        candidates = [primary] if primary_admitted else []
-        for backend in replicas:
-            if backend in self.ring.members and self.breakers[
+    def _plan(self, key: str, fetch: _Fetch) -> None:
+        """Queue a led key on the batch of every backend that may hold it.
+
+        ``fetch.admitted`` keeps each breaker's verdict for the call, so
+        a breaker is consulted once per backend, never once per key.
+        """
+        primary = self.ring.node_for_key(key)
+        replicas = self.replicas.replicas_for(key)
+        lead = _Lead(primary, replicas, self._write_stamp.get(key))
+        candidates: Iterable[str] = (primary,)
+        if replicas:
+            members = self.ring.members
+            candidates = [
                 backend
-            ].allow():
-                candidates.append(backend)
-        if not candidates:
+                for backend in dict.fromkeys((primary, *replicas))
+                if backend in members
+            ]
+        admitted = fetch.admitted
+        for backend in candidates:
+            verdict = admitted.get(backend)
+            if verdict is None:
+                verdict = admitted[backend] = self.breakers[backend].allow()
+            if verdict:
+                fetch.batches.setdefault(backend, []).append(key)
+                lead.waiting += 1
+        if not lead.waiting:
             self._m_degraded["get"].inc()
             if self._obs:
                 self._m_breaker_reject_seconds.observe(
-                    time.perf_counter() - start
+                    time.perf_counter() - fetch.start
                 )
-            return None
-        if len(candidates) > 1:
+            self.coalescer.settle(key, None)
+            return
+        lead.primary_admitted = admitted[primary]
+        if lead.waiting > 1:
+            lead.fanned = True
             self._m_fanout.inc()
-            if self._obs:
-                fan_start = time.perf_counter()
-                value, missed = await self._first_hit(key, candidates)
-                self._m_fanout_seconds.observe(
-                    time.perf_counter() - fan_start
-                )
-                return self._after_fetch(
-                    key, primary, replicas, primary_admitted, value, missed
-                )
-        value, missed = await self._first_hit(key, candidates)
-        return self._after_fetch(
-            key, primary, replicas, primary_admitted, value, missed
-        )
+        fetch.leads[key] = lead
+
+    async def _run_batch(
+        self, backend: str, keys: list[str], fetch: _Fetch
+    ) -> None:
+        """One backend's share of a multiget; resolves what it decides."""
+        leads = fetch.leads
+        try:
+            values = await self._get_batch(backend, keys)
+            for key, value in zip(keys, values):
+                lead = leads.get(key)
+                if lead is None:
+                    continue  # another candidate's hit already answered
+                if value is None:
+                    lead.missed.append(backend)
+                    lead.waiting -= 1
+                    if lead.waiting:
+                        continue
+                del leads[key]
+                self._after_fetch(key, lead, value, fetch.start)
+                self.coalescer.settle(key, value)
+        except BaseException as exc:
+            # Whatever ended the batch (a garbled reply, loop teardown),
+            # every key still waiting on it is settled with that error,
+            # so neither the leading call nor a follower hangs.
+            for key in keys:
+                if leads.pop(key, None) is not None:
+                    self.coalescer.settle(key, error=exc)
+            if not isinstance(exc, WireProtocolError):
+                raise  # the callers raise a wire error, not this task
+        finally:
+            if not leads and not fetch.done.done():
+                fetch.done.set_result(None)
 
     def _after_fetch(
-        self,
-        key: str,
-        primary: str,
-        replicas: tuple[str, ...],
-        primary_admitted: bool,
-        value: Value | None,
-        missed: list[str],
-    ) -> Value | None:
-        """Fan-out epilogue: stale accounting and background repair."""
-        if value is not None and not primary_admitted:
+        self, key: str, lead: _Lead, value: Value | None, start: float
+    ) -> None:
+        """Per-key epilogue: fan-out and stale accounting, read repair."""
+        if self._obs and lead.fanned:
+            self._m_fanout_seconds.observe(time.perf_counter() - start)
+        if value is None:
+            return
+        if not lead.primary_admitted:
             self._m_stale.inc()
-        if value is not None:
-            repair = [b for b in missed if b != primary and b in replicas]
-            if repair:
-                self._spawn(self._read_repair(key, repair, value))
-        return value
-
-    async def _first_hit(
-        self, key: str, candidates: list[str]
-    ) -> tuple[Value | None, list[str]]:
-        """Fan out ``get`` to every candidate; first *hit* wins.
-
-        Returns the winning value (or None when everyone missed) plus
-        the backends that had answered with a miss by decision time.
-        Losers still in flight are left to finish in the background --
-        NOT cancelled -- so a dead primary's transport failures still
-        reach its breaker even when a healthy replica answers first
-        (cancelling them would keep the breaker blind forever).
-        """
-        tasks = {
-            asyncio.ensure_future(self._admitted_get(backend, key)): backend
-            for backend in candidates
-        }
-        pending: set = set(tasks)
-        winner: Value | None = None
-        missed: list[str] = []
-        while pending and winner is None:
-            done, pending = await asyncio.wait(
-                pending, return_when=asyncio.FIRST_COMPLETED
-            )
-            for task in done:
-                value = task.result()
-                if value is not None and winner is None:
-                    winner = value
-                elif value is None:
-                    missed.append(tasks[task])
-        for task in pending:
-            self._background.add(task)
-            task.add_done_callback(self._background.discard)
-        return winner, missed
+        repair = [
+            backend
+            for backend in lead.missed
+            if backend != lead.primary and backend in lead.replicas
+        ]
+        if repair:
+            self._spawn(self._read_repair(key, repair, value, lead.stamp))
 
     async def _read_repair(
-        self, key: str, backends: list[str], value: Value
+        self,
+        key: str,
+        backends: list[str],
+        value: Value,
+        stamp: int | None,
     ) -> None:
-        """Refresh replicas that missed during a winning fan-out."""
+        """Refresh replicas that missed during a winning fan-out.
+
+        ``value`` was read under write stamp ``stamp``; a write routed
+        to ``key`` since then voids it, and a copy that landed after
+        such a write is deleted again rather than left to be served.
+        """
         flags, payload = value
         for backend in backends:
+            if self._write_stamp.get(key) != stamp:
+                return
             stored = await self._guarded_set(
                 backend, key, payload, flags, 0.0
             )
+            if self._write_stamp.get(key) != stamp:
+                await self._drop_void_copy(key, backend)
+                return
             if stored:
                 self._m_repairs.inc()
 
@@ -490,29 +604,50 @@ class ProxyRouter:
                 targets.append(candidate)
         return tuple(targets)
 
-    async def _promote(self, key: str, primary: str) -> tuple[str, ...]:
-        """Copy a hot key onto its replica set and register it."""
-        if self.replicas.full:
-            return ()
+    async def _promote(self, key: str, primary: str) -> None:
+        """Copy a hot key onto its replica set and register it.
+
+        One promotion per key at a time: the key's write stamp marks it
+        as being promoted.  The copies are void if a write to ``key``
+        was routed after the value was read
+        (:meth:`_invalidate_replicas` moves the stamp): they are deleted
+        again instead of registered.
+        """
+        if self.replicas.full or key in self._write_stamp:
+            return
         targets = self._replica_targets(primary)
-        if not targets:
-            return ()
-        if not self.breakers[primary].allow():
-            return ()
-        value = await self._admitted_get(primary, key)
-        if value is None:
-            return ()
-        flags, payload = value
-        copied = []
-        for backend in targets:
-            stored = await self._guarded_set(
-                backend, key, payload, flags, 0.0
-            )
-            if stored:
-                copied.append(backend)
-        if copied:
-            self.replicas.promote(key, copied)
-        return tuple(copied)
+        if not targets or not self.breakers[primary].allow():
+            return
+        stamp = self._write_stamp[key] = next(self._stamps)
+        copied: list[str] = []
+        try:
+            (value,) = await self._get_batch(primary, [key])
+            if value is None:
+                return
+            flags, payload = value
+            for backend in targets:
+                if await self._guarded_set(backend, key, payload, flags, 0.0):
+                    copied.append(backend)
+            if self._write_stamp.get(key) == stamp:
+                self.replicas.promote(key, copied)
+        finally:
+            # An unmoved stamp is still this promotion's, so only it can
+            # have registered the key.
+            if self._write_stamp.get(key) != stamp or key not in self.replicas:
+                if key not in self.replicas:
+                    self._write_stamp.pop(key, None)
+                for backend in copied:
+                    await self._drop_void_copy(key, backend)
+
+    async def _drop_void_copy(self, key: str, backend: str) -> None:
+        """Delete a copy a routed write overtook; demote if it will not go."""
+        if await self._guarded_delete(backend, key) is None:
+            self._demote(key)
+
+    def _demote(self, key: str) -> None:
+        """Stop serving ``key`` from replicas (and stop stamping it)."""
+        self.replicas.demote(key)
+        self._write_stamp.pop(key, None)
 
     # ------------------------------------------------------------------
     # Writes (write-through invalidation)
@@ -585,12 +720,20 @@ class ProxyRouter:
         return bool(existed)
 
     async def _invalidate_replicas(self, key: str) -> None:
-        """Write-through invalidation: drop every replica copy of ``key``."""
+        """Write-through invalidation: drop every replica copy of ``key``.
+
+        Runs after the owner has answered the write.  Moving the write
+        stamp in the same step as reading the replica set also voids
+        copies a promotion or read repair is still making from a value
+        read earlier -- they are not registered yet, so not listed here.
+        """
+        if key in self._write_stamp:
+            self._write_stamp[key] = next(self._stamps)
         for backend in self.replicas.replicas_for(key):
             removed = await self._guarded_delete(backend, key)
             if removed is None:
                 # The copy could not be removed; stop serving from it.
-                self.replicas.demote(key)
+                self._demote(key)
 
     async def incr(self, key: str, delta: int = 1) -> int | None:
         """Routed ``incr``; None when absent or degraded."""
@@ -638,6 +781,7 @@ class ProxyRouter:
             else:
                 breaker.record_success()
         self.replicas.clear()
+        self._write_stamp.clear()
 
     # ------------------------------------------------------------------
     # Membership (the Master's post-switch ring lands here)
@@ -655,6 +799,11 @@ class ProxyRouter:
             )
         self.ring.set_members(names)
         self.replicas.retain_backends(names)
+        self._write_stamp = {
+            key: stamp
+            for key, stamp in self._write_stamp.items()
+            if key in self.replicas
+        }
         for name in names:
             # A backend rejoining the ring deserves a fresh breaker
             # verdict rather than a stale open state.

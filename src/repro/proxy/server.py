@@ -248,11 +248,12 @@ class ProxyServer:
         # several); a zero token keeps gets parseable while making any
         # cas attempt through the proxy a clean miss.
         cas = 0 if verb == "gets" else None
-        chunks: list[bytes] = []
-        for key in keys:
-            value = await self.router.get(key)
-            if value is not None:
-                chunks.append(wire.value_block(key, *value, cas))
+        values = await self.router.get_many(keys)
+        chunks = [
+            wire.value_block(key, *value, cas)
+            for key, value in zip(keys, values)
+            if value is not None
+        ]
         chunks.append(wire.END)
         return b"".join(chunks)
 

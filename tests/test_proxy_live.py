@@ -15,6 +15,7 @@ backend node servers.  These are the acceptance tests of the proxy PR:
 """
 
 import asyncio
+import time
 
 import pytest
 
@@ -262,6 +263,65 @@ class TestFailoverChaos:
         payload = result.to_dict()
         assert payload["ok"] is True
         assert payload["transitions"]["open"] >= 1
+
+    def test_multiget_rides_out_a_backend_kill_and_restart(self, loop):
+        """8-key gets through the proxy while one backend dies and comes
+        back: no client-visible error, the live backend's keys and the
+        promoted key keep hitting, the victim's breaker walks the cycle."""
+        config = ProxyConfig(
+            promote_threshold=4,
+            timeout_s=0.5,
+            retry=FAST_RETRY,
+            backoff_scale=0.1,
+            **FAST_BREAKER,
+        )
+        with make_harness(["n0", "n1"], config=config) as harness:
+            client = NodeClient(
+                "proxy", *harness.proxy_endpoint, timeout_s=5.0
+            )
+            router = harness.router
+            victim, survivor = "n1", "n0"
+            owned = {victim: [], survivor: []}
+            for i in range(1000):
+                owned[router.primary_for(f"k{i}")].append(f"k{i}")
+            hot, *cold = owned[victim][:4]
+            keys = [hot, *owned[survivor][:4], *cold]
+            for key in keys:
+                assert loop.call(client.set(key, key.encode()))
+            for _ in range(10):
+                assert loop.call(client.get(hot)) == (0, hot.encode())
+            assert router.replicas.replicas_for(hot) == (survivor,)
+
+            def multiget():
+                values = loop.call(client.get_many(keys))  # must not raise
+                assert values[:5] == [(0, key.encode()) for key in keys[:5]]
+                return values[5:]
+
+            assert multiget() == [(0, key.encode()) for key in cold]
+            harness.kill_backend(victim)
+            for _ in range(10):
+                assert multiget() == [None] * 3
+            assert harness.breaker_state(victim) != CLOSED
+            harness.restart_backend(victim)
+            for _ in range(100):
+                served = multiget()
+                if harness.breaker_state(victim) == CLOSED and all(served):
+                    break
+                time.sleep(0.05)
+            assert served == [(0, key.encode()) for key in cold]
+            metrics = router.telemetry.metrics
+            for state in ("open", "half_open", "closed"):
+                assert (
+                    metrics.counter(
+                        "proxy_breaker_transitions_total",
+                        backend=victim,
+                        to=state,
+                    ).value
+                    >= 1
+                ), state
+            assert metrics.counter("proxy_stale_serves_total").value >= 1
+            assert harness.breaker_state(survivor) == CLOSED
+            loop.call(client.close())
 
     def test_degraded_ops_fail_fast_once_breaker_open(self, loop):
         """With the breaker open, requests to the dead backend are

@@ -18,6 +18,7 @@ import pytest
 
 from repro import wire
 from repro.errors import WireProtocolError
+from repro.hashing.ketama import ConsistentHashRing
 from repro.memcached.node import MigratedItem
 from repro.memcached.protocol import TextProtocolServer
 from repro.memcached.slab import PAGE_SIZE
@@ -39,7 +40,7 @@ DESIGN = Path(__file__).resolve().parent.parent / "DESIGN.md"
 ANSWERED = {verb for verb, command in COMMANDS.items() if command.reply != wire.NONE}
 PROXIED = {verb for verb, command in COMMANDS.items() if command.proxied}
 # The ProxyRouter entry point behind each routed verb.
-ROUTER_ENTRY = {"gets": "get", "decr": "incr"}
+ROUTER_ENTRY = {"get": "get_many", "gets": "get_many", "decr": "incr"}
 
 
 def handlers(cls) -> set[str]:
@@ -275,6 +276,32 @@ def test_node_and_proxy_answer_edge_requests_identically(
     assert node_reply.endswith(wire.CRLF)
     if expected is not None:
         assert node_reply == expected
+
+
+@pytest.mark.parametrize("verb", ["get", "gets"])
+def test_node_and_proxy_answer_a_64_key_multiget_identically(listeners, verb):
+    """The widest ``get`` line -- hits, misses and a repeated key, spread
+    over both proxy backends -- comes back through the batched read path
+    byte for byte as a node answers it (cas ids aside: the proxy's are 0)."""
+    keys = [f"wide-{verb}-{i:02d}" for i in range(wire.GET_BATCH_KEYS)]
+    keys[40] = keys[3]
+    owners = ConsistentHashRing(["n0", "n1"]).nodes_for_keys(keys)
+    assert min(len(owners.get(name, ())) for name in ("n0", "n1")) >= 8
+    data = b"".join(
+        wire.encode_request("set", [key, str(i), "0"], key.encode() * 3)
+        for i, key in enumerate(keys)
+        if i % 3 == 0
+    ) + wire.encode_request(verb, keys)
+    node_reply, proxy_reply = (
+        re.sub(rb"(?m)^(VALUE \S+ \d+ \d+) \d+\r$", rb"\1 0\r", reply)
+        for reply in (
+            converse(listeners["node"], data, 1 << 20),
+            converse(listeners["proxy"], data, 1 << 20),
+        )
+    )
+    assert proxy_reply == node_reply
+    assert node_reply.count(b"VALUE ") == 23  # 22 stored + the repeat
+    assert node_reply.endswith(wire.END)
 
 
 # ----------------------------------------------------------------------
