@@ -1,14 +1,16 @@
 """Asyncio Memcached client: pooled connections, pipelined requests.
 
-One :class:`NodeClient` talks to one live node.  Requests are encoded as
-:class:`_Request` objects pairing the wire bytes with an async response
-reader; a batch of requests is written in a single ``write`` (request
-pipelining) and the responses are read back in order.  Failures --
-connection refused/reset, a stalled server exceeding ``timeout_s``, a
-connection closed mid-response -- are retried with the bounded
-exponential backoff of :class:`~repro.core.retry.RetryPolicy` on a fresh
-connection, and surface as :class:`~repro.errors.TransportError` once
-the budget is exhausted.  Protocol error lines
+One :class:`NodeClient` talks to one live node.  A request is its wire
+bytes plus the framing of its reply (both from :mod:`repro.wire`); a
+batch of requests is written in a single ``write`` (request pipelining)
+and the connection -- an :class:`asyncio.Protocol` -- feeds the replies
+to :class:`~repro.wire.ReplyFramer` as their bytes arrive, resolving one
+future per round trip.  Failures -- connection refused/reset, a stalled
+server exceeding ``timeout_s``, a connection closed mid-response -- are
+retried with the bounded exponential backoff of
+:class:`~repro.core.retry.RetryPolicy` on a fresh connection, and
+surface as :class:`~repro.errors.TransportError` once the budget is
+exhausted.  Protocol error lines
 (``ERROR``/``CLIENT_ERROR``/``SERVER_ERROR``) are deterministic, so they
 raise :class:`~repro.errors.WireProtocolError` immediately instead.
 
@@ -23,7 +25,7 @@ import asyncio
 import time
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, Awaitable, Callable, Iterable
+from typing import Any, Iterable, Sequence, cast
 
 from repro import wire
 from repro.core.retry import RetryPolicy
@@ -33,7 +35,6 @@ from repro.obs import NULL_TELEMETRY, Telemetry
 from repro.obs.livetrace import TraceContext, current_context
 from repro.obs.metrics import LATENCY_SECONDS_BUCKETS
 from repro.wire import (
-    CRLF,
     EXPORT_BATCH_KEYS,
     GET_BATCH_KEYS,
     IMPORT_BATCH_RECORDS,
@@ -45,176 +46,96 @@ DEFAULT_CLIENT_RETRY = RetryPolicy(
 """Default transport retry: 3 attempts, 50 ms then 100 ms backoff."""
 
 
-def _raise_on_error(line: bytes) -> bytes:
-    """Pass ``line`` through unless it is a protocol error line."""
-    if line.startswith(wire.ERROR_PREFIXES):
-        raise WireProtocolError(line.decode("utf-8", "replace"))
-    return line
+class _Conn(asyncio.Protocol):
+    """One pooled connection: replies are parsed as their bytes arrive.
 
+    At most one round trip is in flight.  It owns one future, resolved
+    by :meth:`data_received` when the last pipelined reply completes,
+    and one timer.  Whatever ends the connection's usefulness -- EOF, a
+    lost socket, a timeout, a reply that does not parse, bytes nobody
+    asked for -- sets :attr:`broken`, which the pool checks before
+    handing the connection out again.
+    """
 
-class _Conn:
-    """One open connection plus its framing helpers."""
+    __slots__ = ("transport", "broken", "_framer", "_waiter", "_lost")
 
-    __slots__ = ("reader", "writer")
+    transport: asyncio.Transport
 
-    def __init__(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        self.reader = reader
-        self.writer = writer
+    def __init__(self) -> None:
+        self.broken = False
+        self._framer = wire.ReplyFramer()
+        self._waiter: asyncio.Future[list[Any]] | None = None
+        self._lost = asyncio.get_running_loop().create_future()
 
-    @property
-    def closing(self) -> bool:
-        return self.writer.is_closing()
+    def connection_made(self, transport: asyncio.BaseTransport) -> None:
+        self.transport = cast(asyncio.Transport, transport)
 
-    async def read_line(self) -> bytes:
-        """One CRLF-terminated response line, terminator stripped."""
-        line = await self.reader.readuntil(CRLF)
-        return line[:-2]
+    def data_received(self, data: bytes) -> None:
+        waiter = self._waiter
+        if waiter is None or waiter.done():
+            self.broken = True  # nobody asked for these bytes
+            return
+        try:
+            results = self._framer.feed(data)
+        except WireProtocolError as exc:
+            self._fail(exc)
+            return
+        if results is not None:
+            if self._framer.unread:
+                self.broken = True  # more than the batch's last reply
+            waiter.set_result(results)
 
-    async def read_payload(self, size: int) -> bytes:
-        """A sized payload plus its trailing CRLF."""
-        data = await self.reader.readexactly(size + 2)
-        if data[-2:] != CRLF:
-            raise WireProtocolError("missing CRLF after payload")
-        return data[:-2]
+    def eof_received(self) -> None:
+        self._fail(EOFError("connection closed by peer"))
+
+    def connection_lost(self, exc: Exception | None) -> None:
+        self._fail(exc or EOFError("connection closed"))
+        if not self._lost.done():
+            self._lost.set_result(None)
+
+    def _fail(self, exc: BaseException | type[BaseException]) -> None:
+        self.broken = True
+        waiter = self._waiter
+        if waiter is not None and not waiter.done():
+            waiter.set_exception(exc)
+
+    async def round_trip(
+        self, data: bytes, framings: Sequence[str], timeout_s: float
+    ) -> list[Any]:
+        """Write one pipelined batch; its decoded replies, in order."""
+        loop = asyncio.get_running_loop()
+        self._waiter = waiter = loop.create_future()
+        self._framer.expect(framings)
+        timer = loop.call_later(timeout_s, self._fail, asyncio.TimeoutError)
+        try:
+            self.transport.write(data)
+            return await waiter
+        finally:
+            timer.cancel()
+            self._waiter = None
 
     def abort(self) -> None:
-        transport = self.writer.transport
-        if transport is not None:
-            transport.abort()
+        self.transport.abort()
 
     async def close(self) -> None:
-        self.writer.close()
-        try:
-            await self.writer.wait_closed()
-        except (OSError, asyncio.CancelledError):
-            pass
-
-
-# ---------------------------------------------------------------------------
-# Response readers (one per reply framing of the command table)
-# ---------------------------------------------------------------------------
-
-
-async def _read_simple(conn: _Conn) -> bytes:
-    """A single response line; protocol errors raise."""
-    return _raise_on_error(await conn.read_line())
-
-
-async def _read_values(conn: _Conn) -> dict[str, tuple[int, bytes]]:
-    """Value blocks until ``END`` -> ``{key: (flags, payload)}``."""
-    token, width, size_at = wire.BLOCKS[wire.VALUES]
-    values: dict[str, tuple[int, bytes]] = {}
-    while True:
-        line = _raise_on_error(await conn.read_line())
-        if line == b"END":
-            return values
-        parts = line.split()
-        if len(parts) < width or parts[0] != token:
-            raise WireProtocolError(
-                f"unexpected line in value block: {line!r}"
-            )
-        key = parts[1].decode("utf-8")
-        flags, size = int(parts[2]), int(parts[size_at])
-        values[key] = (flags, await conn.read_payload(size))
-
-
-async def _read_ts(conn: _Conn) -> list[tuple[str, float, int]]:
-    """Timestamp rows until ``END`` -> ``[(key, last_access, size)]``."""
-    token, width, _ = wire.BLOCKS[wire.TS]
-    rows: list[tuple[str, float, int]] = []
-    while True:
-        line = _raise_on_error(await conn.read_line())
-        if line == b"END":
-            return rows
-        parts = line.split()
-        if len(parts) != width or parts[0] != token:
-            raise WireProtocolError(f"unexpected ts_dump line: {line!r}")
-        rows.append(
-            (parts[1].decode("utf-8"), float(parts[2]), int(parts[3]))
-        )
-
-
-async def _read_items(conn: _Conn) -> list[MigratedItem]:
-    """Item blocks until ``END`` -> migrated KV records."""
-    token, width, size_at = wire.BLOCKS[wire.ITEMS]
-    records: list[MigratedItem] = []
-    while True:
-        line = _raise_on_error(await conn.read_line())
-        if line == b"END":
-            return records
-        parts = line.split()
-        if len(parts) != width or parts[0] != token:
-            raise WireProtocolError(f"unexpected export line: {line!r}")
-        size = int(parts[size_at])
-        records.append(
-            MigratedItem(
-                key=parts[1].decode("utf-8"),
-                value=(int(parts[2]), await conn.read_payload(size)),
-                value_size=size,
-                last_access=float(parts[3]),
-            )
-        )
-
-
-async def _read_stats(conn: _Conn) -> dict[str, str]:
-    """Stat rows until ``END`` -> ``{name: value}``."""
-    token, width, _ = wire.BLOCKS[wire.STATS]
-    stats: dict[str, str] = {}
-    while True:
-        line = _raise_on_error(await conn.read_line())
-        if line == b"END":
-            return stats
-        parts = line.split(None, width - 1)
-        if len(parts) != width or parts[0] != token:
-            raise WireProtocolError(f"unexpected stats line: {line!r}")
-        stats[parts[1].decode("utf-8")] = parts[2].decode("utf-8")
-
-
-_SIZE_AT = {block.token: block.size_at for block in wire.BLOCKS.values()}
-
-
-async def _read_sniffed(conn: _Conn) -> bytes:
-    """Raw response for :meth:`NodeClient.execute`: single line or an
-    END-terminated block, returned verbatim (errors included)."""
-    line = await conn.read_line()
-    chunks = [line + CRLF]
-    if line.split(b" ", 1)[0] not in _SIZE_AT:
-        return chunks[0]
-    while line != b"END":
-        # a dict lookup, not a contextvar read
-        size_at = _SIZE_AT.get(line.split(b" ", 1)[0])  # repro: allow[REP106]
-        if size_at is not None:
-            size = int(line.split()[size_at])
-            chunks.append(await conn.read_payload(size) + CRLF)
-        line = await conn.read_line()
-        chunks.append(line + CRLF)
-    return b"".join(chunks)
-
-
-_READERS: dict[str, Callable[[_Conn], Awaitable[Any]]] = {
-    wire.LINE: _read_simple,
-    wire.VALUES: _read_values,
-    wire.TS: _read_ts,
-    wire.ITEMS: _read_items,
-    wire.STATS: _read_stats,
-}
+        """Close and wait until the transport has let go of its socket."""
+        self.transport.close()
+        await self._lost
 
 
 @dataclass(frozen=True)
 class _Request:
-    """Wire bytes plus the reader that consumes their response."""
+    """Wire bytes plus the framing of the reply they will be answered with."""
 
     wire: bytes
-    reader: Callable[[_Conn], Awaitable[Any]]
+    reply: str
 
 
 def _call(verb: str, *args: str, body: Any = None) -> _Request:
-    """One request of the command table: its bytes and its reply reader."""
+    """One request of the command table: its bytes and its reply framing."""
     return _Request(
         wire.encode_request(verb, args, body),
-        _READERS[wire.COMMANDS[verb].reply_for(args)],
+        wire.COMMANDS[verb].reply_for(args),
     )
 
 
@@ -312,15 +233,16 @@ class NodeClient:
     # ------------------------------------------------------------------
 
     async def _dial(self) -> _Conn:
-        reader, writer = await asyncio.open_connection(self.host, self.port)
-        return _Conn(reader, writer)
+        loop = asyncio.get_running_loop()
+        _, conn = await loop.create_connection(_Conn, self.host, self.port)
+        return conn
 
     async def _acquire(self) -> _Conn:
         await self._sem.acquire()
         try:
             while self._idle:
                 conn = self._idle.popleft()
-                if not conn.closing:
+                if not conn.broken:
                     return conn
                 conn.abort()
             return await asyncio.wait_for(self._dial(), self.timeout_s)
@@ -329,7 +251,7 @@ class NodeClient:
             raise
 
     def _release(self, conn: _Conn) -> None:
-        if self._closed or conn.closing:
+        if self._closed or conn.broken:
             conn.abort()
         else:
             self._idle.append(conn)
@@ -348,15 +270,6 @@ class NodeClient:
     # ------------------------------------------------------------------
     # Pipelined request execution with timeout + retry
     # ------------------------------------------------------------------
-
-    async def _round_trip(
-        self, conn: _Conn, requests: list[_Request], prefix: bytes = b""
-    ) -> list[Any]:
-        conn.writer.write(
-            prefix + b"".join(request.wire for request in requests)
-        )
-        await conn.writer.drain()
-        return [await request.reader(conn) for request in requests]
 
     async def _request(self, requests: list[_Request]) -> list[Any]:
         """Ship a pipelined batch; retry transport failures on a fresh
@@ -382,6 +295,8 @@ class NodeClient:
             # The trace frame applies to the batch's first command; the
             # server consumes one context per dispatched command.
             prefix = ctx.wire_prefix()
+        data = prefix + b"".join(request.wire for request in requests)
+        framings = [request.reply for request in requests]
         failures = 0
         try:
             while True:
@@ -394,18 +309,16 @@ class NodeClient:
                             time.perf_counter() - wait_start
                         )
                         rt_start = time.perf_counter()
-                        results = await asyncio.wait_for(
-                            self._round_trip(conn, requests, prefix),
-                            self.timeout_s,
+                        results = await conn.round_trip(
+                            data, framings, self.timeout_s
                         )
                         self._m_round_trip.observe(
                             time.perf_counter() - rt_start
                         )
                     else:
                         conn = await self._acquire()
-                        results = await asyncio.wait_for(
-                            self._round_trip(conn, requests, prefix),
-                            self.timeout_s,
+                        results = await conn.round_trip(
+                            data, framings, self.timeout_s
                         )
                 except WireProtocolError:
                     # Deterministic server-side rejection: the connection's
@@ -543,7 +456,7 @@ class NodeClient:
         self, command: str, payload: bytes | None = None
     ) -> bytes:
         """One raw command; returns the verbatim response bytes."""
-        request = _Request(wire.encode_line(command, payload), _read_sniffed)
+        request = _Request(wire.encode_line(command, payload), wire.SNIFFED)
         return (await self._request([request]))[0]
 
     # ------------------------------------------------------------------

@@ -15,7 +15,11 @@ This module is the single place the dialect is written down, sans-IO:
   ``mig_export`` continuation state machines and the one-shot ``trace``
   frame, and hands back complete requests or the error line to answer;
 - the encoders -- :func:`encode_request` for the client (validated
-  against the table) and the reply blocks for the servers.
+  against the table) and the reply blocks for the servers;
+- :class:`ReplyFramer` -- the incremental reply parser the client feeds
+  socket chunks into: one resumable parser per reply framing
+  (:data:`REPLY_PARSERS`), run in order over the replies of a pipelined
+  round trip.
 
 ``exptime`` is relative seconds, ``noreply`` is accepted but answered,
 and key length is counted in characters; DESIGN.md ("Wire codec") lists
@@ -24,7 +28,7 @@ every deviation from memcached's documented protocol.
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Mapping, NamedTuple, Sequence
+from typing import Any, Callable, Generator, Iterable, Mapping, NamedTuple, Sequence
 
 from repro.errors import WireProtocolError
 from repro.memcached.node import MigratedItem
@@ -76,6 +80,7 @@ TS = "ts"
 ITEMS = "items"
 STATS = "stats"
 NONE = "none"  # consumed by the framer; nothing is answered
+SNIFFED = "sniffed"  # a raw command's reply, framing learnt from its first token
 
 
 ANY = 1 << 30  # open upper end of an argument-count window
@@ -461,3 +466,219 @@ class RequestFramer:
         self._left -= 1
         if self._left == 0:
             self._finish_rows(out)
+
+
+# ---------------------------------------------------------------------------
+# Reply parsers and framer
+# ---------------------------------------------------------------------------
+
+ReplyParser = Generator[int | None, bytes, Any]
+"""One reply being parsed.  It yields what it needs next -- :data:`_LINE`
+for a line (sent back without its CRLF) or the size of a payload (sent
+back without its trailer) -- and returns the decoded reply.  Suspended
+between yields it keeps its rows and its place, so a reply is scanned
+once however it is chunked."""
+
+_LINE = None
+
+
+def _parse_line() -> ReplyParser:
+    """A single reply line; protocol errors raise."""
+    line = yield _LINE
+    if line.startswith(ERROR_PREFIXES):
+        raise WireProtocolError(line.decode("utf-8", "replace"))
+    return line
+
+
+def _unexpected(line: bytes, what: str) -> WireProtocolError:
+    """The error for a line that is neither a row of its block nor
+    ``END``: the server's own words when it is an error line."""
+    if line.startswith(ERROR_PREFIXES):
+        return WireProtocolError(line.decode("utf-8", "replace"))
+    return WireProtocolError(f"unexpected {what}: {line!r}")
+
+
+def _parse_values() -> ReplyParser:
+    """Value blocks until ``END`` -> ``{key: (flags, payload)}``."""
+    token, width, size_at = BLOCKS[VALUES]
+    values: dict[str, tuple[int, bytes]] = {}
+    while True:
+        line = yield _LINE
+        if line == b"END":
+            return values
+        parts = line.split()
+        if len(parts) < width or parts[0] != token:
+            raise _unexpected(line, "line in value block")
+        key, flags = parts[1].decode("utf-8"), int(parts[2])
+        values[key] = (flags, (yield int(parts[size_at])))
+
+
+def _parse_ts() -> ReplyParser:
+    """Timestamp rows until ``END`` -> ``[(key, last_access, size)]``."""
+    token, width, _ = BLOCKS[TS]
+    rows: list[tuple[str, float, int]] = []
+    while True:
+        line = yield _LINE
+        if line == b"END":
+            return rows
+        parts = line.split()
+        if len(parts) != width or parts[0] != token:
+            raise _unexpected(line, "ts_dump line")
+        rows.append(
+            (parts[1].decode("utf-8"), float(parts[2]), int(parts[3]))
+        )
+
+
+def _parse_items() -> ReplyParser:
+    """Item blocks until ``END`` -> migrated KV records."""
+    token, width, size_at = BLOCKS[ITEMS]
+    records: list[MigratedItem] = []
+    while True:
+        line = yield _LINE
+        if line == b"END":
+            return records
+        parts = line.split()
+        if len(parts) != width or parts[0] != token:
+            raise _unexpected(line, "export line")
+        key, flags = parts[1].decode("utf-8"), int(parts[2])
+        last_access, size = float(parts[3]), int(parts[size_at])
+        records.append(
+            MigratedItem(
+                key=key,
+                value=(flags, (yield size)),
+                value_size=size,
+                last_access=last_access,
+            )
+        )
+
+
+def _parse_stats() -> ReplyParser:
+    """Stat rows until ``END`` -> ``{name: value}``."""
+    token, width, _ = BLOCKS[STATS]
+    stats: dict[str, str] = {}
+    while True:
+        line = yield _LINE
+        if line == b"END":
+            return stats
+        parts = line.split(None, width - 1)
+        if len(parts) != width or parts[0] != token:
+            raise _unexpected(line, "stats line")
+        stats[parts[1].decode("utf-8")] = parts[2].decode("utf-8")
+
+
+_SIZE_AT = {block.token: block.size_at for block in BLOCKS.values()}
+
+
+def _parse_sniffed() -> ReplyParser:
+    """A raw command's reply, verbatim (error lines included): a single
+    line, or -- when its first token opens one -- an ``END``-terminated
+    block whose payload sizes are learnt from :data:`BLOCKS`."""
+    line = yield _LINE
+    chunks = [line, CRLF]
+    if line.split(b" ", 1)[0] in _SIZE_AT:
+        while line != b"END":
+            size_at = _SIZE_AT.get(line.split(b" ", 1)[0])
+            if size_at is not None:
+                parts = line.split()
+                if len(parts) <= size_at:
+                    raise WireProtocolError(f"short block header: {line!r}")
+                chunks += ((yield int(parts[size_at])), CRLF)
+            line = yield _LINE
+            chunks += (line, CRLF)
+    return b"".join(chunks)
+
+
+REPLY_PARSERS: dict[str, Callable[[], ReplyParser]] = {
+    LINE: _parse_line,
+    VALUES: _parse_values,
+    TS: _parse_ts,
+    ITEMS: _parse_items,
+    STATS: _parse_stats,
+    SNIFFED: _parse_sniffed,
+}
+"""Reply framing -> its parser: every framing of :data:`COMMANDS`, plus
+:data:`SNIFFED` for commands sent outside the table."""
+
+
+class ReplyFramer:
+    """Incremental reply parser: the client-side mirror of
+    :class:`RequestFramer`.
+
+    :meth:`expect` announces the reply framings of one pipelined round
+    trip; :meth:`feed` accepts arbitrary byte chunks, runs each reply's
+    parser in turn and returns the decoded replies once the last one is
+    complete; bytes behind it stay in :attr:`unread`.  A rejected
+    (``ERROR``/``CLIENT_ERROR``/``SERVER_ERROR``) or malformed reply
+    raises :class:`~repro.errors.WireProtocolError` with :attr:`results`
+    holding the replies decoded before it; the stream is out of step
+    from there on, so the framer -- like its connection -- is not used
+    again.
+    """
+
+    __slots__ = (
+        "results", "unread", "_framings", "_parser", "_need", "_searched",
+    )
+
+    def __init__(self) -> None:
+        self.results: list[Any] = []
+        # Bytes received but not consumed: the tail of a partial reply,
+        # or -- after the last reply -- bytes nobody asked for.
+        self.unread = b""
+        self._framings: Sequence[str] = ()
+        self._parser: ReplyParser | None = None
+        self._need: int | None = _LINE  # what the running parser asked for
+        self._searched = 0  # leading bytes of `unread` known to hold no CRLF
+
+    def expect(self, framings: Sequence[str]) -> None:
+        """Start a round trip whose replies arrive framed as ``framings``."""
+        self.results = []
+        self._framings = framings
+        self._parser, self._need = self._next_reply()
+
+    def _next_reply(self) -> tuple[ReplyParser | None, int | None]:
+        """The parser of the first reply not decoded yet, run up to its
+        first need; ``(None, None)`` when the round trip is complete."""
+        at = len(self.results)
+        if at == len(self._framings):
+            return None, None
+        parser = REPLY_PARSERS[self._framings[at]]()
+        return parser, next(parser)
+
+    def feed(self, data: bytes) -> list[Any] | None:
+        """Consume ``data``; the round trip's replies once all are in.
+
+        Only meaningful while a round trip is outstanding: fed after its
+        last reply, bytes just pile up in :attr:`unread`.
+        """
+        buf = self.unread + data if self.unread else data
+        parser, need = self._parser, self._need
+        pos, search = 0, self._searched
+        try:
+            while parser is not None:
+                if need is None:
+                    end = buf.find(CRLF, search)
+                    if end < 0:
+                        if len(buf) - pos > MAX_LINE + 1:
+                            raise WireProtocolError("reply line too long")
+                        # A lone CR of a split CRLF may still be pending.
+                        search = max(pos, len(buf) - 1)
+                        break
+                else:
+                    if need < 0:
+                        raise WireProtocolError(f"payload size {need}")
+                    end = pos + need
+                    if len(buf) < end + 2:
+                        break
+                    if buf[end : end + 2] != CRLF:
+                        raise WireProtocolError("missing CRLF after payload")
+                try:
+                    need = parser.send(buf[pos:end])
+                except StopIteration as reply:
+                    self.results.append(reply.value)
+                    parser, need = self._next_reply()
+                pos = search = end + 2
+        except ValueError as exc:  # a size, flag or timestamp that is no number
+            raise WireProtocolError(f"malformed reply: {exc}") from exc
+        self.unread = buf[pos:]
+        self._parser, self._need, self._searched = parser, need, search - pos
+        return self.results if parser is None else None

@@ -9,6 +9,7 @@ socket-vs-in-process equivalence replay) keep their budgets tiny via
 ``backoff_scale`` so the suite stays fast.
 """
 
+import asyncio
 import time
 
 import pytest
@@ -411,6 +412,40 @@ class TestHarnessNodeLifecycle:
             restarted = harness.start_node("n0")
             assert restarted == (host, port)
             assert loop.call(client.get("k")) == (0, b"v")
+            loop.call(client.close())
+
+    @pytest.mark.parametrize("pool_size", [2, 3])
+    def test_restart_does_not_leave_dead_connections_in_the_pool(
+        self, loop, pool_size
+    ):
+        """Idle pooled connections die with the listener.  The client
+        sees their EOF when it happens and must not hand them out: with
+        one dead connection per attempt of the default retry
+        (``pool_size=3``) the request used to fail against a healthy
+        node, and with fewer it paid a retry and a backoff for each."""
+        telemetry = create_telemetry()
+        with LiveClusterHarness(["n0"], MEMORY, drain_grace_s=0.2) as harness:
+            client = NodeClient(
+                "n0",
+                *harness.endpoints["n0"],
+                pool_size=pool_size,
+                telemetry=telemetry,
+            )
+
+            async def fill_the_pool():
+                await asyncio.gather(
+                    *(client.set(f"k{i}", b"v") for i in range(pool_size))
+                )
+
+            loop.call(fill_the_pool())
+            harness.stop_node("n0")
+            harness.start_node("n0")
+            time.sleep(0.05)  # the EOFs are in; nothing is in flight
+            retries = telemetry.metrics.counter(
+                "net_client_retries_total", node="n0"
+            )
+            assert loop.call(client.get("k0")) == (0, b"v")
+            assert retries.value == 0
             loop.call(client.close())
 
 

@@ -7,13 +7,28 @@ the same responses as one big write, and (2) pipelined bursts answer
 every command in order.  The migration commands (``ts_dump``,
 ``mig_export``, ``batch_import``) get the same treatment, plus a
 flags round-trip across an export/import hop.
+
+The second half turns to the other end of the socket:
+:class:`~repro.net.client.NodeClient`'s connection semantics -- timeout,
+retry, cancellation, rejection mid-pipeline, flow control, unsolicited
+bytes, timers, close -- against a scripted fake server over real TCP.
 """
+
+import asyncio
+import gc
+import re
+import warnings
 
 import pytest
 
-from repro.memcached.node import MemcachedNode
+from repro.core.retry import RetryPolicy
+from repro.errors import TransportError, WireProtocolError
+from repro.memcached.node import MemcachedNode, MigratedItem
 from repro.memcached.protocol import TextProtocolServer
 from repro.memcached.slab import PAGE_SIZE
+from repro.net import LiveClusterHarness, NodeClient
+from repro.net.runtime import EventLoopThread
+from repro.obs import create_telemetry
 
 
 class Clock:
@@ -205,3 +220,305 @@ class TestMigrationFraming:
             b"dup 2.0 1 0\r\nB\r\n"
         )
         assert out.startswith(b"CLIENT_ERROR duplicate key")
+
+
+# ----------------------------------------------------------------------
+# NodeClient connection semantics over real sockets
+# ----------------------------------------------------------------------
+
+
+class ScriptedServer:
+    """A localhost listener whose connections each run ``script(reader,
+    writer, index)``; ``index`` counts accepted connections from 0."""
+
+    def __init__(self, script) -> None:
+        self.script = script
+        self.connections = 0
+        self.hung_up: list[int] = []  # connections the client let go of
+
+    async def __aenter__(self) -> "ScriptedServer":
+        self._server = await asyncio.start_server(self._handle, "127.0.0.1", 0)
+        self.port = self._server.sockets[0].getsockname()[1]
+        return self
+
+    async def __aexit__(self, *exc_info: object) -> None:
+        self._server.close()
+        await self._server.wait_closed()
+
+    async def _handle(self, reader, writer) -> None:
+        index = self.connections
+        self.connections += 1
+        try:
+            await self.script(reader, writer, index)
+            # Whatever the script left unread: is the client still there?
+            while await reader.read(65536):
+                pass
+        except OSError:
+            pass  # the client aborted (RST)
+        finally:
+            self.hung_up.append(index)
+            writer.close()
+
+    def client(self, **options) -> NodeClient:
+        options.setdefault("retry", RetryPolicy(max_attempts=3, base_backoff_s=0.001))
+        self.telemetry = create_telemetry()
+        return NodeClient(
+            "fake", "127.0.0.1", self.port, telemetry=self.telemetry, **options
+        )
+
+    def counter(self, name: str) -> float:
+        return self.telemetry.metrics.counter(name, node="fake").value
+
+
+async def request_of(reader, commands: int = 1) -> bytes:
+    """Read until ``commands`` bodiless command lines are in."""
+    data = b""
+    while data.count(b"\r\n") < commands:
+        chunk = await reader.read(65536)
+        assert chunk, "client hung up mid-request"
+        data += chunk
+    return data
+
+
+async def answer_gets(reader, writer, index=0) -> None:
+    """Every ``get`` line misses, for as long as the client keeps asking."""
+    while chunk := await reader.read(65536):
+        writer.write(b"END\r\n" * chunk.count(b"\r\n"))
+
+
+@pytest.fixture
+def on_loop():
+    """Run a coroutine on a background loop and assert what it leaves
+    behind: no timer still armed (a finished, failed, timed-out or
+    aborted round trip cancels its own) and nothing reported to the
+    loop's exception handler (a callback that raised, a future whose
+    exception nobody retrieved)."""
+    with EventLoopThread(name="test-scripted") as thread:
+
+        async def watched(coro):
+            loop = asyncio.get_running_loop()
+            timers, call_later = [], loop.call_later
+            reported: list[dict] = []
+
+            def recording_call_later(*args, **kwargs):
+                timers.append(call_later(*args, **kwargs))
+                return timers[-1]
+
+            loop.call_later = recording_call_later
+            loop.set_exception_handler(lambda _, context: reported.append(context))
+            try:
+                result = await coro
+            finally:
+                del loop.call_later
+            armed = [
+                timer
+                for timer in timers
+                if not timer.cancelled() and timer.when() > loop.time()
+            ]
+            assert timers and not armed, armed
+            gc.collect()  # unretrieved exceptions are reported on collection
+            assert not reported, reported
+            return result
+
+        yield lambda coro: thread.call(watched(coro), timeout=30.0)
+
+
+class TestClientConnectionSemantics:
+    def test_stall_mid_reply_times_out_per_attempt_then_transport_error(
+        self, on_loop
+    ):
+        async def stall_mid_reply(reader, writer, index):
+            await request_of(reader)
+            writer.write(b"VALUE k 0 5\r\nhe")
+
+        async def scenario():
+            async with ScriptedServer(stall_mid_reply) as server:
+                client = server.client(timeout_s=0.05)
+                with pytest.raises(TransportError) as failure:
+                    await client.get("k")
+                assert re.fullmatch(
+                    rf"node 'fake' at 127\.0\.0\.1:{server.port}: request "
+                    r"failed after 3 attempt\(s\): TimeoutError\(\)",
+                    str(failure.value),
+                )
+                assert isinstance(failure.value.__cause__, asyncio.TimeoutError)
+                # One fresh connection per attempt, none kept.
+                assert server.connections == 3
+                assert server.counter("net_client_retries_total") == 2
+                assert server.counter("net_client_transport_errors_total") == 1
+                await client.close()
+
+        on_loop(scenario())
+
+    def test_cancelled_caller_discards_the_connection_and_frees_its_slot(
+        self, on_loop
+    ):
+        asked = asyncio.Event()
+
+        async def mute_then_answer(reader, writer, index):
+            if index == 0:
+                await request_of(reader)
+                asked.set()
+            else:
+                await answer_gets(reader, writer)
+
+        async def scenario():
+            async with ScriptedServer(mute_then_answer) as server:
+                client = server.client(pool_size=1)
+                caller = asyncio.ensure_future(client.get("k"))
+                await asked.wait()
+                caller.cancel()
+                with pytest.raises(asyncio.CancelledError):
+                    await caller
+                # pool_size=1: this hangs unless the slot came back, and
+                # is answered only on a second connection.
+                assert await client.get("k") is None
+                assert server.connections == 2
+                assert server.hung_up == [0]
+                assert server.counter("net_client_retries_total") == 0
+                await client.close()
+
+        on_loop(scenario())
+
+    def test_rejection_mid_pipeline_is_not_retried_and_drops_the_connection(
+        self, on_loop
+    ):
+        async def reject_the_second(reader, writer, index):
+            if index == 0:
+                await request_of(reader, commands=6)  # 3 x (line, payload)
+                writer.write(
+                    b"STORED\r\nCLIENT_ERROR bad data chunk\r\nSTORED\r\n"
+                )
+            else:
+                await answer_gets(reader, writer)
+
+        async def scenario():
+            async with ScriptedServer(reject_the_second) as server:
+                client = server.client(pool_size=1)
+                entries = [(f"k{i}", 0, b"v") for i in range(3)]
+                with pytest.raises(WireProtocolError, match="bad data chunk"):
+                    await client.set_many(entries)
+                assert server.connections == 1
+                assert server.counter("net_client_retries_total") == 0
+                # The replies behind the rejection are out of step: the
+                # next request must not read them.
+                assert await client.get("k") is None
+                assert server.connections == 2
+                await client.close()
+
+        on_loop(scenario())
+
+    @pytest.mark.parametrize("trickle", [False, True], ids=["one-chunk", "bytewise"])
+    def test_64_deep_pipeline_replies_in_one_chunk_or_byte_by_byte(
+        self, on_loop, trickle
+    ):
+        async def answer(reader, writer, index):
+            await request_of(reader, commands=128)
+            reply = b"STORED\r\n" * 63 + b"NOT_STORED\r\n"
+            if not trickle:
+                writer.write(reply)
+                return
+            for at in range(len(reply)):
+                writer.write(reply[at : at + 1])
+                await asyncio.sleep(0)  # one segment per byte (TCP_NODELAY)
+
+        async def scenario():
+            async with ScriptedServer(answer) as server:
+                client = server.client()
+                entries = [(f"k{i}", 0, b"v") for i in range(64)]
+                assert await client.set_many(entries) == 63
+                assert server.counter("net_client_requests_total") == 1
+                await client.close()
+
+        on_loop(scenario())
+
+    def test_bytes_nobody_asked_for_break_the_connection(self, on_loop):
+        pushed = asyncio.Event()
+
+        async def push_after_answering(reader, writer, index):
+            await request_of(reader)
+            writer.write(b"END\r\n")
+            if index == 0:
+                await asyncio.sleep(0.02)  # the round trip is over by now
+                writer.write(b"VALUE k 0 5\r\nstale\r\nEND\r\n")
+                await writer.drain()
+                pushed.set()
+
+        async def scenario():
+            async with ScriptedServer(push_after_answering) as server:
+                client = server.client(pool_size=1)
+                assert await client.get("k") is None
+                await pushed.wait()
+                await asyncio.sleep(0.02)
+                # Read as this request's reply, the push would be a hit.
+                assert await client.get("k") is None
+                assert server.connections == 2
+                assert server.counter("net_client_retries_total") == 0
+                await client.close()
+
+        on_loop(scenario())
+
+    def test_bytes_behind_the_last_reply_break_the_connection(self, on_loop):
+        async def answer_twice(reader, writer, index):
+            await request_of(reader)
+            writer.write(b"END\r\n" if index else b"END\r\nEND\r\n")
+
+        async def scenario():
+            async with ScriptedServer(answer_twice) as server:
+                client = server.client(pool_size=1)
+                assert await client.get("k") is None  # the batch is whole
+                assert await client.get("k") is None
+                assert server.connections == 2
+                assert server.counter("net_client_retries_total") == 0
+                await client.close()
+
+        on_loop(scenario())
+
+    def test_close_waits_until_every_transport_let_go(self, on_loop):
+        async def scenario():
+            gc.collect()  # other tests' garbage is not this one's business
+            async with ScriptedServer(answer_gets) as server:
+                client = server.client(pool_size=3)
+                await asyncio.gather(*(client.get("k") for _ in range(3)))
+                assert server.connections == 3
+                await client.close()
+                # Closed means closed: nothing left for the collector to
+                # warn about, and the server saw all three hang up.
+                with warnings.catch_warnings(record=True) as caught:
+                    warnings.simplefilter("always", ResourceWarning)
+                    gc.collect()
+                assert not caught, [str(warning.message) for warning in caught]
+                for _ in range(100):
+                    if len(server.hung_up) == 3:
+                        break
+                    await asyncio.sleep(0.01)
+                assert sorted(server.hung_up) == [0, 1, 2]
+
+        on_loop(scenario())
+
+
+class TestRequestsLargerThanTheWriteBuffer:
+    """``transport.write`` without ``drain``: a request far above the
+    transport's high-water mark (64 KiB) still goes out whole, while the
+    connection keeps reading."""
+
+    @pytest.mark.parametrize(
+        ("records", "value_bytes", "mode"),
+        [(1024, 300, "merge"), (4096, 1024, "prepend")],
+        ids=["300KB", "4MB"],
+    )
+    def test_batch_import_completes(self, records, value_bytes, mode):
+        batch = [
+            MigratedItem(f"key-{i:05d}", (i % 7, bytes([i % 251]) * value_bytes),
+                         value_bytes, float(records - i))
+            for i in range(records)
+        ]
+        with LiveClusterHarness(["n0"], 16 * PAGE_SIZE, drain_grace_s=0.2) as harness:
+            with EventLoopThread(name="test-big-import") as loop:
+                client = NodeClient("n0", *harness.endpoints["n0"], pool_size=1)
+                assert loop.call(client.batch_import(batch, mode=mode)) == records
+                exported = loop.call(client.mig_export(b.key for b in batch))
+                assert [(e.key, e.value) for e in exported] == [
+                    (b.key, b.value) for b in batch
+                ]
+                loop.call(client.close())

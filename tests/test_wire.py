@@ -9,9 +9,12 @@ and that a :class:`~repro.net.server.NodeServer` and a
 with the same bytes over real sockets.
 """
 
+import asyncio
+import random
 import re
 import socket
 import time
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -23,7 +26,6 @@ from repro.memcached.node import MigratedItem
 from repro.memcached.protocol import TextProtocolServer
 from repro.memcached.slab import PAGE_SIZE
 from repro.net import LiveClusterHarness, NodeClient
-from repro.net import client as net_client
 from repro.net.runtime import EventLoopThread
 from repro.proxy import ProxyConfig, ProxyHarness
 from repro.proxy.router import ProxyRouter
@@ -64,10 +66,10 @@ def test_every_reply_framing_has_exactly_one_reader():
         for command in COMMANDS.values()
         for framing in (command.reply, *command.reply_by_arg.values())
     } - {wire.NONE}
-    assert set(net_client._READERS) == framings
+    assert set(wire.REPLY_PARSERS) == framings | {wire.SNIFFED}
     assert set(wire.BLOCKS) == framings - {wire.LINE}
-    readers = list(net_client._READERS.values())
-    assert len(set(readers)) == len(readers)
+    parsers = list(wire.REPLY_PARSERS.values())
+    assert len(set(parsers)) == len(parsers)
 
 
 def test_body_argument_lies_inside_the_arity_window():
@@ -419,3 +421,348 @@ def test_rejected_probe_releases_the_half_open_breaker(loop):
         assert harness.breaker_state("n0") == "closed"
         assert loop.call(client.set("big", b"small")) is True
         loop.call(client.close())
+
+
+# ----------------------------------------------------------------------
+# Reply codec: differential fuzz against the stream readers it replaced
+# ----------------------------------------------------------------------
+#
+# Reference implementation: the six asyncio-stream readers NodeClient
+# used before the reply half of the codec became sans-IO, verbatim but
+# for taking the StreamReader directly.  They let a non-numeric size
+# (ValueError) or a short sniffed header (IndexError) escape as such;
+# the parsers report both as WireProtocolError, so `reference` below
+# counts the three alike.
+
+
+async def _ref_line(reader: asyncio.StreamReader) -> bytes:
+    return (await reader.readuntil(wire.CRLF))[:-2]
+
+
+async def _ref_payload(reader: asyncio.StreamReader, size: int) -> bytes:
+    data = await reader.readexactly(size + 2)
+    if data[-2:] != wire.CRLF:
+        raise WireProtocolError("missing CRLF after payload")
+    return data[:-2]
+
+
+def _ref_raise_on_error(line: bytes) -> bytes:
+    if line.startswith(wire.ERROR_PREFIXES):
+        raise WireProtocolError(line.decode("utf-8", "replace"))
+    return line
+
+
+async def _read_simple(reader):
+    return _ref_raise_on_error(await _ref_line(reader))
+
+
+async def _read_values(reader):
+    token, width, size_at = wire.BLOCKS[wire.VALUES]
+    values = {}
+    while True:
+        line = _ref_raise_on_error(await _ref_line(reader))
+        if line == b"END":
+            return values
+        parts = line.split()
+        if len(parts) < width or parts[0] != token:
+            raise WireProtocolError(f"unexpected line in value block: {line!r}")
+        key = parts[1].decode("utf-8")
+        flags, size = int(parts[2]), int(parts[size_at])
+        values[key] = (flags, await _ref_payload(reader, size))
+
+
+async def _read_ts(reader):
+    token, width, _ = wire.BLOCKS[wire.TS]
+    rows = []
+    while True:
+        line = _ref_raise_on_error(await _ref_line(reader))
+        if line == b"END":
+            return rows
+        parts = line.split()
+        if len(parts) != width or parts[0] != token:
+            raise WireProtocolError(f"unexpected ts_dump line: {line!r}")
+        rows.append((parts[1].decode("utf-8"), float(parts[2]), int(parts[3])))
+
+
+async def _read_items(reader):
+    token, width, size_at = wire.BLOCKS[wire.ITEMS]
+    records = []
+    while True:
+        line = _ref_raise_on_error(await _ref_line(reader))
+        if line == b"END":
+            return records
+        parts = line.split()
+        if len(parts) != width or parts[0] != token:
+            raise WireProtocolError(f"unexpected export line: {line!r}")
+        size = int(parts[size_at])
+        records.append(
+            MigratedItem(
+                key=parts[1].decode("utf-8"),
+                value=(int(parts[2]), await _ref_payload(reader, size)),
+                value_size=size,
+                last_access=float(parts[3]),
+            )
+        )
+
+
+async def _read_stats(reader):
+    token, width, _ = wire.BLOCKS[wire.STATS]
+    stats = {}
+    while True:
+        line = _ref_raise_on_error(await _ref_line(reader))
+        if line == b"END":
+            return stats
+        parts = line.split(None, width - 1)
+        if len(parts) != width or parts[0] != token:
+            raise WireProtocolError(f"unexpected stats line: {line!r}")
+        stats[parts[1].decode("utf-8")] = parts[2].decode("utf-8")
+
+
+_REF_SIZE_AT = {block.token: block.size_at for block in wire.BLOCKS.values()}
+
+
+async def _read_sniffed(reader):
+    line = await _ref_line(reader)
+    chunks = [line + wire.CRLF]
+    if line.split(b" ", 1)[0] not in _REF_SIZE_AT:
+        return chunks[0]
+    while line != b"END":
+        size_at = _REF_SIZE_AT.get(line.split(b" ", 1)[0])
+        if size_at is not None:
+            size = int(line.split()[size_at])
+            chunks.append(await _ref_payload(reader, size) + wire.CRLF)
+        line = await _ref_line(reader)
+        chunks.append(line + wire.CRLF)
+    return b"".join(chunks)
+
+
+REFERENCE_READERS = {
+    wire.LINE: _read_simple,
+    wire.VALUES: _read_values,
+    wire.TS: _read_ts,
+    wire.ITEMS: _read_items,
+    wire.STATS: _read_stats,
+    wire.SNIFFED: _read_sniffed,
+}
+
+# How a pipeline ended: every reply decoded, one rejected or malformed
+# (nothing after it is read), or the stream ran out first.
+COMPLETE, REJECTED, TRUNCATED = "complete", "rejected", "truncated"
+
+
+async def reference(stream: bytes, framings: list[str]) -> tuple[list, str, bytes]:
+    """``(replies decoded, how it ended, bytes left behind the last)``."""
+    reader = asyncio.StreamReader()
+    reader.feed_data(stream)
+    reader.feed_eof()
+    results: list = []
+    try:
+        for framing in framings:
+            results.append(await REFERENCE_READERS[framing](reader))
+    except (WireProtocolError, ValueError, IndexError):
+        return results, REJECTED, b""
+    except asyncio.IncompleteReadError:
+        return results, TRUNCATED, b""
+    return results, COMPLETE, await reader.read()
+
+
+def framed(
+    stream: bytes, framings: list[str], cuts: list[int]
+) -> tuple[list, str, bytes]:
+    """The same pipeline through :class:`wire.ReplyFramer`, the stream
+    split at ``cuts``."""
+    framer = wire.ReplyFramer()
+    framer.expect(framings)
+    try:
+        for start, stop in zip([0, *cuts], [*cuts, len(stream)]):
+            if framer.feed(stream[start:stop]) is not None:
+                return framer.results, COMPLETE, framer.unread + stream[stop:]
+    except WireProtocolError:
+        return framer.results, REJECTED, b""
+    return framer.results, TRUNCATED, b""
+
+
+PAYLOADS = [b"", b"v", b"\r\n", b"\r\nEND\r\n", b"END", b"VALUE k 0 1\r\nx", b"\x00\xff" * 9]
+LINES = [
+    b"STORED", b"NOT_STORED", b"DELETED", b"NOT_FOUND", b"OK", b"TOUCHED",
+    b"42", b"IMPORTED 1024", b"VERSION 1.6-elmem", b"EXISTS",
+    b"ERROR", b"CLIENT_ERROR bad data chunk", b"SERVER_ERROR out of memory",
+]
+
+
+def random_reply(rng: random.Random) -> tuple[str, bytes]:
+    """One well-formed reply built by ``wire``'s own encoders."""
+
+    def payload() -> bytes:
+        if rng.random() < 0.5:
+            return rng.choice(PAYLOADS)
+        return rng.randbytes(rng.choice([1, 5, 64, 300]))
+
+    def key() -> str:
+        return rng.choice(["k", "key:é", "k" * MAX_KEY_LENGTH, f"k{rng.randrange(99)}"])
+
+    def stamp() -> float:
+        return rng.choice([0.0, 1.5, 1e-9, rng.random() * 1e6])
+
+    rows = rng.choice([0, 1, 1, 2, 5])
+    kind = rng.choice([wire.LINE, wire.LINE, wire.VALUES, wire.VALUES,
+                       wire.TS, wire.ITEMS, wire.STATS, "obs"])
+    if kind == wire.LINE:
+        # Error lines are rare enough that deep pipelines get past them.
+        line = rng.choice(LINES if rng.random() < 0.3 else LINES[:-3])
+        return kind, line + wire.CRLF
+    if kind == "obs":
+        page = "# HELP a b\na 1\n" * rng.randrange(3)
+        return wire.VALUES, wire.obs_reply(page)
+    if kind == wire.VALUES:
+        cas = rng.choice([None, 0, 7, 2**63])
+        return kind, b"".join(
+            wire.value_block(key(), rng.choice([0, 7, 2**32]), payload(), cas)
+            for _ in range(rows)
+        ) + wire.END
+    if kind == wire.TS:
+        return kind, b"".join(
+            wire.ts_line(key(), stamp(), rng.randrange(2000)) for _ in range(rows)
+        ) + wire.END
+    if kind == wire.ITEMS:
+        return kind, b"".join(
+            wire.item_block(MigratedItem(key(), (rng.randrange(9), payload()), 0, stamp()))
+            for _ in range(rows)
+        ) + wire.END
+    return kind, wire.stats_reply(
+        (rng.choice(["curr_items", "a:b", "pid"]), rng.choice([0, 1.5, "x y z"]))
+        for _ in range(rows)
+    )
+
+
+def corrupt(rng: random.Random, reply: bytes) -> bytes:
+    """Break one header or trailer of a block reply (or leave a reply
+    alone that has nothing of the kind to break)."""
+    lines = reply.split(wire.CRLF)
+    headers = [
+        i for i, line in enumerate(lines)
+        if line.split(b" ", 1)[0] in (b"VALUE", b"TS", b"ITEM", b"STAT")
+    ]
+    if not headers:
+        return reply
+    at = rng.choice(headers)
+    parts = lines[at].split()
+    how = rng.choice(["token", "short", "size", "negative", "trailer"])
+    if how == "token":
+        parts[0] = rng.choice([b"VALUF", b"TS", b"ITEM", b"VALUE", b"STAT", b"value"])
+    elif how == "short":
+        parts.pop()
+    elif how == "size":
+        parts[-1] = rng.choice([b"abc", b"1.5", b"0x10", b""])
+    elif how == "negative":
+        parts[-1] = rng.choice([b"-1", b"-2", b"-3", b"-300"])
+    else:
+        at = reply.index(lines[at]) + len(lines[at]) + 2
+        end = reply.find(wire.CRLF, at)
+        return reply[:end] + b"XY" + reply[end + 2 :]
+    lines[at] = b" ".join(parts)
+    return wire.CRLF.join(lines)
+
+
+def random_pipeline(rng: random.Random) -> tuple[bytes, list[str]]:
+    depth = 64 if rng.random() < 0.02 else min(64, 1 + int(rng.expovariate(0.2)))
+    framings, replies = [], []
+    for _ in range(depth):
+        framing, reply = random_reply(rng)
+        if rng.random() < 0.03:
+            reply = corrupt(rng, reply)
+        # `execute` sniffs the framing off the first token instead.
+        framings.append(wire.SNIFFED if rng.random() < 0.2 else framing)
+        replies.append(reply)
+    stream = b"".join(replies)
+    if rng.random() < 0.05:
+        stream = stream[: rng.randrange(len(stream) + 1)]
+    return stream, framings
+
+
+@pytest.mark.parametrize(
+    "streams", [300, pytest.param(3000, marks=pytest.mark.slow)]
+)
+def test_reply_parsers_agree_with_the_stream_readers_they_replaced(streams):
+    """Seeded pipelines of 1-64 mixed replies, some corrupted or cut
+    short: fed whole, 1 and 7 bytes at a time and at random splits, the
+    framer decodes what the stream readers decoded -- or stops at the
+    same reply, for the same kind of reason."""
+    rng = random.Random(streams)
+    pipelines = [random_pipeline(rng) for _ in range(streams)]
+
+    async def references():
+        return [await reference(*pipeline) for pipeline in pipelines]
+
+    endings = Counter()
+    for (stream, framings), expected in zip(pipelines, asyncio.run(references())):
+        endings[expected[1]] += 1
+        size = len(stream)
+        splits = sorted(rng.sample(range(size + 1), min(size, rng.randrange(1, 9))))
+        for cuts in ([], list(range(1, size)), list(range(7, size, 7)), splits):
+            assert framed(stream, framings, cuts) == expected, (stream, framings, cuts)
+    # The corpus exercises every ending, not only the happy one.
+    assert min(endings[COMPLETE], endings[REJECTED], endings[TRUNCATED]) >= streams // 50
+
+
+def test_framer_reports_what_follows_the_last_reply():
+    framer = wire.ReplyFramer()
+    framer.expect([wire.LINE, wire.VALUES])
+    assert framer.feed(b"STORED\r\nEN") is None
+    assert framer.feed(b"D\r\nSTORED\r\n") == [b"STORED", {}]
+    assert framer.unread == b"STORED\r\n"
+
+
+def test_framer_bounds_a_line_that_never_ends():
+    framer = wire.ReplyFramer()
+    framer.expect([wire.LINE])
+    assert framer.feed(b"x" * MAX_LINE) is None
+    with pytest.raises(WireProtocolError, match="too long"):
+        framer.feed(b"xx")
+
+
+class CountedBytes(bytes):
+    """``bytes`` that add up what the framer scans (``find``) and copies
+    (slices and concatenations), in :attr:`work`."""
+
+    work = 0
+
+    def find(self, sub, start=0):
+        at = super().find(sub, start)
+        CountedBytes.work += (len(self) if at < 0 else at + len(sub)) - start
+        return at
+
+    def __getitem__(self, index):
+        piece = super().__getitem__(index)
+        if isinstance(index, slice):
+            CountedBytes.work += len(piece)
+            return CountedBytes(piece)
+        return piece
+
+    def __add__(self, other):
+        CountedBytes.work += len(self) + len(other)
+        return CountedBytes(super().__add__(other))
+
+
+def test_a_long_reply_in_small_chunks_is_scanned_once():
+    """10 000 ``TS`` rows, 64 bytes at a time: the framer keeps its
+    place between feeds, so its work grows with the reply, not with
+    reply x chunks (re-scanning from the top would cost ~2 000x)."""
+    rows = [(f"key-{i:05d}", i / 8, i % 997) for i in range(10_000)]
+    reply = b"".join(wire.ts_line(*row) for row in rows) + wire.END
+    framer = wire.ReplyFramer()
+    framer.expect([wire.TS])
+    CountedBytes.work = 0
+    results = None
+    for start in range(0, len(reply), 64):
+        assert results is None
+        results = framer.feed(CountedBytes(reply[start : start + 64]))
+    assert results == [rows]
+    assert len(reply) < CountedBytes.work < 6 * len(reply)
+
+
+def test_negative_payload_size_is_rejected_not_read_backwards():
+    framer = wire.ReplyFramer()
+    framer.expect([wire.VALUES])
+    with pytest.raises(WireProtocolError, match="payload size -2"):
+        framer.feed(b"VALUE k 0 -2\r\nEND\r\nEND\r\n")
