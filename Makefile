@@ -24,7 +24,6 @@ examples:
 	$(PYTHON) examples/fusecache_demo.py
 	$(PYTHON) examples/migration_comparison.py
 	$(PYTHON) examples/diurnal_autoscaling.py
-	$(PYTHON) examples/rebalance_hotspot.py
 	$(PYTHON) examples/protocol_server.py --smoke
 
 clean:

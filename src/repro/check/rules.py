@@ -315,11 +315,11 @@ class NoFloatEqSimTimeRule(LintRule):
 class NoPrivateCacheStateRule(LintRule):
     """REP006: cache internals stay inside ``repro.memcached``.
 
-    The hash table, MRU pointers, and remap table are load-bearing
-    invariants; outside code must go through the public node/cluster
-    surface (``peek``, ``keys``, ``items_in_mru_order``, ...).  Scoped
-    to library code outside ``repro.memcached``: tests corrupt
-    internals deliberately to prove the invariant checkers notice.
+    The hash table and MRU pointers are load-bearing invariants;
+    outside code must go through the public node/cluster surface
+    (``peek``, ``keys``, ``items_in_mru_order``, ...).  Scoped to
+    library code outside ``repro.memcached``: tests corrupt internals
+    deliberately to prove the invariant checkers notice.
     """
 
     code = "REP006"
@@ -327,8 +327,7 @@ class NoPrivateCacheStateRule(LintRule):
     description = "private cache state touched outside repro.memcached"
 
     PRIVATE_ATTRS = frozenset(
-        {"_table", "_items", "_lru", "_head", "_tail", "_cas_counter",
-         "_remap"}
+        {"_table", "_items", "_lru", "_head", "_tail", "_cas_counter"}
     )
 
     def applies_to(self, module: Module) -> bool:

@@ -6,59 +6,70 @@ nodes themselves are unaware of key ownership.  Nodes can be deactivated
 (removed from the ring) without being destroyed, which is what lets
 CacheScale keep reading from retiring nodes as a "secondary cache" and what
 lets ElMem migrate data off a node before turning it off.
+
+:class:`RoutedCluster` is that surface, once: membership, ketama routing
+and the routed client operations over any node type.  A facade supplies
+two hooks -- build a node for a name, let go of a node that left the
+pool.  :class:`MemcachedCluster` builds in-process
+:class:`~repro.memcached.node.MemcachedNode` objects;
+:class:`~repro.net.cluster.LiveCluster` attaches
+:class:`~repro.net.cluster.RemoteNode` sockets.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable
-from typing import Any
+from typing import Any, Generic, Protocol, TypeVar
 
 from repro.errors import MembershipError
 from repro.hashing.ketama import DEFAULT_VNODES, ConsistentHashRing
 from repro.memcached.node import MemcachedNode, NodeStats
 
 
-class MemcachedCluster:
-    """A pool of :class:`MemcachedNode` with ketama routing.
+class RoutedNode(Protocol):
+    """The node operations :class:`RoutedCluster` routes onto."""
 
-    Parameters
-    ----------
-    node_names:
-        Names of the initially active nodes.
-    memory_per_node:
-        Cache bytes per node (the paper uses 4 GB VMs; simulations scale
-        this down).
-    vnodes:
-        Virtual points per node on the hash ring.
-    metrics:
-        Optional :class:`~repro.obs.metrics.MetricsRegistry` handed to
-        every node this cluster provisions, so command/eviction counters
-        aggregate across membership changes.
+    @property
+    def curr_items(self) -> int: ...
+    def get(self, key: str, now: float) -> Any | None: ...
+    def set(self, key: str, value: Any, value_size: int, now: float) -> bool: ...
+    def delete(self, key: str) -> bool: ...
+    def get_many(self, keys: Iterable[str], now: float) -> list[Any | None]: ...
+    def set_many(
+        self, entries: Iterable[tuple[str, Any, int]], now: float
+    ) -> int: ...
+    def delete_many(self, keys: Iterable[str]) -> int: ...
+
+
+NodeT = TypeVar("NodeT", bound=RoutedNode)
+
+
+class RoutedCluster(Generic[NodeT]):
+    """A pool of nodes with ketama routing, generic over the node type.
+
+    Subclasses set whatever :meth:`_build_node` reads, then call this
+    constructor, which provisions every name in ``pool`` and puts the
+    names in ``active`` on the ring.
     """
 
     def __init__(
-        self,
-        node_names: Iterable[str],
-        memory_per_node: int,
-        vnodes: int = DEFAULT_VNODES,
-        min_chunk: int = 96,
-        growth_factor: float = 1.25,
-        metrics: Any | None = None,
+        self, vnodes: int, pool: Iterable[str], active: Iterable[str]
     ) -> None:
-        self.memory_per_node = memory_per_node
         self.vnodes = vnodes
-        self._min_chunk = min_chunk
-        self._growth_factor = growth_factor
-        self._metrics = metrics
-        self.nodes: dict[str, MemcachedNode] = {}
+        self.nodes: dict[str, NodeT] = {}
         self.ring = ConsistentHashRing(vnodes=vnodes)
-        # Per-key routing overrides installed by the load rebalancer;
-        # consulted before the hash ring.  Entries pointing at nodes that
-        # leave the membership are dropped automatically.
-        self._remap: dict[str, str] = {}
-        for name in node_names:
+        for name in pool:
             self.provision(name)
+        for name in active:
             self.activate(name)
+
+    def _build_node(self, name: str) -> NodeT:
+        """A cold node for ``name`` (not yet in the pool or on the ring)."""
+        raise NotImplementedError
+
+    def _release_node(self, node: NodeT) -> None:
+        """Let go of a node that just left the pool (flush, disconnect)."""
+        raise NotImplementedError
 
     # ------------------------------------------------------------------
     # Membership
@@ -70,22 +81,15 @@ class MemcachedCluster:
         return self.ring.members
 
     @property
-    def active_nodes(self) -> list[MemcachedNode]:
+    def active_nodes(self) -> list[NodeT]:
         """Node objects currently on the ring, sorted by name."""
         return [self.nodes[name] for name in sorted(self.ring.members)]
 
-    def provision(self, name: str) -> MemcachedNode:
+    def provision(self, name: str) -> NodeT:
         """Create a cold node in the pool (not yet on the ring)."""
         if name in self.nodes:
             raise MembershipError(f"node {name!r} already provisioned")
-        node = MemcachedNode(
-            name,
-            self.memory_per_node,
-            min_chunk=self._min_chunk,
-            growth_factor=self._growth_factor,
-            metrics=self._metrics,
-        )
-        self.nodes[name] = node
+        node = self.nodes[name] = self._build_node(name)
         return node
 
     def activate(self, name: str) -> None:
@@ -97,7 +101,6 @@ class MemcachedCluster:
     def deactivate(self, name: str) -> None:
         """Take a node off the ring; its data stays until :meth:`destroy`."""
         self.ring.remove_node(name)
-        self._drop_stale_remaps()
 
     def destroy(self, name: str) -> None:
         """Flush and delete a node from the pool (the VM is turned off)."""
@@ -106,7 +109,7 @@ class MemcachedCluster:
             raise MembershipError(f"node {name!r} not provisioned")
         if name in self.ring:
             self.ring.remove_node(name)
-        node.flush_all()
+        self._release_node(node)
 
     def set_membership(self, names: Iterable[str]) -> None:
         """Reset the ring to exactly ``names`` (all must be provisioned)."""
@@ -115,43 +118,6 @@ class MemcachedCluster:
         if missing:
             raise MembershipError(f"nodes not provisioned: {missing}")
         self.ring.set_members(names)
-        self._drop_stale_remaps()
-
-    # ------------------------------------------------------------------
-    # Routing overrides (load rebalancing)
-    # ------------------------------------------------------------------
-
-    def set_remap(self, key: str, node: str) -> None:
-        """Route ``key`` to ``node`` instead of its hash owner."""
-        if node not in self.ring:
-            raise MembershipError(f"remap target {node!r} not active")
-        if self.ring.node_for_key(key) == node:
-            self._remap.pop(key, None)
-        else:
-            self._remap[key] = node
-
-    def clear_remap(self, key: str) -> None:
-        """Remove a routing override if present."""
-        self._remap.pop(key, None)
-
-    def clear_all_remaps(self) -> None:
-        """Drop every routing override."""
-        self._remap.clear()
-
-    @property
-    def remap_count(self) -> int:
-        """Number of active routing overrides."""
-        return len(self._remap)
-
-    def _drop_stale_remaps(self) -> None:
-        members = self.ring.members
-        stale = [
-            key
-            for key, node in self._remap.items()
-            if node not in members
-        ]
-        for key in stale:
-            del self._remap[key]
 
     def ring_for(self, members: Iterable[str]) -> ConsistentHashRing:
         """A hypothetical ring over ``members`` with this cluster's vnodes.
@@ -166,37 +132,20 @@ class MemcachedCluster:
     # ------------------------------------------------------------------
 
     def route(self, key: str) -> str:
-        """Name of the active node responsible for ``key``.
-
-        A rebalancer override takes precedence over the hash ring.
-        """
-        if self._remap:
-            override = self._remap.get(key)
-            if override is not None:
-                return override
+        """Name of the active node responsible for ``key``."""
         return self.ring.node_for_key(key)
 
     def route_many(self, keys: list[str]) -> list[str]:
-        """Owning node per key, in order (batched :meth:`route`).
+        """Owning node per key, in order (the ring's cached batch lookup)."""
+        return self.ring.lookup_many(keys)
 
-        Uses the ring's cached batch lookup; rebalancer overrides are
-        honoured per key exactly as :meth:`route` does.
-        """
-        if not self._remap:
-            return self.ring.lookup_many(keys)
-        remap_get = self._remap.get
-        lookup = self.ring.node_for_key
-        owners: list[str] = []
-        for key in keys:
-            override = remap_get(key)
-            owners.append(override if override is not None else lookup(key))
-        return owners
-
-    def get(self, key: str, now: float) -> Any | None:
+    def get(self, key: str, now: float = 0.0) -> Any | None:
         """Routed ``get``; ``None`` on a miss."""
         return self.nodes[self.route(key)].get(key, now)
 
-    def set(self, key: str, value: Any, value_size: int, now: float) -> bool:
+    def set(
+        self, key: str, value: Any, value_size: int, now: float = 0.0
+    ) -> bool:
         """Routed ``set``."""
         return self.nodes[self.route(key)].set(key, value, value_size, now)
 
@@ -205,7 +154,7 @@ class MemcachedCluster:
         return self.nodes[self.route(key)].delete(key)
 
     def get_many(
-        self, keys: Iterable[str], now: float
+        self, keys: Iterable[str], now: float = 0.0
     ) -> list[Any | None]:
         """Batched routed ``get``: one value (or ``None``) per key.
 
@@ -233,7 +182,7 @@ class MemcachedCluster:
         return [next(cursors[owner]) for owner in owners]
 
     def set_many(
-        self, entries: Iterable[tuple[str, Any, int]], now: float
+        self, entries: Iterable[tuple[str, Any, int]], now: float = 0.0
     ) -> int:
         """Batched routed ``set`` of ``(key, value, value_size)`` triples;
         returns how many stored."""
@@ -260,7 +209,7 @@ class MemcachedCluster:
         )
 
     def multiget(
-        self, keys: Iterable[str], now: float
+        self, keys: Iterable[str], now: float = 0.0
     ) -> tuple[dict[str, Any], list[str]]:
         """The web tier's multi-get: returns ``(hits, missed_keys)``.
 
@@ -277,13 +226,62 @@ class MemcachedCluster:
                 hits[key] = value
         return hits, misses
 
-    # ------------------------------------------------------------------
-    # Introspection
-    # ------------------------------------------------------------------
-
     def total_items(self) -> int:
         """Items cached across active nodes."""
         return sum(node.curr_items for node in self.active_nodes)
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return (
+            f"{type(self).__name__}(active={sorted(self.ring.members)}, "
+            f"pool={len(self.nodes)})"
+        )
+
+
+class MemcachedCluster(RoutedCluster[MemcachedNode]):
+    """A pool of :class:`MemcachedNode` with ketama routing.
+
+    Parameters
+    ----------
+    node_names:
+        Names of the initially active nodes.
+    memory_per_node:
+        Cache bytes per node (the paper uses 4 GB VMs; simulations scale
+        this down).
+    vnodes:
+        Virtual points per node on the hash ring.
+    metrics:
+        Optional :class:`~repro.obs.metrics.MetricsRegistry` handed to
+        every node this cluster provisions, so command/eviction counters
+        aggregate across membership changes.
+    """
+
+    def __init__(
+        self,
+        node_names: Iterable[str],
+        memory_per_node: int,
+        vnodes: int = DEFAULT_VNODES,
+        min_chunk: int = 96,
+        growth_factor: float = 1.25,
+        metrics: Any | None = None,
+    ) -> None:
+        self.memory_per_node = memory_per_node
+        self._min_chunk = min_chunk
+        self._growth_factor = growth_factor
+        self._metrics = metrics
+        names = list(node_names)
+        super().__init__(vnodes, names, names)
+
+    def _build_node(self, name: str) -> MemcachedNode:
+        return MemcachedNode(
+            name,
+            self.memory_per_node,
+            min_chunk=self._min_chunk,
+            growth_factor=self._growth_factor,
+            metrics=self._metrics,
+        )
+
+    def _release_node(self, node: MemcachedNode) -> None:
+        node.flush_all()
 
     def total_used_bytes(self) -> int:
         """Chunk-rounded bytes in use across active nodes."""
@@ -307,9 +305,3 @@ class MemcachedCluster:
             total.too_large += stats.too_large
             total.imported += stats.imported
         return total
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"MemcachedCluster(active={sorted(self.ring.members)}, "
-            f"pool={len(self.nodes)})"
-        )

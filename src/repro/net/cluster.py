@@ -1,15 +1,15 @@
 """A synchronous cluster facade over live TCP nodes.
 
-:class:`LiveCluster` mirrors the interface of
-:class:`~repro.memcached.cluster.MemcachedCluster` -- membership
-(``provision``/``activate``/``deactivate``/``destroy``/
-``set_membership``), ketama routing with rebalancer remaps, and the
-client operations (``get``/``set``/``delete`` plus their batched
-variants) -- but every node is a :class:`RemoteNode` reached over a
-socket instead of an in-process :class:`~repro.memcached.node.
-MemcachedNode`.  Because the surface matches, the existing
-:class:`~repro.core.master.Master` plans and executes a real three-phase
-migration over TCP without knowing the difference.
+:class:`LiveCluster` is the same
+:class:`~repro.memcached.cluster.RoutedCluster` that
+:class:`~repro.memcached.cluster.MemcachedCluster` is -- membership,
+ketama routing, and the client operations (``get``/``set``/``delete``
+plus their batched variants) -- but every node is a :class:`RemoteNode`
+reached over a socket instead of an in-process
+:class:`~repro.memcached.node.MemcachedNode`.  Because the surface is
+one class, the existing :class:`~repro.core.master.Master` plans and
+executes a real three-phase migration over TCP without knowing the
+difference.
 
 :class:`RemoteNode` duck-types the slice of the node API the Master, the
 Agent, and the scoring step consume.  Metadata reads (``ts_dump`` rows,
@@ -32,12 +32,14 @@ from typing import Any, Coroutine
 from repro.check.loopcheck import create_sanitizer
 from repro.core.retry import RetryPolicy
 from repro.errors import ConfigurationError, MembershipError, TransportError
-from repro.hashing.ketama import DEFAULT_VNODES, ConsistentHashRing
+from repro.hashing.ketama import DEFAULT_VNODES
+from repro.memcached.cluster import RoutedCluster
 from repro.memcached.node import MigratedItem, NodeStats
 from repro.memcached.slab import PAGE_SIZE, size_class_table
 from repro.net.client import NodeClient
 from repro.net.runtime import EventLoopThread
 from repro.obs import NULL_TELEMETRY, Telemetry
+from repro.wire import flags_and_payload
 
 
 @dataclass(frozen=True)
@@ -126,13 +128,12 @@ class RemoteNode:
         name: str,
         client: NodeClient,
         loop: EventLoopThread,
-        min_chunk: int = 96,
-        growth_factor: float = 1.25,
     ) -> None:
         self.name = name
         self.client = client
         self._loop = loop
-        self._chunk_sizes = size_class_table(min_chunk, growth_factor)
+        # Live nodes run slab.py's default geometry on both ends.
+        self._chunk_sizes = size_class_table()
         self._snapshot: _RemoteSlabs | None = None
         self._sizes: dict[str, int] = {}
         self._timestamps: dict[str, float] = {}
@@ -291,7 +292,7 @@ class RemoteNode:
         now: float = 0.0,
         exptime: float = 0.0,
     ) -> bool:
-        flags, payload = _as_payload(value)
+        flags, payload = flags_and_payload(value)
         self.invalidate()
         return self._call(
             self.client.set(key, payload, flags=flags, exptime=exptime)
@@ -302,7 +303,7 @@ class RemoteNode:
     ) -> int:
         wire_entries = []
         for key, value, _size in entries:
-            flags, payload = _as_payload(value)
+            flags, payload = flags_and_payload(value)
             wire_entries.append((key, flags, payload))
         self.invalidate()
         return self._call(self.client.set_many(wire_entries))
@@ -352,26 +353,12 @@ class RemoteNode:
         )
 
 
-def _as_payload(value: Any) -> tuple[int, bytes]:
-    """Coerce a cluster-level value to wire ``(flags, payload)``."""
-    if (
-        isinstance(value, tuple)
-        and len(value) == 2
-        and isinstance(value[1], (bytes, bytearray))
-    ):
-        flags = value[0] if isinstance(value[0], int) else 0
-        return flags, bytes(value[1])
-    if isinstance(value, (bytes, bytearray)):
-        return 0, bytes(value)
-    return 0, str(value).encode("utf-8")
-
-
-class LiveCluster:
+class LiveCluster(RoutedCluster[RemoteNode]):
     """A pool of :class:`RemoteNode` with ketama routing.
 
-    The membership, routing, and client-operation surface mirrors
-    :class:`~repro.memcached.cluster.MemcachedCluster`; values returned
-    by ``get`` are the wire's ``(flags, payload)`` tuples.
+    Values returned by ``get`` are the wire's ``(flags, payload)``
+    tuples, and ``now`` arguments are accepted but ignored: the servers
+    stamp their own shared clock.
 
     Parameters
     ----------
@@ -382,8 +369,8 @@ class LiveCluster:
         a client cannot boot a remote VM.
     active:
         Names initially on the hash ring; defaults to every endpoint.
-    vnodes / min_chunk / growth_factor:
-        Ring and slab-geometry parameters; must match the servers'.
+    vnodes:
+        Virtual points per node on the hash ring.
     timeout_s / retry / backoff_scale / pool_size:
         Per-node client transport settings
         (see :class:`~repro.net.client.NodeClient`).
@@ -394,8 +381,6 @@ class LiveCluster:
         endpoints: dict[str, tuple[str, int]],
         active: Iterable[str] | None = None,
         vnodes: int = DEFAULT_VNODES,
-        min_chunk: int = 96,
-        growth_factor: float = 1.25,
         pool_size: int = 2,
         timeout_s: float = 5.0,
         retry: RetryPolicy | None = None,
@@ -406,9 +391,6 @@ class LiveCluster:
         if not endpoints:
             raise ConfigurationError("LiveCluster needs at least one endpoint")
         self._endpoints = dict(endpoints)
-        self.vnodes = vnodes
-        self._min_chunk = min_chunk
-        self._growth_factor = growth_factor
         self._pool_size = pool_size
         self._timeout_s = timeout_s
         self._retry = retry
@@ -418,31 +400,11 @@ class LiveCluster:
         self.loop = EventLoopThread(
             name="live-cluster", sanitizer=self.sanitizer
         ).start()
-        self.nodes: dict[str, RemoteNode] = {}
-        self.ring = ConsistentHashRing(vnodes=vnodes)
-        self._remap: dict[str, str] = {}
         names = list(active) if active is not None else sorted(endpoints)
-        for name in self._endpoints:
-            self.provision(name)
-        for name in names:
-            self.activate(name)
+        super().__init__(vnodes, self._endpoints, names)
 
-    # ------------------------------------------------------------------
-    # Membership
-    # ------------------------------------------------------------------
-
-    @property
-    def active_members(self) -> frozenset[str]:
-        return self.ring.members
-
-    @property
-    def active_nodes(self) -> list[RemoteNode]:
-        return [self.nodes[name] for name in sorted(self.ring.members)]
-
-    def provision(self, name: str) -> RemoteNode:
-        """Connect a registered endpoint as a cold node (off the ring)."""
-        if name in self.nodes:
-            raise MembershipError(f"node {name!r} already provisioned")
+    def _build_node(self, name: str) -> RemoteNode:
+        """Connect a registered endpoint (a client cannot boot a server)."""
         endpoint = self._endpoints.get(name)
         if endpoint is None:
             raise MembershipError(
@@ -460,173 +422,16 @@ class LiveCluster:
             backoff_scale=self._backoff_scale,
             telemetry=self._telemetry,
         )
-        node = RemoteNode(
-            name,
-            client,
-            self.loop,
-            min_chunk=self._min_chunk,
-            growth_factor=self._growth_factor,
-        )
-        self.nodes[name] = node
-        return node
+        return RemoteNode(name, client, self.loop)
 
-    def activate(self, name: str) -> None:
-        if name not in self.nodes:
-            raise MembershipError(f"node {name!r} not provisioned")
-        self.ring.add_node(name)
-
-    def deactivate(self, name: str) -> None:
-        self.ring.remove_node(name)
-        self._drop_stale_remaps()
-
-    def destroy(self, name: str) -> None:
+    def _release_node(self, node: RemoteNode) -> None:
         """Flush the remote node and drop the connection (the live
         analogue of turning the VM off)."""
-        node = self.nodes.pop(name, None)
-        if node is None:
-            raise MembershipError(f"node {name!r} not provisioned")
-        if name in self.ring:
-            self.ring.remove_node(name)
-            self._drop_stale_remaps()
         try:
             node.flush_all()
         except TransportError:
             pass  # a crashed node is already as flushed as it gets
         node.close()
-
-    def set_membership(self, names: Iterable[str]) -> None:
-        names = list(names)
-        missing = [name for name in names if name not in self.nodes]
-        if missing:
-            raise MembershipError(f"nodes not provisioned: {missing}")
-        self.ring.set_members(names)
-        self._drop_stale_remaps()
-
-    # ------------------------------------------------------------------
-    # Routing overrides (parity with MemcachedCluster)
-    # ------------------------------------------------------------------
-
-    def set_remap(self, key: str, node: str) -> None:
-        if node not in self.ring:
-            raise MembershipError(f"remap target {node!r} not active")
-        if self.ring.node_for_key(key) == node:
-            self._remap.pop(key, None)
-        else:
-            self._remap[key] = node
-
-    def clear_remap(self, key: str) -> None:
-        self._remap.pop(key, None)
-
-    def clear_all_remaps(self) -> None:
-        self._remap.clear()
-
-    @property
-    def remap_count(self) -> int:
-        return len(self._remap)
-
-    def _drop_stale_remaps(self) -> None:
-        members = self.ring.members
-        stale = [
-            key
-            for key, node in self._remap.items()
-            if node not in members
-        ]
-        for key in stale:
-            del self._remap[key]
-
-    def ring_for(self, members: Iterable[str]) -> ConsistentHashRing:
-        return ConsistentHashRing(members, vnodes=self.vnodes)
-
-    # ------------------------------------------------------------------
-    # Client operations (over the wire)
-    # ------------------------------------------------------------------
-
-    def route(self, key: str) -> str:
-        if self._remap:
-            override = self._remap.get(key)
-            if override is not None:
-                return override
-        return self.ring.node_for_key(key)
-
-    def route_many(self, keys: list[str]) -> list[str]:
-        if not self._remap:
-            return self.ring.lookup_many(keys)
-        remap_get = self._remap.get
-        lookup = self.ring.node_for_key
-        owners: list[str] = []
-        for key in keys:
-            override = remap_get(key)
-            owners.append(override if override is not None else lookup(key))
-        return owners
-
-    def get(self, key: str, now: float = 0.0) -> Any | None:
-        return self.nodes[self.route(key)].get(key, now)
-
-    def set(
-        self, key: str, value: Any, value_size: int, now: float = 0.0
-    ) -> bool:
-        return self.nodes[self.route(key)].set(key, value, value_size, now)
-
-    def delete(self, key: str) -> bool:
-        return self.nodes[self.route(key)].delete(key)
-
-    def get_many(
-        self, keys: Iterable[str], now: float = 0.0
-    ) -> list[Any | None]:
-        keys = list(keys)
-        owners = self.route_many(keys)
-        groups: dict[str, list[str]] = {}
-        for key, owner in zip(keys, owners):
-            groups.setdefault(owner, []).append(key)
-        cursors = {
-            owner: iter(self.nodes[owner].get_many(bucket, now))
-            for owner, bucket in groups.items()
-        }
-        return [next(cursors[owner]) for owner in owners]
-
-    def set_many(
-        self, entries: Iterable[tuple[str, Any, int]], now: float = 0.0
-    ) -> int:
-        entries = list(entries)
-        owners = self.route_many([entry[0] for entry in entries])
-        groups: dict[str, list[tuple[str, Any, int]]] = {}
-        for entry, owner in zip(entries, owners):
-            groups.setdefault(owner, []).append(entry)
-        return sum(
-            self.nodes[owner].set_many(batch, now)
-            for owner, batch in groups.items()
-        )
-
-    def delete_many(self, keys: Iterable[str]) -> int:
-        keys = list(keys)
-        owners = self.route_many(keys)
-        groups: dict[str, list[str]] = {}
-        for key, owner in zip(keys, owners):
-            groups.setdefault(owner, []).append(key)
-        return sum(
-            self.nodes[owner].delete_many(batch)
-            for owner, batch in groups.items()
-        )
-
-    def multiget(
-        self, keys: Iterable[str], now: float = 0.0
-    ) -> tuple[dict[str, Any], list[str]]:
-        keys = list(keys)
-        hits: dict[str, Any] = {}
-        misses: list[str] = []
-        for key, value in zip(keys, self.get_many(keys, now)):
-            if value is None:
-                misses.append(key)
-            else:
-                hits[key] = value
-        return hits, misses
-
-    # ------------------------------------------------------------------
-    # Introspection
-    # ------------------------------------------------------------------
-
-    def total_items(self) -> int:
-        return sum(len(node) for node in self.active_nodes)
 
     def aggregate_stats(self) -> NodeStats:
         """Wire counters summed over the pool, mapped onto NodeStats."""
@@ -662,9 +467,3 @@ class LiveCluster:
 
     def __exit__(self, *exc_info: object) -> None:
         self.close()
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"LiveCluster(active={sorted(self.ring.members)}, "
-            f"pool={len(self.nodes)})"
-        )

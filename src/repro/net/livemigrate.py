@@ -32,6 +32,7 @@ from repro.net.cluster import LiveCluster
 from repro.net.server import LiveClusterHarness
 from repro.obs import Telemetry
 from repro.obs.livetrace import TraceContext, write_live_jsonl
+from repro.wire import flags_and_payload
 
 ContentSignature = list[tuple[str, int, bytes, float]]
 """Sorted ``(key, flags, payload, last_access)`` rows of one node."""
@@ -122,15 +123,7 @@ def node_signature(node: Any) -> ContentSignature:
     ]
     signature: ContentSignature = []
     for record in node.export_items(keys):
-        value = record.value
-        if (
-            isinstance(value, tuple)
-            and len(value) == 2
-            and isinstance(value[1], (bytes, bytearray))
-        ):
-            flags, payload = int(value[0]), bytes(value[1])
-        else:
-            flags, payload = 0, bytes(str(value), "utf-8")
+        flags, payload = flags_and_payload(record.value)
         signature.append((record.key, flags, payload, record.last_access))
     signature.sort()
     return signature

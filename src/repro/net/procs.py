@@ -67,8 +67,6 @@ class _NodeSpec:
     memory_bytes: int
     host: str
     port: int
-    min_chunk: int
-    growth_factor: float
     drain_grace_s: float
     clock_anchor: float
 
@@ -111,12 +109,7 @@ async def _serve_node(
     from repro.memcached.node import MemcachedNode
     from repro.net.server import NodeServer
 
-    node = MemcachedNode(
-        spec.name,
-        spec.memory_bytes,
-        min_chunk=spec.min_chunk,
-        growth_factor=spec.growth_factor,
-    )
+    node = MemcachedNode(spec.name, spec.memory_bytes)
     # time.time() is comparable across processes on one machine, which
     # is what keeps last_access timestamps from different node processes
     # on one planning timeline.
@@ -224,8 +217,8 @@ class ProcessClusterHarness:
     ----------
     node_names:
         Every node to boot, including spares outside the ring.
-    memory_per_node / min_chunk / growth_factor:
-        Node geometry, exactly as the in-process harness provisions it.
+    memory_per_node:
+        Cache bytes per node, as the in-process harness provisions it.
     port_base:
         When nonzero, node ``i`` listens on ``port_base + i``; the
         default lets each child pick a free port, read back through the
@@ -249,8 +242,6 @@ class ProcessClusterHarness:
         node_names: Iterable[str],
         memory_per_node: int,
         host: str = "127.0.0.1",
-        min_chunk: int = 96,
-        growth_factor: float = 1.25,
         drain_grace_s: float = 2.0,
         port_base: int = 0,
         startup_timeout_s: float = STARTUP_TIMEOUT_S,
@@ -266,8 +257,6 @@ class ProcessClusterHarness:
         self.node_names = names
         self.memory_per_node = memory_per_node
         self.host = host
-        self.min_chunk = min_chunk
-        self.growth_factor = growth_factor
         self.drain_grace_s = drain_grace_s
         self.port_base = port_base
         self.startup_timeout_s = startup_timeout_s
@@ -296,8 +285,6 @@ class ProcessClusterHarness:
             memory_bytes=self.memory_per_node,
             host=self.host,
             port=port,
-            min_chunk=self.min_chunk,
-            growth_factor=self.growth_factor,
             drain_grace_s=self.drain_grace_s,
             clock_anchor=self._clock_anchor,
         )

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import asyncio
 import time
-from typing import Any, Callable, Iterable
+from typing import Any, Callable, Iterable, TypeVar
 
 from repro.check.loopcheck import create_sanitizer
 from repro.errors import ConfigurationError
@@ -40,7 +40,101 @@ RECV_CHUNK = 65536
 """Bytes per socket read."""
 
 
-class NodeServer:
+_ListenerT = TypeVar("_ListenerT", bound="StreamListener")
+
+
+class StreamListener:
+    """Listener lifecycle shared by :class:`NodeServer` and the proxy.
+
+    Binds ``host:port`` (port 0 picks a free one, read back from
+    :attr:`port` after :meth:`start`), runs the subclass's
+    ``_serve_connection(reader, writer)`` once per accepted connection,
+    and on :meth:`stop` drains: the listener closes first, open
+    connections get ``drain_grace_s`` to finish, stragglers are
+    cancelled.
+    """
+
+    def __init__(
+        self, what: str, host: str, port: int, drain_grace_s: float
+    ) -> None:
+        self._what = what
+        self.host = host
+        self.port = port
+        self.drain_grace_s = drain_grace_s
+        self._server: asyncio.Server | None = None
+        self._closing = False
+        self._tasks: set[asyncio.Task] = set()
+        self._writers: set[asyncio.StreamWriter] = set()
+
+    async def start(self: _ListenerT) -> _ListenerT:
+        """Bind and start accepting connections; idempotent."""
+        if self._server is not None:
+            return self
+        self._closing = False
+        self._server = await asyncio.start_server(
+            self._handle, self.host, self.port
+        )
+        self.port = self._server.sockets[0].getsockname()[1]
+        return self
+
+    @property
+    def endpoint(self) -> tuple[str, int]:
+        """``(host, port)`` the listener is reachable at."""
+        if self._server is None:
+            raise ConfigurationError(f"{self._what} is not started")
+        return self.host, self.port
+
+    async def stop(self) -> None:
+        """Stop accepting, drain open connections, then force-close."""
+        server = self._server
+        if server is None:
+            return
+        self._closing = True
+        server.close()
+        await server.wait_closed()
+        # Closing the writers flushes buffered responses and makes
+        # blocked reads return EOF, so idle keep-alive connections
+        # (pooled clients) unwind without waiting out the grace period.
+        for writer in list(self._writers):
+            writer.close()
+        if self._tasks:
+            done, pending = await asyncio.wait(
+                self._tasks, timeout=self.drain_grace_s
+            )
+            for task in pending:
+                task.cancel()
+            if pending:
+                await asyncio.gather(*pending, return_exceptions=True)
+        self._server = None
+
+    async def _handle(
+        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
+    ) -> None:
+        task = asyncio.current_task()
+        if task is not None:
+            self._tasks.add(task)
+        self._writers.add(writer)
+        try:
+            await self._serve_connection(reader, writer)
+        except (OSError, EOFError, asyncio.IncompleteReadError):
+            pass  # peer vanished mid-request; nothing left to answer
+        finally:
+            self._writers.discard(writer)
+            if task is not None:
+                self._tasks.discard(task)
+            writer.close()
+            try:
+                await writer.wait_closed()
+            except (OSError, ConnectionError):
+                pass
+
+    async def _serve_connection(
+        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
+    ) -> None:
+        raise NotImplementedError
+
+
+class NodeServer(StreamListener):
     """One asyncio TCP listener wrapping one :class:`MemcachedNode`.
 
     Parameters
@@ -70,16 +164,12 @@ class NodeServer:
         drain_grace_s: float = 2.0,
         telemetry: Telemetry | None = None,
     ) -> None:
+        super().__init__(
+            f"server for node {node.name!r}", host, port, drain_grace_s
+        )
         self.node = node
         self.clock = clock
-        self.host = host
-        self.port = port
         self.fault_policy = fault_policy
-        self.drain_grace_s = drain_grace_s
-        self._server: asyncio.Server | None = None
-        self._closing = False
-        self._tasks: set[asyncio.Task] = set()
-        self._writers: set[asyncio.StreamWriter] = set()
         telemetry = telemetry or NULL_TELEMETRY
         self.telemetry = telemetry
         metrics = telemetry.metrics
@@ -117,88 +207,13 @@ class NodeServer:
             node=node.name,
         )
 
-    # ------------------------------------------------------------------
-    # Lifecycle
-    # ------------------------------------------------------------------
-
-    async def start(self) -> "NodeServer":
-        """Bind and start accepting connections."""
-        if self._server is not None:
-            return self
-        self._closing = False
-        self._server = await asyncio.start_server(
-            self._handle, self.host, self.port
-        )
-        self.port = self._server.sockets[0].getsockname()[1]
-        return self
-
-    @property
-    def endpoint(self) -> tuple[str, int]:
-        """``(host, port)`` the server is reachable at."""
-        if self._server is None:
-            raise ConfigurationError(
-                f"server for node {self.node.name!r} is not started"
-            )
-        return self.host, self.port
-
-    async def stop(self) -> None:
-        """Stop accepting, drain open connections, then force-close."""
-        server = self._server
-        if server is None:
-            return
-        self._closing = True
-        server.close()
-        await server.wait_closed()
-        # Closing the writers flushes buffered responses and makes
-        # blocked reads return EOF, so idle keep-alive connections
-        # (pooled clients) unwind without waiting out the grace period.
-        for writer in list(self._writers):
-            writer.close()
-        if self._tasks:
-            done, pending = await asyncio.wait(
-                self._tasks, timeout=self.drain_grace_s
-            )
-            for task in pending:
-                task.cancel()
-            if pending:
-                await asyncio.gather(*pending, return_exceptions=True)
-        self._server = None
-
-    # ------------------------------------------------------------------
-    # Connection handling
-    # ------------------------------------------------------------------
-
-    async def _handle(
+    async def _serve_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
-        task = asyncio.current_task()
-        if task is not None:
-            self._tasks.add(task)
-        self._writers.add(writer)
         self._m_conns.inc()
         protocol = TextProtocolServer(
             self.node, self.clock, telemetry=self.telemetry
         )
-        try:
-            await self._serve_connection(reader, writer, protocol)
-        except (OSError, EOFError, asyncio.IncompleteReadError):
-            pass  # peer vanished mid-request; nothing left to answer
-        finally:
-            self._writers.discard(writer)
-            if task is not None:
-                self._tasks.discard(task)
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (OSError, ConnectionError):
-                pass
-
-    async def _serve_connection(
-        self,
-        reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
-        protocol: TextProtocolServer,
-    ) -> None:
         while not self._closing:
             chunk = await reader.read(RECV_CHUNK)
             if not chunk:
@@ -258,9 +273,8 @@ class LiveClusterHarness:
     node_names:
         Every node to boot, including spares that start outside the
         ring; membership is the client side's (LiveCluster's) concern.
-    memory_per_node / min_chunk / growth_factor:
-        Node geometry, exactly as :class:`~repro.memcached.cluster.
-        MemcachedCluster` would provision it.
+    memory_per_node:
+        Cache bytes per node; nodes run the default slab geometry.
     fault_policy:
         Optional socket fault schedule shared by every server.
     port_base:
@@ -278,8 +292,6 @@ class LiveClusterHarness:
         node_names: Iterable[str],
         memory_per_node: int,
         host: str = "127.0.0.1",
-        min_chunk: int = 96,
-        growth_factor: float = 1.25,
         fault_policy: SocketFaultPolicy | None = None,
         drain_grace_s: float = 2.0,
         port_base: int = 0,
@@ -297,13 +309,7 @@ class LiveClusterHarness:
             lambda: time.monotonic() - self._anchor
         )
         self.nodes: dict[str, MemcachedNode] = {
-            name: MemcachedNode(
-                name,
-                memory_per_node,
-                min_chunk=min_chunk,
-                growth_factor=growth_factor,
-                metrics=metrics,
-            )
+            name: MemcachedNode(name, memory_per_node, metrics=metrics)
             for name in names
         }
         self.servers: dict[str, NodeServer] = {

@@ -36,7 +36,7 @@ from repro.check.loopcheck import create_sanitizer
 from repro.errors import ConfigurationError, WireProtocolError
 from repro.faults.sockets import SocketFaultPolicy
 from repro.net.runtime import EventLoopThread
-from repro.net.server import RECV_CHUNK, LiveClusterHarness
+from repro.net.server import RECV_CHUNK, LiveClusterHarness, StreamListener
 from repro.obs import Telemetry, create_telemetry
 from repro.obs.export import to_prometheus
 from repro.obs.livetrace import CURRENT_CONTEXT, TraceContext
@@ -46,7 +46,7 @@ from repro.wire import BAD_FORMAT, CRLF
 PROXY_VERSION = b"VERSION repro-proxy-1.0-elmem" + CRLF
 
 
-class ProxyServer:
+class ProxyServer(StreamListener):
     """One asyncio TCP listener executing commands through a router.
 
     Parameters
@@ -68,14 +68,8 @@ class ProxyServer:
         drain_grace_s: float = 2.0,
         telemetry: Telemetry | None = None,
     ) -> None:
+        super().__init__("proxy server", host, port, drain_grace_s)
         self.router = router
-        self.host = host
-        self.port = port
-        self.drain_grace_s = drain_grace_s
-        self._server: asyncio.Server | None = None
-        self._closing = False
-        self._tasks: set[asyncio.Task] = set()
-        self._writers: set[asyncio.StreamWriter] = set()
         telemetry = telemetry or router.telemetry
         metrics = telemetry.metrics
         self._m_conns = metrics.counter(
@@ -90,79 +84,23 @@ class ProxyServer:
             "Malformed client commands answered with an error line",
         )
 
-    # ------------------------------------------------------------------
-    # Lifecycle
-    # ------------------------------------------------------------------
-
     async def start(self) -> "ProxyServer":
-        """Bind and start accepting connections; idempotent."""
-        if self._server is not None:
-            return self
-        self._closing = False
-        self.router.bind_loop(asyncio.get_running_loop())
-        self._server = await asyncio.start_server(
-            self._handle, self.host, self.port
-        )
-        self.port = self._server.sockets[0].getsockname()[1]
-        return self
-
-    @property
-    def endpoint(self) -> tuple[str, int]:
-        """``(host, port)`` the proxy is reachable at."""
+        """Bind the router to this loop, then start accepting."""
         if self._server is None:
-            raise ConfigurationError("proxy server is not started")
-        return self.host, self.port
+            self.router.bind_loop(asyncio.get_running_loop())
+        return await super().start()
 
     async def stop(self) -> None:
-        """Stop accepting, drain open connections, then force-close."""
-        server = self._server
-        if server is None:
+        """Drain client connections, then close the router's backends."""
+        if self._server is None:
             return
-        self._closing = True
-        server.close()
-        await server.wait_closed()
-        for writer in list(self._writers):
-            writer.close()
-        if self._tasks:
-            done, pending = await asyncio.wait(
-                self._tasks, timeout=self.drain_grace_s
-            )
-            for task in pending:
-                task.cancel()
-            if pending:
-                await asyncio.gather(*pending, return_exceptions=True)
+        await super().stop()
         await self.router.close()
-        self._server = None
-
-    # ------------------------------------------------------------------
-    # Connection handling
-    # ------------------------------------------------------------------
-
-    async def _handle(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        task = asyncio.current_task()
-        if task is not None:
-            self._tasks.add(task)
-        self._writers.add(writer)
-        self._m_conns.inc()
-        try:
-            await self._serve_connection(reader, writer)
-        except (OSError, EOFError, asyncio.IncompleteReadError):
-            pass  # peer vanished mid-command; nothing left to answer
-        finally:
-            self._writers.discard(writer)
-            if task is not None:
-                self._tasks.discard(task)
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (OSError, ConnectionError):
-                pass
 
     async def _serve_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
+        self._m_conns.inc()
         framer = wire.RequestFramer()
         while not (self._closing or framer.closed):
             chunk = await reader.read(RECV_CHUNK)
@@ -356,8 +294,6 @@ class ProxyHarness:
         fault_policy: SocketFaultPolicy | None = None,
         drain_grace_s: float = 2.0,
         telemetry: Telemetry | None = None,
-        min_chunk: int = 96,
-        growth_factor: float = 1.25,
         sanitize: bool = False,
     ) -> None:
         self.telemetry = telemetry or create_telemetry()
@@ -367,8 +303,6 @@ class ProxyHarness:
             node_names,
             memory_per_node,
             host=host,
-            min_chunk=min_chunk,
-            growth_factor=growth_factor,
             fault_policy=fault_policy,
             drain_grace_s=drain_grace_s,
             telemetry=self.telemetry,

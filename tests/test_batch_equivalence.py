@@ -203,7 +203,6 @@ class TestClusterBatchEquivalence:
 
     def test_route_many_matches_route(self):
         cluster = self.build("r")
-        cluster.set_remap("key-000001", sorted(cluster.nodes)[0])
         keys = [f"key-{i:06d}" for i in range(2_000)]
         assert cluster.route_many(keys) == [cluster.route(k) for k in keys]
 

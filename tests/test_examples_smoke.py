@@ -35,8 +35,3 @@ class TestExamples:
         out = run_example("protocol_server.py")
         assert "VALUE greeting" in out
         assert "done." in out
-
-    def test_rebalance_hotspot(self):
-        out = run_example("rebalance_hotspot.py")
-        assert "moved" in out
-        assert "total rebalancing actions:" in out
