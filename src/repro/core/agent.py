@@ -1,18 +1,18 @@
 """The per-node Agent (Section III-A/III-D).
 
-One Agent runs on every Memcached node.  Agents do the actual work of
-migration: dumping MRU timestamps, hashing keys against the post-scaling
-membership, shipping metadata and KV data to peers, and importing
-migrated pairs into the local Memcached.  The Master only coordinates.
+One Agent runs on every Memcached node.  Agents do the node-local work
+of phases 1 and 2: dumping MRU timestamps, hashing keys against the
+post-scaling membership, sizing the metadata they ship, and reporting
+the per-class lists and capacity FuseCache selects over.  Phase 3 moves
+data with the node's own ``export_items``/``batch_import`` commands.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping
+from collections.abc import Mapping
 
 from repro.core.interfaces import CacheNode
 from repro.hashing.ketama import ConsistentHashRing
-from repro.memcached.node import MigratedItem
 
 TIMESTAMP_BYTES = 10
 """Bytes per serialized MRU timestamp in a metadata dump (paper III-D1)."""
@@ -23,11 +23,6 @@ class Agent:
 
     def __init__(self, node: CacheNode) -> None:
         self.node = node
-
-    @property
-    def name(self) -> str:
-        """The node this agent manages."""
-        return self.node.name
 
     # ------------------------------------------------------------------
     # Phase 1: metadata dump, hashed against the post-scaling membership
@@ -53,7 +48,7 @@ class Agent:
         for class_id in self.node.active_class_ids():
             for key, timestamp in self.node.dump_timestamps(class_id):
                 target = target_ring.node_for_key(key)
-                if target == self.name:
+                if target == self.node.name:
                     continue
                 per_class = grouped.setdefault(target, {})
                 per_class.setdefault(class_id, []).append((key, timestamp))
@@ -65,40 +60,19 @@ class Agent:
     def sorted_timestamps(self, class_id: int) -> list[float]:
         """This node's own slab timestamps, hottest-first (FuseCache's
         ``k``-th list), robust to prepend-mode order drift."""
-        timestamps = [
-            item.last_access
-            for item in self.node.items_in_mru_order(class_id)
-        ]
-        timestamps.sort(reverse=True)
-        return timestamps
+        items = self.node.items_in_mru_order(class_id)
+        return sorted((item.last_access for item in items), reverse=True)
 
     @staticmethod
     def metadata_bytes(
         per_class: Mapping[int, list[tuple[str, float]]]
     ) -> int:
         """Wire size of one metadata dump: keys plus 10-byte timestamps."""
-        total = 0
-        for entries in per_class.values():
-            for key, _ in entries:
-                total += len(key) + TIMESTAMP_BYTES
-        return total
-
-    # ------------------------------------------------------------------
-    # Phase 3: data export / import
-    # ------------------------------------------------------------------
-
-    def export_items(self, keys: Iterable[str]) -> list[MigratedItem]:
-        """Read full KV pairs for ``keys``; silently skips evicted keys."""
-        return self.node.export_items(keys)
-
-    def import_items(
-        self,
-        migrated: Iterable[MigratedItem],
-        mode: str = "merge",
-        now: float = 0.0,
-    ) -> int:
-        """Install migrated pairs via the batch-import command."""
-        return self.node.batch_import(migrated, mode=mode, now=now)
+        return sum(
+            len(key) + TIMESTAMP_BYTES
+            for entries in per_class.values()
+            for key, _ in entries
+        )
 
     # ------------------------------------------------------------------
     # Modeled local costs (fault-aware)
@@ -109,20 +83,14 @@ class Agent:
     0.1% throughput, which blows any reasonable migration deadline
     without dividing by zero."""
 
-    def dump_seconds(
-        self, item_count: int, rate_items_s: float, stall_factor: float = 1.0
+    @classmethod
+    def local_seconds(
+        cls, item_count: int, rate_items_s: float, stall_factor: float = 1.0
     ) -> float:
-        """Modeled seconds to dump+hash ``item_count`` items locally,
-        slowed by an injected ``stall_factor`` (1.0 = healthy)."""
-        factor = max(stall_factor, self.MIN_RATE_FACTOR)
-        return item_count / (rate_items_s * factor)
-
-    def import_seconds(
-        self, item_count: int, rate_items_s: float, stall_factor: float = 1.0
-    ) -> float:
-        """Modeled seconds to batch-import ``item_count`` items locally,
-        slowed by an injected ``stall_factor`` (1.0 = healthy)."""
-        factor = max(stall_factor, self.MIN_RATE_FACTOR)
+        """Modeled seconds to dump+hash or batch-import ``item_count``
+        items locally, slowed by an injected ``stall_factor`` (1.0 =
+        healthy)."""
+        factor = max(stall_factor, cls.MIN_RATE_FACTOR)
         return item_count / (rate_items_s * factor)
 
     # ------------------------------------------------------------------

@@ -24,7 +24,7 @@ baseline would have.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 from typing import TYPE_CHECKING, Any, Callable
 
 from repro.core.agent import Agent
@@ -66,29 +66,16 @@ class PhaseTimings:
 
     @property
     def total_s(self) -> float:
-        """End-to-end migration overhead."""
-        return (
-            self.scoring_s
-            + self.dump_s
-            + self.metadata_transfer_s
-            + self.fusecache_s
-            + self.data_transfer_s
-            + self.import_s
-            + self.retry_s
-        )
+        """End-to-end migration overhead: every field is one phase."""
+        return sum(astuple(self))
 
     def breakdown(self) -> dict[str, float]:
         """Named phase durations, for the overhead-breakdown benchmark."""
-        return {
-            "scoring": self.scoring_s,
-            "hash_and_dump": self.dump_s,
-            "metadata_transfer": self.metadata_transfer_s,
-            "fusecache": self.fusecache_s,
-            "data_migration": self.data_transfer_s,
-            "import": self.import_s,
-            "retries": self.retry_s,
-            "total": self.total_s,
-        }
+        names = (
+            "scoring", "hash_and_dump", "metadata_transfer", "fusecache",
+            "data_migration", "import", "retries",
+        )
+        return dict(zip(names, astuple(self)), total=self.total_s)
 
 
 @dataclass
@@ -126,6 +113,51 @@ class MigrationPlan:
 OUTCOME_WARM = "warm"
 OUTCOME_PARTIAL = "partial"
 OUTCOME_COLD = "cold"
+
+# Phase-3 step kinds, in the order a plan expands into them.
+PRE_DELETE = "pre_delete"
+MOVE = "move"
+SWITCH = "switch"
+
+# What a move step came to.
+COMPLETED = "completed"
+FAILED = "failed"
+SKIPPED = "skipped"
+UNATTEMPTED = "unattempted"
+
+
+@dataclass
+class MigrationStep:
+    """One phase-3 action: drop ``keys`` on ``src`` (``pre_delete``),
+    ship ``keys`` from ``src`` to ``dst`` (``move``), or commit the new
+    membership (``switch``)."""
+
+    kind: str
+    src: str = ""
+    dst: str = ""
+    keys: list[str] = field(default_factory=list)
+
+
+@dataclass
+class StepResult:
+    """What one move step did; :meth:`MigrationReport.fold` sums these."""
+
+    step: MigrationStep
+    status: str = COMPLETED
+    exported: int = 0
+    imported: int = 0
+    retries: int = 0
+    retry_s: float = 0.0
+
+
+def migration_steps(plan: MigrationPlan) -> list[MigrationStep]:
+    """Pre-deletes, one move per pair in ``plan.transfers`` order, the switch."""
+    pre = plan.pre_deletes.items()
+    return (
+        [MigrationStep(PRE_DELETE, name, keys=keys) for name, keys in pre]
+        + [MigrationStep(MOVE, *pair, keys) for pair, keys in plan.transfers.items()]
+        + [MigrationStep(SWITCH)]
+    )
 
 
 @dataclass
@@ -165,18 +197,44 @@ class MigrationReport:
         """True unless every planned pair migrated cleanly."""
         return self.outcome != OUTCOME_WARM
 
+    def fold(self, results: list[StepResult]) -> None:
+        """Add move-step results to the counters, then set :attr:`outcome`."""
+        lost = {
+            FAILED: self.failed_flows,
+            SKIPPED: self.skipped_pairs,
+            UNATTEMPTED: self.unattempted_pairs,
+        }
+        for result in results:
+            self.items_exported += result.exported
+            self.items_imported += result.imported
+            self.retries += result.retries
+            self.retry_time_s += result.retry_s
+            if result.status == COMPLETED:
+                self.completed_pairs += 1
+            else:
+                lost[result.status].append((result.step.src, result.step.dst))
+        self.outcome = self.classify()
+
     def classify(self) -> str:
         """Derive :attr:`outcome` from the recorded pair bookkeeping."""
-        lost = (
-            len(self.skipped_pairs)
-            + len(self.failed_flows)
-            + len(self.unattempted_pairs)
-        )
-        if lost == 0:
+        if not (self.skipped_pairs or self.failed_flows or self.unattempted_pairs):
             return OUTCOME_WARM
         if self.completed_pairs == 0:
             return OUTCOME_COLD
         return OUTCOME_PARTIAL
+
+
+def _pin(span: Any, start: float, seconds: float, **attrs: Any) -> float:
+    """Close a plan-phase span on the sim window ``[start, start + seconds]``.
+
+    Planning does the real work first and models its cost after, so each
+    phase's wall clock is measured live while its sim window is laid out
+    sequentially from the decision time.  Returns the window's end.
+    """
+    span.end()
+    span.sim_window(start, start + seconds)
+    span.set(**attrs)
+    return start + seconds
 
 
 class Master:
@@ -318,6 +376,14 @@ class Master:
         """The Agent on node ``name``."""
         return Agent(self.cluster.nodes[name])
 
+    def _wire_bytes(self, src: str, keys: list[str]) -> int:
+        """Current wire size of ``keys`` on ``src`` (evicted keys excluded)."""
+        node = self.cluster.nodes[src]
+        items = ((key, node.peek(key)) for key in keys)
+        return sum(
+            len(key) + item.value_size for key, item in items if item is not None
+        )
+
     # ------------------------------------------------------------------
     # Q2: which nodes to retire
     # ------------------------------------------------------------------
@@ -327,7 +393,7 @@ class Master:
         return choose_nodes_to_retire(self.cluster.active_nodes, count)
 
     # ------------------------------------------------------------------
-    # Scale-in planning
+    # Planning (phases 1 and 2)
     # ------------------------------------------------------------------
 
     def plan_scale_in(
@@ -340,103 +406,11 @@ class Master:
         deferred to :meth:`execute`.  ``now`` anchors the migration's
         telemetry span tree on the sim clock.
         """
-        active = set(self.cluster.active_members)
-        unknown = [name for name in retiring if name not in active]
-        if unknown:
-            raise MigrationError(f"cannot retire inactive nodes: {unknown}")
-        retained = sorted(active - set(retiring))
-        if not retained:
-            raise MigrationError("cannot retire every node")
-
-        timings = PhaseTimings()
+        retained = self._retained_after(retiring)
+        scoring_s = None
         if include_scoring:
-            timings.scoring_s = self.scoring_time_per_node_s * len(active)
-
-        target_ring = self.cluster.ring_for(retained)
-        plan = MigrationPlan(
-            kind="scale_in",
-            retiring=sorted(retiring),
-            retained=retained,
-            new_nodes=[],
-            transfers={},
-            timings=timings,
-        )
-        span = self.telemetry.tracer.root(
-            "migration",
-            sim_s=now,
-            kind="scale_in",
-            retiring=plan.retiring,
-            retained=retained,
-        )
-        plan_span = span.child("plan", sim_s=now)
-        scoring_span = plan_span.child("scoring") if include_scoring else None
-        if scoring_span is not None:
-            scoring_span.end()
-
-        # Phase 1: retiring agents dump, hash, and ship metadata.
-        # incoming[dst][class_id] = [(src, [(key, ts), ...]), ...]
-        dump_span = plan_span.child("dump")
-        incoming: dict[str, dict[int, list[tuple[str, list[tuple[str, float]]]]]]
-        incoming = {name: {} for name in retained}
-        metadata_flows: list[Flow] = []
-        max_dump_s = 0.0
-        for src in plan.retiring:
-            agent = self.agent(src)
-            grouped = agent.dump_and_hash(target_ring)
-            max_dump_s = max(
-                max_dump_s, len(agent.node) / self.dump_rate_items_s
-            )
-            for dst, per_class in grouped.items():
-                size = Agent.metadata_bytes(per_class)
-                plan.metadata_bytes += size
-                if size > 0:
-                    metadata_flows.append(Flow(src, dst, size))
-                for class_id, entries in per_class.items():
-                    incoming[dst].setdefault(class_id, []).append(
-                        (src, entries)
-                    )
-        timings.dump_s = max_dump_s
-        timings.metadata_transfer_s = self.network.phase_time(metadata_flows)
-        dump_span.end()
-
-        # Phase 2: each retained agent runs FuseCache per slab class.
-        fusecache_span = plan_span.child("fusecache")
-        import_load: dict[str, int] = {name: 0 for name in retained}
-        for dst in retained:
-            dst_agent = self.agent(dst)
-            for class_id, sources in incoming[dst].items():
-                lists = [
-                    [ts for _, ts in entries] for _, entries in sources
-                ]
-                lists.append(dst_agent.sorted_timestamps(class_id))
-                capacity = dst_agent.slab_capacity_items(class_id)
-                if capacity == 0:
-                    capacity = sum(len(lst) for lst in lists)
-                result = fuse_cache_detailed(lists, capacity)
-                plan.fusecache_rounds += result.rounds
-                plan.fusecache_comparisons += result.comparisons
-                for index, (src, entries) in enumerate(sources):
-                    take = result.topick[index]
-                    if take == 0:
-                        continue
-                    keys = [key for key, _ in entries[:take]]
-                    plan.transfers.setdefault((src, dst), []).extend(keys)
-                    import_load[dst] += take
-        timings.fusecache_s = (
-            plan.fusecache_comparisons * self.comparison_time_s
-        )
-        fusecache_span.end()
-
-        self._price_data_phase(plan, import_load)
-        self._finish_plan_trace(
-            plan, now, span, plan_span, scoring_span, dump_span, fusecache_span
-        )
-        self._strict_plan_check(plan, target_ring)
-        return plan
-
-    # ------------------------------------------------------------------
-    # Scale-out planning
-    # ------------------------------------------------------------------
+            scoring_s = self.scoring_time_per_node_s * len(self.cluster.active_members)
+        return self._plan("scale_in", sorted(retiring), retained, now, scoring_s)
 
     def plan_scale_out(
         self, new_names: list[str], now: float = 0.0
@@ -451,90 +425,128 @@ class Master:
         """
         if not new_names:
             raise MigrationError("no new nodes given")
-        existing = sorted(self.cluster.active_members)
         for name in new_names:
             if name in self.cluster.nodes:
                 raise MigrationError(f"node {name!r} already exists")
         for name in new_names:
             self.cluster.provision(name)
+        existing = sorted(self.cluster.active_members)
+        return self._plan("scale_out", existing, list(new_names), now)
 
-        members_after = existing + sorted(new_names)
-        target_ring = self.cluster.ring_for(members_after)
-        plan = MigrationPlan(
-            kind="scale_out",
-            retiring=[],
-            retained=existing,
-            new_nodes=sorted(new_names),
-            transfers={},
-            timings=PhaseTimings(),
-        )
-        span = self.telemetry.tracer.root(
-            "migration",
-            sim_s=now,
-            kind="scale_out",
-            new_nodes=plan.new_nodes,
-            retained=existing,
-        )
-        plan_span = span.child("plan", sim_s=now)
+    def _retained_after(self, retiring: list[str]) -> list[str]:
+        """Validate a retiring set; return the sorted members that stay."""
+        active = set(self.cluster.active_members)
+        unknown = [name for name in retiring if name not in active]
+        if unknown:
+            raise MigrationError(f"cannot retire inactive nodes: {unknown}")
+        retained = sorted(active - set(retiring))
+        if not retained:
+            raise MigrationError("cannot retire every node")
+        return retained
+
+    def _plan(
+        self,
+        kind: str,
+        sources: list[str],
+        targets: list[str],
+        now: float,
+        scoring_s: float | None = None,
+    ) -> MigrationPlan:
+        """Phases 1 and 2 for either direction of scaling.
+
+        ``sources`` dump and hash against the post-scaling ring and ship
+        ``(key, timestamp)`` lists to ``targets`` -- the retained nodes
+        of a scale-in, the (already provisioned) new nodes of a
+        scale-out.  Selection is the one policy difference: a scale-in
+        target runs FuseCache over the incoming lists plus its own; a
+        scale-out target takes everything unless it overflows the slab
+        class, and only then runs FuseCache over the incoming lists.
+        """
+        scale_in = kind == "scale_in"
+        if scale_in:
+            plan = MigrationPlan(kind, sources, targets, [], {}, PhaseTimings())
+            moving = {"retiring": plan.retiring}
+        else:
+            plan = MigrationPlan(kind, [], sources, sorted(targets), {}, PhaseTimings())
+            moving = {"new_nodes": plan.new_nodes}
+        plan_span = self._open_trace(plan, now, **moving, retained=plan.retained)
+        target_ring = self.cluster.ring_for(plan.retained + plan.new_nodes)
+        timings = plan.timings
+        cursor = now
+        if scoring_s is not None:
+            timings.scoring_s = scoring_s
+            cursor = _pin(plan_span.child("scoring"), cursor, scoring_s)
+
+        # Phase 1: sources dump, hash, and ship metadata.
+        # incoming[dst][class_id] = [(src, [(key, ts), ...]), ...]
         dump_span = plan_span.child("dump")
-
-        new_set = set(new_names)
         incoming: dict[str, dict[int, list[tuple[str, list[tuple[str, float]]]]]]
-        incoming = {name: {} for name in new_names}
-        max_dump_s = 0.0
-        for src in existing:
+        incoming = {name: {} for name in targets}
+        metadata_flows: list[Flow] = []
+        for src in sources:
             agent = self.agent(src)
             grouped = agent.dump_and_hash(target_ring)
-            max_dump_s = max(
-                max_dump_s, len(agent.node) / self.dump_rate_items_s
+            timings.dump_s = max(
+                timings.dump_s, len(agent.node) / self.dump_rate_items_s
             )
             for dst, per_class in grouped.items():
-                if dst not in new_set:
-                    # Ketama can slightly reshuffle among existing nodes;
-                    # those keys are left in place (they re-warm on miss).
+                if dst not in incoming:
+                    # Ketama can slightly reshuffle among existing nodes
+                    # on a scale-out; those keys re-warm on miss.
                     continue
+                if scale_in:
+                    # Only scale-in prices the metadata transfer.
+                    size = Agent.metadata_bytes(per_class)
+                    plan.metadata_bytes += size
+                    if size > 0:
+                        metadata_flows.append(Flow(src, dst, size))
                 for class_id, entries in per_class.items():
                     incoming[dst].setdefault(class_id, []).append(
                         (src, entries)
                     )
-        plan.timings.dump_s = max_dump_s
-        dump_span.end()
+        timings.metadata_transfer_s = self.network.phase_time(metadata_flows)
+        cursor = _pin(
+            dump_span,
+            cursor,
+            timings.dump_s + timings.metadata_transfer_s,
+            dump_s=timings.dump_s,
+            metadata_transfer_s=timings.metadata_transfer_s,
+            metadata_bytes=plan.metadata_bytes,
+        )
 
+        # Phase 2: each target picks per slab class.
         fusecache_span = plan_span.child("fusecache")
-        import_load: dict[str, int] = {name: 0 for name in new_names}
-        for dst in new_names:
+        for dst in targets:
             dst_agent = self.agent(dst)
-            for class_id, sources in incoming[dst].items():
-                total_incoming = sum(len(entries) for _, entries in sources)
+            for class_id, offers in incoming[dst].items():
+                lists = [[ts for _, ts in entries] for _, entries in offers]
                 capacity = dst_agent.slab_capacity_items(class_id)
-                if capacity and total_incoming > capacity:
-                    lists = [
-                        [ts for _, ts in entries] for _, entries in sources
-                    ]
+                if scale_in:
+                    lists.append(dst_agent.sorted_timestamps(class_id))
+                    capacity = capacity or sum(len(lst) for lst in lists)
+                    trim = True
+                else:
+                    trim = 0 < capacity < sum(len(lst) for lst in lists)
+                picks = [len(lst) for lst in lists]
+                if trim:
                     result = fuse_cache_detailed(lists, capacity)
                     plan.fusecache_rounds += result.rounds
                     plan.fusecache_comparisons += result.comparisons
                     picks = result.topick
-                else:
-                    picks = [len(entries) for _, entries in sources]
-                for index, (src, entries) in enumerate(sources):
-                    take = picks[index]
-                    if take == 0:
-                        continue
-                    keys = [key for key, _ in entries[:take]]
-                    plan.transfers.setdefault((src, dst), []).extend(keys)
-                    import_load[dst] += take
-        plan.timings.fusecache_s = (
-            plan.fusecache_comparisons * self.comparison_time_s
+                for (src, entries), take in zip(offers, picks):
+                    if take > 0:
+                        plan.transfers.setdefault((src, dst), []).extend(
+                            key for key, _ in entries[:take]
+                        )
+        timings.fusecache_s = plan.fusecache_comparisons * self.comparison_time_s
+        cursor = _pin(
+            fusecache_span,
+            cursor,
+            timings.fusecache_s,
+            rounds=plan.fusecache_rounds,
+            comparisons=plan.fusecache_comparisons,
         )
-        fusecache_span.end()
-
-        self._price_data_phase(plan, import_load)
-        self._finish_plan_trace(
-            plan, now, span, plan_span, None, dump_span, fusecache_span
-        )
-        self._strict_plan_check(plan, target_ring)
-        return plan
+        return self._finish_plan(plan, target_ring, plan_span, cursor)
 
     # ------------------------------------------------------------------
     # Naive fraction-based planning (Section V-B4 comparison)
@@ -560,49 +572,28 @@ class Master:
             raise MigrationError(
                 f"keep_fraction must be in [0, 1], got {keep_fraction}"
             )
-        active = set(self.cluster.active_members)
-        unknown = [name for name in retiring if name not in active]
-        if unknown:
-            raise MigrationError(f"cannot retire inactive nodes: {unknown}")
-        retained = sorted(active - set(retiring))
-        if not retained:
-            raise MigrationError("cannot retire every node")
-
+        retained = self._retained_after(retiring)
         target_ring = self.cluster.ring_for(retained)
         plan = MigrationPlan(
-            kind="scale_in",
-            retiring=sorted(retiring),
-            retained=retained,
-            new_nodes=[],
-            transfers={},
-            timings=PhaseTimings(),
+            "scale_in", sorted(retiring), retained, [], {}, PhaseTimings()
         )
-        span = self.telemetry.tracer.root(
-            "migration",
-            sim_s=now,
-            kind="scale_in",
+        plan_span = self._open_trace(
+            plan,
+            now,
             strategy="fraction",
             retiring=plan.retiring,
             keep_fraction=keep_fraction,
         )
-        plan_span = span.child("plan", sim_s=now)
         dump_span = plan_span.child("dump")
-        import_load: dict[str, int] = {name: 0 for name in retained}
-        max_dump_s = 0.0
+        timings = plan.timings
         for src in plan.retiring:
             node = self.cluster.nodes[src]
-            max_dump_s = max(
-                max_dump_s, len(node) / self.dump_rate_items_s
-            )
+            timings.dump_s = max(timings.dump_s, len(node) / self.dump_rate_items_s)
             for class_id in node.active_class_ids():
                 items = node.items_in_mru_order(class_id)
-                take = int(len(items) * keep_fraction)
-                for item in items[:take]:
+                for item in items[: int(len(items) * keep_fraction)]:
                     dst = target_ring.node_for_key(item.key)
-                    plan.transfers.setdefault((src, dst), []).append(
-                        item.key
-                    )
-                    import_load[dst] += 1
+                    plan.transfers.setdefault((src, dst), []).append(item.key)
         # Room-making under the uniform-hotness assumption: every
         # retained node drops its own coldest (1 - keep_fraction).
         for name in retained:
@@ -614,70 +605,52 @@ class Master:
                 doomed.extend(item.key for item in items[keep:])
             if doomed:
                 plan.pre_deletes[name] = doomed
-        plan.timings.dump_s = max_dump_s
-        dump_span.end()
-        self._price_data_phase(plan, import_load)
-        self._finish_plan_trace(plan, now, span, plan_span, None, dump_span, None)
-        self._strict_plan_check(plan, target_ring)
-        return plan
-
-    def _strict_plan_check(
-        self, plan: MigrationPlan, target_ring: "ConsistentHashRing"
-    ) -> None:
-        """Strict mode: validate planning left every structure intact."""
-        checker = self.strict_checker
-        if checker is None:
-            return
-        names = plan.retiring + plan.retained + plan.new_nodes
-        checker.check_nodes(
-            "plan", names, require_sorted=self._mru_sorted
+        cursor = _pin(
+            dump_span,
+            now,
+            timings.dump_s,
+            dump_s=timings.dump_s,
+            metadata_transfer_s=0.0,
+            metadata_bytes=0,
         )
-        checker.check_target_ring("plan", target_ring)
+        return self._finish_plan(plan, target_ring, plan_span, cursor)
 
-    def _finish_plan_trace(
+    def _open_trace(self, plan: MigrationPlan, now: float, **attrs: Any) -> Any:
+        """Open ``plan``'s ``migration`` root span; return its ``plan`` child."""
+        plan.span = self.telemetry.tracer.root(
+            "migration", sim_s=now, kind=plan.kind, **attrs
+        )
+        return plan.span.child("plan", sim_s=now)
+
+    def _finish_plan(
         self,
         plan: MigrationPlan,
-        now: float,
-        span: Any,
+        target_ring: "ConsistentHashRing",
         plan_span: Any,
-        scoring_span: Any,
-        dump_span: Any,
-        fusecache_span: Any,
-    ) -> None:
-        """Pin the plan-phase spans to the modeled sim timeline.
-
-        Wall clocks were measured live while planning ran; the sim
-        windows come from the calibrated :class:`PhaseTimings`, laid out
-        sequentially from the decision time ``now`` (the paper's
-        scoring -> dump -> fusecache pipeline).
-        """
+        cursor: float,
+    ) -> MigrationPlan:
+        """Price phase 3, close the plan trace at ``cursor`` on the sim
+        clock, and (strict mode) check planning left every structure
+        intact."""
+        data_flows: list[Flow] = []
+        import_load: dict[str, int] = {}
+        for (src, dst), keys in plan.transfers.items():
+            size = self._wire_bytes(src, keys)
+            plan.items_to_migrate += len(keys)
+            plan.bytes_to_migrate += size
+            import_load[dst] = import_load.get(dst, 0) + len(keys)
+            if size > 0:
+                data_flows.append(Flow(src, dst, size))
         timings = plan.timings
-        cursor = now
-        if scoring_span is not None:
-            scoring_span.sim_window(cursor, cursor + timings.scoring_s)
-        cursor += timings.scoring_s
-        dump_phase_s = timings.dump_s + timings.metadata_transfer_s
-        dump_span.sim_window(cursor, cursor + dump_phase_s)
-        dump_span.set(
-            dump_s=timings.dump_s,
-            metadata_transfer_s=timings.metadata_transfer_s,
-            metadata_bytes=plan.metadata_bytes,
-        )
-        cursor += dump_phase_s
-        if fusecache_span is not None:
-            fusecache_span.sim_window(cursor, cursor + timings.fusecache_s)
-            fusecache_span.set(
-                rounds=plan.fusecache_rounds,
-                comparisons=plan.fusecache_comparisons,
-            )
-        cursor += timings.fusecache_s
+        timings.data_transfer_s = self.network.phase_time(data_flows)
+        busiest_import = max(import_load.values(), default=0)
+        timings.import_s = busiest_import / self.import_rate_items_s
         plan_span.end(sim_s=cursor)
-        span.set(
+        plan.span.set(
             items_to_migrate=plan.items_to_migrate,
             bytes_to_migrate=plan.bytes_to_migrate,
             pairs=len(plan.transfers),
         )
-        plan.span = span
         metrics = self.telemetry.metrics
         metrics.counter(
             "migrations_planned_total",
@@ -688,6 +661,12 @@ class Master:
             "fusecache_comparisons_total",
             "Timestamp comparisons spent in FuseCache",
         ).inc(plan.fusecache_comparisons)
+        checker = self.strict_checker
+        if checker is not None:
+            names = plan.retiring + plan.retained + plan.new_nodes
+            checker.check_nodes("plan", names, require_sorted=self._mru_sorted)
+            checker.check_target_ring("plan", target_ring)
+        return plan
 
     # ------------------------------------------------------------------
     # Execution
@@ -696,13 +675,16 @@ class Master:
     def execute(self, plan: MigrationPlan, now: float = 0.0) -> MigrationReport:
         """Run phase 3 resiliently and switch membership.
 
-        Keys evicted since planning are skipped (the protocol tolerates
-        drift between the metadata snapshot and the data move).  Each
-        (src, dst) pair's data flow runs under the fault model: failed
-        flows are retried per :attr:`retry_policy` with modeled backoff,
-        node stalls stretch dump/import time, and everything is charged
-        against :attr:`deadline_s`.  When the deadline fires, remaining
-        pairs are abandoned and the scaling action completes cold --
+        The plan expands into :func:`migration_steps` -- pre-deletes, one
+        move per (src, dst) pair, the switch -- run in order, each priced
+        on the modeled clock before the next starts.  Keys evicted since
+        planning are skipped (the protocol tolerates drift between the
+        metadata snapshot and the data move).  Each move's data flow
+        runs under the fault model: failed flows are retried per
+        :attr:`retry_policy` with modeled backoff, node stalls stretch
+        dump/import time, and everything is charged against
+        :attr:`deadline_s`.  When the deadline fires, remaining moves
+        are abandoned and the scaling action completes cold --
         membership still switches, because a late warm-up must never
         block the resize itself.  For scale-in, retiring nodes are
         destroyed after the switch; for scale-out, the new nodes are
@@ -710,66 +692,158 @@ class Master:
         """
         mode = plan.import_mode or self.import_mode
         report = MigrationReport(plan=plan, executed_at=now)
-        injector = self.fault_injector
-        span = plan.span
         clock = now
         deadline = None if self.deadline_s is None else now + self.deadline_s
-        import_span = span.child("import", sim_s=clock, mode=mode)
-        if injector is not None:
-            self._trace_faults(import_span, injector.advance(clock), clock)
-        for node_name, keys in plan.pre_deletes.items():
-            node = self.cluster.nodes.get(node_name)
-            if node is None:
-                continue
-            try:
-                for key in keys:
-                    node.delete(key)
-            except TransportError as exc:
-                # Room-making is an optimisation; an unreachable node
-                # keeps its cold items and the migration proceeds.
-                import_span.event(
-                    "pre_delete_failed",
-                    sim_s=clock,
-                    node=node_name,
-                    error=str(exc),
-                )
-        aborted = False
-        for (src, dst), keys in plan.transfers.items():
-            if aborted:
-                report.unattempted_pairs.append((src, dst))
-                continue
-            if injector is not None:
-                self._trace_faults(
-                    import_span, injector.advance(clock), clock
-                )
-            # A node lost between planning and execution degrades the
-            # migration to a partial warm-up rather than failing it: the
-            # scaling action must still complete (Section III-D's
-            # protocol tolerates snapshot drift).
-            if src not in self.cluster.nodes or dst not in self.cluster.nodes:
-                report.skipped_pairs.append((src, dst))
-                import_span.event(
-                    "pair_skipped", sim_s=clock, src=src, dst=dst,
-                    reason="node lost before execution",
-                )
-                continue
-            clock = self._migrate_pair(
-                plan, report, src, dst, keys, mode, clock, import_span
+        import_span = plan.span.child("import", sim_s=clock, mode=mode)
+        self._advance_faults(import_span, clock)
+        results: list[StepResult] = []
+        for step in migration_steps(plan):
+            if step.kind == PRE_DELETE:
+                self._pre_delete(step, clock, import_span)
+            elif step.kind == SWITCH:
+                self._switch(report, results, mode, clock, import_span)
+            elif report.abort_reason is not None:
+                results.append(StepResult(step, UNATTEMPTED))
+            else:
+                self._advance_faults(import_span, clock)
+                result, clock = self._move(step, mode, clock, import_span)
+                results.append(result)
+                if deadline is not None and clock >= deadline:
+                    report.abort_reason = (
+                        f"deadline of {self.deadline_s:.1f}s exceeded "
+                        f"{clock - now:.1f}s into phase 3 "
+                        f"(pair {step.src} -> {step.dst})"
+                    )
+                    import_span.event(
+                        "deadline_exceeded", sim_s=clock,
+                        deadline_s=self.deadline_s,
+                    )
+        return report
+
+    def _pre_delete(self, step: MigrationStep, clock: float, span: Any) -> None:
+        """Naive's room-making on one node; best effort."""
+        node = self.cluster.nodes.get(step.src)
+        if node is None:
+            return
+        try:
+            for key in step.keys:
+                node.delete(key)
+        except TransportError as exc:
+            # Room-making is an optimisation; an unreachable node keeps
+            # its cold items and the migration proceeds.
+            span.event(
+                "pre_delete_failed", sim_s=clock, node=step.src,
+                error=str(exc),
             )
-            if deadline is not None and clock >= deadline:
-                aborted = True
-                report.abort_reason = (
-                    f"deadline of {self.deadline_s:.1f}s exceeded "
-                    f"{clock - now:.1f}s into phase 3 (pair {src} -> {dst})"
+
+    def _move(
+        self, step: MigrationStep, mode: str, clock: float, parent_span: Any
+    ) -> tuple[StepResult, float]:
+        """Move one (src, dst) pair under the fault model; returns its
+        result and the modeled clock after the attempt(s)."""
+        src, dst, keys = step.src, step.dst, step.keys
+        nodes = self.cluster.nodes
+        result = StepResult(step)
+        # A node lost between planning and execution degrades the
+        # migration to a partial warm-up rather than failing it: the
+        # scaling action must still complete (Section III-D's protocol
+        # tolerates snapshot drift).
+        if src not in nodes or dst not in nodes:
+            result.status = SKIPPED
+            parent_span.event(
+                "pair_skipped", sim_s=clock, src=src, dst=dst,
+                reason="node lost before execution",
+            )
+            return result, clock
+        metrics = self.telemetry.metrics
+        pair_span = parent_span.child(
+            "pair", sim_s=clock, src=src, dst=dst, keys=len(keys)
+        )
+        size = self._wire_bytes(src, keys)
+        flow = Flow(src, dst, size) if size > 0 else None
+        attempt = None
+        failures = 0
+        while flow is not None:
+            attempt = self.network.attempt_flow(flow, now=clock)
+            if attempt.ok:
+                break
+            failures += 1
+            clock += attempt.duration_s
+            result.retry_s += attempt.duration_s
+            pair_span.event(
+                "flow_failed", sim_s=clock, error=attempt.error,
+                attempt=failures,
+            )
+            if failures >= self.retry_policy.max_attempts:
+                result.status = FAILED
+                break
+            backoff = self.retry_policy.backoff_s(failures)
+            result.retries += 1
+            result.retry_s += backoff
+            clock += backoff
+            pair_span.event("retry", sim_s=clock, backoff_s=backoff)
+            metrics.counter(
+                "migration_retries_total",
+                "Data-flow retries during migrations",
+            ).inc()
+            # Let faults scheduled during the backoff window land before
+            # the retry (a crashed endpoint fails the pair).
+            self._advance_faults(pair_span, clock)
+            if src not in nodes or dst not in nodes:
+                result.status = SKIPPED
+                break
+        if result.status == COMPLETED:
+            # The flow went through: dump, transfer and import, with node
+            # stalls stretching the modeled local durations.
+            dump_factor = import_factor = 1.0
+            if self.fault_injector is not None:
+                dump_factor = self.fault_injector.rate_factor(src, clock)
+                import_factor = self.fault_injector.rate_factor(dst, clock)
+            clock += Agent.local_seconds(len(keys), self.dump_rate_items_s, dump_factor)
+            if attempt is not None:
+                clock += attempt.duration_s
+            try:
+                migrated = nodes[src].export_items(keys)
+                result.exported = len(migrated)
+                result.imported = nodes[dst].batch_import(
+                    migrated, mode=mode, now=clock
                 )
-                import_span.event(
-                    "deadline_exceeded", sim_s=clock,
-                    deadline_s=self.deadline_s,
+                clock += Agent.local_seconds(
+                    result.imported, self.import_rate_items_s, import_factor
                 )
+            except TransportError as exc:
+                # A live (socket-backed) pair whose transport retries ran
+                # out degrades exactly like an exhausted simulated flow.
+                result.status = FAILED
+                failures += 1
+                pair_span.event("transport_failed", sim_s=clock, error=str(exc))
+                metrics.counter(
+                    "migration_transport_failures_total",
+                    "Live data flows lost to exhausted transport retries",
+                ).inc()
+        if result.status == COMPLETED:
+            pair_span.set(outcome=COMPLETED, items=result.imported, bytes=size)
+        else:
+            pair_span.set(outcome=result.status, attempts=failures)
+        pair_span.end(sim_s=clock)
+        return result, clock
+
+    def _switch(
+        self,
+        report: MigrationReport,
+        results: list[StepResult],
+        mode: str,
+        clock: float,
+        import_span: Any,
+    ) -> None:
+        """Fold the move results into ``report``, then switch membership
+        (unless the deadline fired under ``on_deadline="raise"``)."""
+        plan = report.plan
+        cluster = self.cluster
         import_span.end(sim_s=clock)
-        report.actual_duration_s = clock - now
+        report.fold(results)
+        report.actual_duration_s = clock - report.executed_at
         plan.timings.retry_s += report.retry_time_s
-        report.outcome = report.classify()
         if mode != "merge" and report.items_imported > 0:
             self._mru_sorted = False
         if self.strict_checker is not None:
@@ -778,55 +852,46 @@ class Master:
             self.strict_checker.check_nodes(
                 "import", sorted(targets), require_sorted=self._mru_sorted
             )
-        if aborted and self.on_deadline == "raise":
-            self._finish_migration_trace(span, report, clock)
-            raise MigrationAbortedError(report.abort_reason or "aborted")
-        switch_span = span.child("switch", sim_s=clock)
+        if report.abort_reason is not None and self.on_deadline == "raise":
+            self._finish_migration_trace(report, clock)
+            raise MigrationAbortedError(report.abort_reason)
+        switch_span = plan.span.child("switch", sim_s=clock)
         if plan.kind == "scale_in":
-            retained = [
-                name
-                for name in plan.retained
-                if name in self.cluster.nodes
-            ]
+            retained = [name for name in plan.retained if name in cluster.nodes]
             if not retained:
                 switch_span.end(sim_s=clock)
-                self._finish_migration_trace(span, report, clock)
-                raise MigrationError(
-                    "no retained node survived until execution"
-                )
-            self.cluster.set_membership(retained)
+                self._finish_migration_trace(report, clock)
+                raise MigrationError("no retained node survived until execution")
+            cluster.set_membership(retained)
             for name in plan.retiring:
-                if name in self.cluster.nodes:
-                    self.cluster.destroy(name)
+                if name in cluster.nodes:
+                    cluster.destroy(name)
         else:
             for name in plan.new_nodes:
-                if name in self.cluster.nodes:
-                    self.cluster.activate(name)
-        report.membership_after = sorted(self.cluster.active_members)
+                if name in cluster.nodes:
+                    cluster.activate(name)
+        report.membership_after = sorted(cluster.active_members)
         self._notify_membership(report.membership_after)
         switch_span.set(membership=report.membership_after)
         switch_span.end(sim_s=clock)
-        self._finish_migration_trace(span, report, clock)
+        self._finish_migration_trace(report, clock)
         if self.strict_checker is not None:
             self.strict_checker.check_cluster_ring("switch")
-        return report
 
-    def _trace_faults(
-        self, span: Any, fired: Any, clock: float
-    ) -> None:
-        """Record injector faults that landed mid-migration as span events."""
-        for applied in fired:
+    def _advance_faults(self, span: Any, clock: float) -> None:
+        """Advance the fault injector to ``clock``; faults that land
+        mid-migration become span events."""
+        if self.fault_injector is None:
+            return
+        for applied in self.fault_injector.advance(clock):
             span.event(
-                "fault",
-                sim_s=clock,
-                kind=applied.spec.kind,
+                "fault", sim_s=clock, kind=applied.spec.kind,
                 detail=applied.detail,
             )
 
-    def _finish_migration_trace(
-        self, span: Any, report: MigrationReport, clock: float
-    ) -> None:
+    def _finish_migration_trace(self, report: MigrationReport, clock: float) -> None:
         """Close the migration's root span and flush its metrics."""
+        span = report.plan.span
         span.set(
             outcome=report.outcome,
             items_exported=report.items_exported,
@@ -874,214 +939,28 @@ class Master:
         """Adapt ``plan`` to nodes that died since it was computed.
 
         Returns the plan unchanged when every referenced node is still
-        alive.  When a *retained* (or, for scale-out, existing) node died,
-        the migration is re-planned from scratch against the surviving
-        membership so its data flows target live nodes; dead *retiring*
-        nodes are simply dropped (their data is gone either way).
-        Returns ``None`` when nothing is left to do -- e.g. every node
-        being added by a scale-out died before activation.
+        alive.  Otherwise phases 1 and 2 re-run against the surviving
+        membership so data flows target live nodes: dead *retiring*
+        nodes are simply dropped (their data is gone either way), and a
+        scale-out re-plans over its surviving, already provisioned new
+        nodes.  Returns ``None`` when nothing is left to do -- e.g. every
+        node being added by a scale-out died before activation.
         """
         live = set(self.cluster.nodes)
+        if set(plan.retiring) | set(plan.retained) | set(plan.new_nodes) <= live:
+            return plan
+        active = set(self.cluster.active_members)
         if plan.kind == "scale_in":
-            referenced = set(plan.retained) | set(plan.retiring)
-            if referenced <= live:
-                return plan
-            retiring = [
-                name
-                for name in plan.retiring
-                if name in self.cluster.active_members
-            ]
-            retained = set(self.cluster.active_members) - set(retiring)
-            if not retained:
-                return None
-            if not retiring:
+            retiring = [name for name in plan.retiring if name in active]
+            if not retiring or not active - set(retiring):
                 return None
             fresh = self.plan_scale_in(retiring, include_scoring=False)
-            fresh.import_mode = plan.import_mode
-            plan.span.set(outcome="replanned")
-            plan.span.end()
-            return fresh
-        surviving_new = [
-            name for name in plan.new_nodes if name in live
-        ]
-        if set(plan.retained) | set(plan.new_nodes) <= live:
-            return plan
-        if not surviving_new:
-            return None
-        # Re-plan the metadata/fusecache phases against the survivors:
-        # tear down nothing (surviving new nodes stay provisioned) and
-        # rebuild the transfer map from live existing nodes.
-        replanned = self._replan_scale_out(surviving_new)
-        replanned.import_mode = plan.import_mode
-        replanned.span = plan.span  # keep the original decision's trace
-        return replanned
-
-    def _replan_scale_out(self, new_names: list[str]) -> MigrationPlan:
-        """Re-run scale-out planning for already-provisioned new nodes."""
-        existing = sorted(self.cluster.active_members)
-        members_after = existing + sorted(new_names)
-        target_ring = self.cluster.ring_for(members_after)
-        plan = MigrationPlan(
-            kind="scale_out",
-            retiring=[],
-            retained=existing,
-            new_nodes=sorted(new_names),
-            transfers={},
-            timings=PhaseTimings(),
-        )
-        new_set = set(new_names)
-        import_load: dict[str, int] = {name: 0 for name in new_names}
-        for src in existing:
-            agent = self.agent(src)
-            grouped = agent.dump_and_hash(target_ring)
-            for dst, per_class in grouped.items():
-                if dst not in new_set:
-                    continue
-                for class_id, entries in per_class.items():
-                    keys = [key for key, _ in entries]
-                    if keys:
-                        plan.transfers.setdefault((src, dst), []).extend(
-                            keys
-                        )
-                        import_load[dst] += len(keys)
-        self._price_data_phase(plan, import_load)
-        return plan
-
-    # ------------------------------------------------------------------
-    # Internals
-    # ------------------------------------------------------------------
-
-    def _migrate_pair(
-        self,
-        plan: MigrationPlan,
-        report: MigrationReport,
-        src: str,
-        dst: str,
-        keys: list[str],
-        mode: str,
-        clock: float,
-        parent_span: Any = NULL_SPAN,
-    ) -> float:
-        """Move one (src, dst) pair under the fault model; returns the
-        modeled clock after the attempt(s)."""
-        injector = self.fault_injector
-        metrics = self.telemetry.metrics
-        pair_span = parent_span.child(
-            "pair", sim_s=clock, src=src, dst=dst, keys=len(keys)
-        )
-        size = self._pair_bytes(src, keys)
-        flow = Flow(src, dst, size) if size > 0 else None
-        failures = 0
-        while True:
-            if flow is not None:
-                result = self.network.attempt_flow(flow, now=clock)
-            else:
-                result = None
-            if result is None or result.ok:
-                break
-            failures += 1
-            clock += result.duration_s
-            report.retry_time_s += result.duration_s
-            pair_span.event(
-                "flow_failed",
-                sim_s=clock,
-                error=result.error,
-                attempt=failures,
-            )
-            if failures >= self.retry_policy.max_attempts:
-                report.failed_flows.append((src, dst))
-                pair_span.set(outcome="failed", attempts=failures)
-                pair_span.end(sim_s=clock)
-                return clock
-            backoff = self.retry_policy.backoff_s(failures)
-            report.retries += 1
-            report.retry_time_s += backoff
-            clock += backoff
-            pair_span.event("retry", sim_s=clock, backoff_s=backoff)
-            metrics.counter(
-                "migration_retries_total",
-                "Data-flow retries during migrations",
-            ).inc()
-            if injector is not None:
-                # Let faults scheduled during the backoff window land
-                # before the retry (a crashed endpoint fails the pair).
-                self._trace_faults(
-                    pair_span, injector.advance(clock), clock
-                )
-                if (
-                    src not in self.cluster.nodes
-                    or dst not in self.cluster.nodes
-                ):
-                    report.skipped_pairs.append((src, dst))
-                    pair_span.set(outcome="skipped", attempts=failures)
-                    pair_span.end(sim_s=clock)
-                    return clock
-        # Dump, transfer, and import succeed; node stalls stretch the
-        # modeled durations.
-        dump_factor = import_factor = 1.0
-        if injector is not None:
-            dump_factor = injector.rate_factor(src, clock)
-            import_factor = injector.rate_factor(dst, clock)
-        src_agent = self.agent(src)
-        dst_agent = self.agent(dst)
-        clock += src_agent.dump_seconds(
-            len(keys), self.dump_rate_items_s, dump_factor
-        )
-        if result is not None:
-            clock += result.duration_s
-        try:
-            migrated = src_agent.export_items(keys)
-            report.items_exported += len(migrated)
-            imported = dst_agent.import_items(migrated, mode=mode, now=clock)
-        except TransportError as exc:
-            # A live (socket-backed) pair whose transport retries ran out
-            # degrades exactly like an exhausted simulated flow: record
-            # the failure and move on, because the scaling action itself
-            # must still complete.
-            report.failed_flows.append((src, dst))
-            pair_span.event("transport_failed", sim_s=clock, error=str(exc))
-            pair_span.set(outcome="failed", attempts=failures + 1)
-            pair_span.end(sim_s=clock)
-            metrics.counter(
-                "migration_transport_failures_total",
-                "Live data flows lost to exhausted transport retries",
-            ).inc()
-            return clock
-        report.items_imported += imported
-        clock += dst_agent.import_seconds(
-            imported, self.import_rate_items_s, import_factor
-        )
-        report.completed_pairs += 1
-        pair_span.set(outcome="completed", items=imported, bytes=size)
-        pair_span.end(sim_s=clock)
-        return clock
-
-    def _pair_bytes(self, src: str, keys: list[str]) -> int:
-        """Current wire size of one pair's keys (evicted keys excluded)."""
-        node = self.cluster.nodes[src]
-        size = 0
-        for key in keys:
-            item = node.peek(key)
-            if item is not None:
-                size += len(key) + item.value_size
-        return size
-
-    def _price_data_phase(
-        self, plan: MigrationPlan, import_load: dict[str, int]
-    ) -> None:
-        """Fill in phase-3 byte counts and modeled durations."""
-        data_flows: list[Flow] = []
-        for (src, dst), keys in plan.transfers.items():
-            node = self.cluster.nodes[src]
-            size = 0
-            for key in keys:
-                item = node.peek(key)
-                if item is not None:
-                    size += len(key) + item.value_size
-            plan.items_to_migrate += len(keys)
-            plan.bytes_to_migrate += size
-            if size > 0:
-                data_flows.append(Flow(src, dst, size))
-        plan.timings.data_transfer_s = self.network.phase_time(data_flows)
-        busiest_import = max(import_load.values(), default=0)
-        plan.timings.import_s = busiest_import / self.import_rate_items_s
+        else:
+            new_nodes = [name for name in plan.new_nodes if name in live]
+            if not new_nodes:
+                return None
+            fresh = self._plan("scale_out", sorted(active), new_nodes, 0.0)
+        fresh.import_mode = plan.import_mode
+        plan.span.set(outcome="replanned")
+        plan.span.end()
+        return fresh
