@@ -7,18 +7,31 @@ custom commands the paper adds for ElMem (Section V-A1):
 - :meth:`MemcachedNode.dump_timestamps` -- the *timestamp dump* command that
   writes a slab's MRU timestamps (the input to FuseCache), and
 - :meth:`MemcachedNode.batch_import` -- the *batch import* command that
-  installs migrated KV pairs while evicting colder local items.
+  installs migrated KV pairs while evicting colder local items
+  (:meth:`MemcachedNode.import_steps` is the same import one record per
+  step, for a server that keeps serving while it imports).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Iterable
+from typing import Any, Generator, Iterable, TypeVar
 
 from repro.errors import CapacityError
 from repro.memcached.items import ITEM_OVERHEAD, Item
 from repro.memcached.slab import PAGE_SIZE, SlabAllocator, SlabClass
 from repro.obs.metrics import NULL_METRICS
+
+_T = TypeVar("_T")
+
+
+def drain(steps: Generator[None, None, _T]) -> _T:
+    """Run a step generator to its end in one go; its return value."""
+    while True:
+        try:
+            next(steps)
+        except StopIteration as done:
+            return done.value
 
 
 @dataclass
@@ -506,29 +519,49 @@ class MemcachedNode:
 
         Returns the number of items actually imported.
         """
+        return drain(self.import_steps(migrated, mode, now))
+
+    def import_steps(
+        self,
+        migrated: Iterable[MigratedItem],
+        mode: str = "merge",
+        now: float = 0.0,
+    ) -> Generator[None, None, int]:
+        """:meth:`batch_import` one record at a time: yields after each
+        record and returns the number imported.
+
+        A live server runs the steps a slice at a time, so requests for
+        other keys interleave with a long import.  Every record is
+        applied whole before the yield that follows it, so the node is
+        consistent between steps; closing the generator early keeps the
+        records applied so far.
+        """
         if mode not in ("merge", "prepend", "fresh"):
             raise ValueError(f"unknown import mode {mode!r}")
         count = 0
-        for record in migrated:
-            existing = self._table.get(record.key)
-            if existing is not None:
-                self._unlink(existing)
-            item = Item(record.key, record.value, record.value_size, 0.0)
-            item.cas_id = self._next_cas()
-            if mode == "fresh":
-                item.last_access = now
-                item.created_at = now
-            else:
-                item.last_access = record.last_access
-                item.created_at = record.created_at or record.last_access
-            if mode == "merge":
-                inserted = self._insert_sorted(item)
-            else:
-                inserted = self._insert(item)
-            if inserted:
-                count += 1
-                self.stats.imported += 1
-        self._m_imported.inc(count)
+        try:
+            for record in migrated:
+                existing = self._table.get(record.key)
+                if existing is not None:
+                    self._unlink(existing)
+                item = Item(record.key, record.value, record.value_size, 0.0)
+                item.cas_id = self._next_cas()
+                if mode == "fresh":
+                    item.last_access = now
+                    item.created_at = now
+                else:
+                    item.last_access = record.last_access
+                    item.created_at = record.created_at or record.last_access
+                if mode == "merge":
+                    inserted = self._insert_sorted(item)
+                else:
+                    inserted = self._insert(item)
+                if inserted:
+                    count += 1
+                    self.stats.imported += 1
+                yield
+        finally:
+            self._m_imported.inc(count)
         return count
 
     def median_timestamp(self, class_id: int) -> float | None:

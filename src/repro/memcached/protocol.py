@@ -36,17 +36,21 @@ Framing is :mod:`repro.wire`'s: :meth:`TextProtocolServer.feed` pushes
 arbitrary byte chunks through a :class:`~repro.wire.RequestFramer` and
 runs the ``_cmd_<verb>`` handler of every request they complete, so
 arity, sizes and data trailers are already checked when a handler
-runs.  ``exptime`` is interpreted as relative seconds (simulation
+runs.  :meth:`TextProtocolServer.feed_stepwise` is the same dispatch for
+a live server: a chunk that completes a ``batch_import`` comes back as a
+generator applying one record per step, which the server runs a slice
+at a time between other connections' requests; :meth:`feed` drains it
+in one go.  ``exptime`` is interpreted as relative seconds (simulation
 time); Memcached's 30-day absolute-timestamp rule is not modeled.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Any, Callable
+from typing import Any, Callable, Generator
 
 from repro import wire
-from repro.memcached.node import MemcachedNode, MigratedItem
+from repro.memcached.node import MemcachedNode, MigratedItem, drain
 from repro.obs import NULL_TELEMETRY, Telemetry
 from repro.obs.export import to_prometheus
 from repro.obs.livetrace import TraceContext
@@ -54,6 +58,9 @@ from repro.obs.metrics import LATENCY_SECONDS_BUCKETS
 from repro.wire import BAD_FORMAT, CRLF
 
 Handler = Callable[[str, list[str], Any], bytes]
+
+Steps = Generator[None, None, bytes]
+"""A reply computed a step at a time; returns the reply bytes."""
 
 
 class TextProtocolServer:
@@ -112,8 +119,25 @@ class TextProtocolServer:
 
     def feed(self, data: bytes) -> bytes:
         """Consume ``data`` and return the responses it completes."""
+        responses = self.feed_stepwise(data)
+        return responses if isinstance(responses, bytes) else drain(responses)
+
+    def feed_stepwise(self, data: bytes) -> bytes | Steps:
+        """:meth:`feed` for a server that keeps serving while it imports.
+
+        Returns what :meth:`feed` returns, unless ``data`` completes a
+        ``batch_import`` with records: then a generator that applies
+        them one record per step (see
+        :meth:`~repro.memcached.node.MemcachedNode.import_steps`),
+        answers the requests behind it, and returns the responses.  A
+        chunk without an import takes no generator.
+        """
+        requests = self._framer.feed(data)
         responses: list[bytes] = []
-        for verb, args, body, ctx in self._framer.feed(data):
+        for verb, args, body, ctx in requests:
+            if verb == "batch_import" and body:
+                return self._stepwise(requests, responses)
+            # Inlined _respond: this loop is the per-chunk hot path.
             if verb is None:
                 responses.append(body)
                 continue
@@ -123,6 +147,33 @@ class TextProtocolServer:
             else:
                 responses.append(handler(verb, args, body))
         return b"".join(responses)
+
+    def _stepwise(
+        self, requests: list[wire.Request], responses: list[bytes]
+    ) -> Steps:
+        """Answer the rest of a chunk from its first ``batch_import`` on
+        (``responses`` holds one reply per request before it), each
+        import one record per step."""
+        for verb, args, body, ctx in requests[len(responses):]:
+            if verb == "batch_import" and body:
+                steps = self._batch_import_steps(args, body)
+                if self._obs or ctx is not None:
+                    steps = self._timed_steps(verb, steps, ctx)
+                responses.append((yield from steps))
+            else:
+                responses.append(self._respond(verb, args, body, ctx))
+        return b"".join(responses)
+
+    def _respond(
+        self, verb: str | None, args: list[str], body: Any, ctx: TraceContext | None
+    ) -> bytes:
+        """The reply to one framed request (a rejection's is its body)."""
+        if verb is None:
+            return body
+        handler: Handler = getattr(self, "_cmd_" + verb)
+        if self._obs or ctx is not None:
+            return self._run_timed(handler, verb, args, body, ctx)
+        return handler(verb, args, body)
 
     def execute(self, command: str, payload: bytes | None = None) -> bytes:
         """One-shot helper: run a single command line (plus payload)."""
@@ -141,19 +192,48 @@ class TextProtocolServer:
         try:
             return handler(verb, args, body)
         finally:
-            elapsed = time.perf_counter() - start  # repro: allow[REP001]
-            self.execute_seconds += elapsed
-            if self._m_execute is not None:
-                self._m_execute.observe(elapsed)
-            if ctx is not None and self._live.enabled:
-                wall_end = time.time()  # repro: allow[REP001]
-                span = self._live.start_span(
-                    f"server.{verb}",
-                    ctx,
-                    start_s=wall_end - elapsed,
-                    node=self.node.name,
-                )
-                span.end(wall_end)
+            self._observe(
+                verb,
+                time.perf_counter() - start,  # repro: allow[REP001]
+                ctx,
+            )
+
+    def _timed_steps(
+        self, verb: str, steps: Steps, ctx: TraceContext | None
+    ) -> Steps:
+        """``steps``, timed as :meth:`_run_timed` times a handler: one
+        observation of the time spent inside them, not across the
+        yields (other connections' turns)."""
+        elapsed = 0.0
+        try:
+            while True:
+                start = time.perf_counter()  # repro: allow[REP001]
+                try:
+                    next(steps)
+                except StopIteration as done:
+                    return done.value
+                finally:
+                    elapsed += time.perf_counter() - start  # repro: allow[REP001]
+                yield
+        finally:
+            steps.close()
+            self._observe(verb, elapsed, ctx)
+
+    def _observe(
+        self, verb: str, elapsed: float, ctx: TraceContext | None
+    ) -> None:
+        self.execute_seconds += elapsed
+        if self._m_execute is not None:
+            self._m_execute.observe(elapsed)
+        if ctx is not None and self._live.enabled:
+            wall_end = time.time()  # repro: allow[REP001]
+            span = self._live.start_span(
+                f"server.{verb}",
+                ctx,
+                start_s=wall_end - elapsed,
+                node=self.node.name,
+            )
+            span.end(wall_end)
 
     # ------------------------------------------------------------------
     # Storage commands
@@ -342,6 +422,13 @@ class TextProtocolServer:
     def _cmd_batch_import(
         self, verb: str, args: list[str], records: list[MigratedItem]
     ) -> bytes:
+        return drain(self._batch_import_steps(args, records))
+
+    def _batch_import_steps(
+        self, args: list[str], records: list[MigratedItem]
+    ) -> Steps:
+        """The ``batch_import`` reply, one record applied per step; a
+        batch with a duplicate key is refused before any record is."""
         seen: set[str] = set()
         for record in records:
             if record.key in seen:
@@ -349,7 +436,7 @@ class TextProtocolServer:
                     f"CLIENT_ERROR duplicate key in batch: {record.key}"
                 ).encode("utf-8") + CRLF
             seen.add(record.key)
-        imported = self.node.batch_import(
+        imported = yield from self.node.import_steps(
             records, mode=args[0], now=self.clock()
         )
         return f"IMPORTED {imported}".encode("utf-8") + CRLF

@@ -5,6 +5,7 @@ expected visible state in plain dicts, checking after every step that
 lookups, memory accounting, and MRU structure stay coherent.
 """
 
+import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import (
@@ -95,6 +96,39 @@ class NodeMachine(RuleBasedStateMachine):
         assert self.node.batch_import([migrated], mode="merge") == 1
         self.model[key] = f"m@{now}"
         self.expiry.pop(key, None)
+
+    @rule(
+        keys=st.lists(
+            st.sampled_from(KEYS), min_size=1, max_size=6, unique=True
+        ),
+        probe=st.sampled_from(KEYS),
+        age=st.floats(0.0, 10.0),
+    )
+    def do_stepped_import(self, keys, probe, age):
+        """A batch applied one record per step, the way a live server
+        runs it, with a get served after every step."""
+        now = self._tick()
+        batch = [
+            MigratedItem(
+                key=key,
+                value=f"s@{now}:{key}",
+                value_size=64,
+                last_access=max(0.0, now - age),
+            )
+            for key in keys
+        ]
+        steps = self.node.import_steps(batch, mode="merge")
+        for record in batch:
+            next(steps)
+            self.model[record.key] = record.value
+            self.expiry.pop(record.key, None)
+            self._expire_model()
+            assert self.node.get(probe, now) == self.model.get(probe)
+            self.memory_accounting_consistent()
+            self.mru_lists_are_well_formed()
+        with pytest.raises(StopIteration) as done:
+            next(steps)
+        assert done.value.value == len(batch)
 
     @rule()
     def do_crawl(self):
