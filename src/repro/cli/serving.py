@@ -210,7 +210,7 @@ def _cmd_proxy(args: argparse.Namespace) -> int:
         ],
         harness.stop,
         telemetry=telemetry,
-        sanitizers=[harness.sanitizer, harness.backends.sanitizer],
+        sanitizers=[harness.sanitizer],
     )
 
 

@@ -1,24 +1,26 @@
 """Asyncio TCP server fronting a live Memcached node, plus a harness.
 
 :class:`NodeServer` listens on localhost and speaks the text protocol of
-:class:`~repro.memcached.protocol.TextProtocolServer`.  The parser is
-incremental, so the server simply feeds it whatever chunks the socket
-delivers -- fragmented commands, values split across reads, and whole
-pipelined bursts all work -- and writes each chunk's responses in a
-single batched ``write``.  A ``batch_import`` runs in steps
+:class:`~repro.memcached.protocol.TextProtocolServer`.  Each accepted
+connection is one :class:`Connection` protocol: ``data_received`` feeds
+the chunk to the incremental parser -- fragmented commands, values split
+across reads, and whole pipelined bursts all work -- and writes the
+chunk's responses in one ``transport.write``.  A chunk that cannot be
+answered at once *holds* its connection (see :class:`Connection`): a
+``batch_import`` runs in steps
 (:meth:`~repro.memcached.protocol.TextProtocolServer.feed_stepwise`),
-and the server returns to the event loop every :data:`STEP_BUDGET_S`
-of them, so gets from other connections interleave with a long import
-instead of queueing behind it.  Shutdown drains gracefully: the
-listener closes first, open connections get their buffered responses
-flushed, and only stragglers past the grace period are aborted.
+returning to the event loop every :data:`STEP_BUDGET_S` of them, so gets
+from other connections interleave with a long import instead of queueing
+behind it.  Shutdown drains gracefully: the listener closes first, open
+connections get their buffered responses flushed, and only stragglers
+past the grace period are aborted.
 
 Fault injection happens per received chunk: when a
 :class:`~repro.faults.sockets.SocketFaultPolicy` is attached, the server
 asks it for a disposition before parsing and either aborts the
-connection (crash / failed flow) or sleeps (stall / throttle), which is
-how the client's timeout+retry path and the Master's degrade-to-cold
-path are exercised over real sockets.
+connection (crash / failed flow) or holds the chunk back (stall /
+throttle), which is how the client's timeout+retry path and the Master's
+degrade-to-cold path are exercised over real sockets.
 
 :class:`LiveClusterHarness` boots several node servers in one background
 event loop with a shared wall-clock timeline, which is what the CLI, the
@@ -29,7 +31,8 @@ from __future__ import annotations
 
 import asyncio
 import time
-from typing import Any, Callable, Iterable, TypeVar
+from collections import deque
+from typing import Any, Awaitable, Callable, Iterable, TypeVar, Union, cast
 
 from repro.check.loopcheck import create_sanitizer
 from repro.errors import ConfigurationError
@@ -40,9 +43,6 @@ from repro.net.runtime import EventLoopThread
 from repro.obs import NULL_TELEMETRY, Telemetry
 from repro.obs.metrics import LATENCY_SECONDS_BUCKETS
 
-RECV_CHUNK = 65536
-"""Bytes per socket read."""
-
 STEP_BUDGET_S = 0.001
 """Wall time a stepped command (a ``batch_import``) runs before the
 server returns to the event loop.  Time, not a record count: a merge
@@ -51,6 +51,9 @@ pooled client connection gets at most one round trip per two loop turns:
 on ``scale_in_warm`` a 1 ms budget kept every request within 50 ms of
 its due time, while a 5 ms budget was no better than one unbroken
 import."""
+
+Reply = Union[bytes, Awaitable[bytes]]
+"""A chunk's responses: ready now, or once awaited (a held chunk)."""
 
 
 async def run_steps(steps: Steps) -> bytes:
@@ -74,6 +77,118 @@ async def run_steps(steps: Steps) -> bytes:
         steps.close()
 
 
+class Connection(asyncio.Protocol):
+    """One accepted connection of a :class:`StreamListener`.
+
+    Every received chunk goes to the listener's ``_respond``.  Ready
+    responses (``bytes``) are written at once, in one ``transport.write``.
+    Awaitable ones -- a stepped ``batch_import``, a fault-policy delay, a
+    proxy command awaiting its router -- *hold* the connection: one task
+    awaits them and writes them, and a chunk that arrives meanwhile is
+    buffered, with reading paused, to be answered after them in order.
+    Backpressure is the same switch: past the transport's write
+    high-water mark reading pauses, and buffered chunks wait, until the
+    buffer drains.  A peer that sends without reading therefore leaves
+    at most the high-water mark plus one chunk's responses here.
+    """
+
+    __slots__ = (
+        "listener", "state", "transport", "lost", "held", "_backlog",
+        "_write_paused",
+    )
+
+    transport: asyncio.Transport
+
+    def __init__(self, listener: StreamListener) -> None:
+        self.listener = listener
+        self.state = listener._state()
+        self.lost: asyncio.Future[None] = (
+            asyncio.get_running_loop().create_future()
+        )
+        self.held: asyncio.Task[None] | None = None
+        self._backlog: deque[bytes] = deque()
+        self._write_paused = False
+
+    def connection_made(self, transport: asyncio.BaseTransport) -> None:
+        self.transport = cast(asyncio.Transport, transport)
+        self.listener._connections.add(self)
+
+    def connection_lost(self, exc: Exception | None) -> None:
+        self.listener._connections.discard(self)
+        self._backlog.clear()
+        if not self.lost.done():
+            self.lost.set_result(None)
+
+    def data_received(self, data: bytes) -> None:
+        if self.held is None:
+            self._serve(data)
+        else:
+            # Paused only now, not when the hold began: a client that
+            # waits for each reply never costs the two selector updates.
+            self._backlog.append(data)
+            self.transport.pause_reading()
+
+    def eof_received(self) -> bool | None:
+        if self.held is None and not self._backlog:
+            return None  # close once the written replies are flushed
+        self._backlog.append(b"")  # hang up after the replies before it
+        return True
+
+    def pause_writing(self) -> None:
+        self._write_paused = True
+        self.transport.pause_reading()
+
+    def resume_writing(self) -> None:
+        self._write_paused = False
+        self._serve_backlog()
+
+    def _serve(self, chunk: bytes) -> None:
+        reply = self.listener._respond(self, chunk)
+        if isinstance(reply, bytes):
+            self._send(reply)
+            return
+        held = asyncio.get_running_loop().create_task(self._hold(reply))
+        self.listener._held.add(held)
+        held.add_done_callback(self.listener._held.discard)
+        self.held = held
+
+    def _serve_backlog(self) -> None:
+        """Answer buffered chunks in order until one holds or writing
+        pauses; with none left, read again."""
+        while not (
+            self.held is not None
+            or self._write_paused
+            or self.transport.is_closing()
+        ):
+            if not self._backlog:
+                self.transport.resume_reading()
+                return
+            chunk = self._backlog.popleft()
+            if not chunk:
+                self.transport.close()  # the peer's EOF
+                return
+            self._serve(chunk)
+
+    def _send(self, reply: bytes) -> None:
+        transport = self.transport
+        if transport.is_closing():
+            return  # dropped, stopped, or the peer is gone
+        if reply:
+            self.listener._write(transport, reply)
+        if self.state.closed:
+            transport.close()  # `quit`, or a line the framer refused
+
+    async def _hold(self, reply: Awaitable[bytes]) -> None:
+        try:
+            self._send(await reply)
+        except Exception:
+            self.transport.abort()  # a reply that never comes must not hang
+            raise
+        finally:
+            self.held = None
+        self._serve_backlog()
+
+
 _ListenerT = TypeVar("_ListenerT", bound="StreamListener")
 
 
@@ -81,11 +196,10 @@ class StreamListener:
     """Listener lifecycle shared by :class:`NodeServer` and the proxy.
 
     Binds ``host:port`` (port 0 picks a free one, read back from
-    :attr:`port` after :meth:`start`), runs the subclass's
-    ``_serve_connection(reader, writer)`` once per accepted connection,
-    and on :meth:`stop` drains: the listener closes first, open
-    connections get ``drain_grace_s`` to finish, stragglers are
-    cancelled.
+    :attr:`port` after :meth:`start`) and serves each accepted
+    connection with one :class:`Connection`.  A subclass supplies the
+    per-connection state (``_state``, whose ``closed`` says when to
+    hang up) and the per-chunk ``_respond``; it may time ``_write``.
     """
 
     def __init__(
@@ -96,19 +210,16 @@ class StreamListener:
         self.port = port
         self.drain_grace_s = drain_grace_s
         self._server: asyncio.Server | None = None
-        self._closing = False
-        self._tasks: set[asyncio.Task] = set()
-        self._writers: set[asyncio.StreamWriter] = set()
+        self._connections: set[Connection] = set()
+        self._held: set[asyncio.Task[None]] = set()
 
     async def start(self: _ListenerT) -> _ListenerT:
         """Bind and start accepting connections; idempotent."""
-        if self._server is not None:
-            return self
-        self._closing = False
-        self._server = await asyncio.start_server(
-            self._handle, self.host, self.port
-        )
-        self.port = self._server.sockets[0].getsockname()[1]
+        if self._server is None:
+            self._server = await asyncio.get_running_loop().create_server(
+                lambda: Connection(self), self.host, self.port
+            )
+            self.port = self._server.sockets[0].getsockname()[1]
         return self
 
     @property
@@ -119,53 +230,43 @@ class StreamListener:
         return self.host, self.port
 
     async def stop(self) -> None:
-        """Stop accepting, drain open connections, then force-close."""
+        """Stop accepting, drain open connections, then force-close.
+
+        Closing a transport flushes its buffered responses, and an idle
+        keep-alive connection (a pooled client) is gone at once.  A peer
+        that does not read its responses is aborted after
+        ``drain_grace_s``; held chunks are cancelled, their responses
+        undeliverable.
+        """
         server = self._server
         if server is None:
             return
-        self._closing = True
         server.close()
+        connections = list(self._connections)
+        for conn in connections:
+            conn.transport.close()
+        lost = [conn.lost for conn in connections]
+        if lost:
+            await asyncio.wait(lost, timeout=self.drain_grace_s)
+        for conn in connections:
+            conn.transport.abort()
+        held = list(self._held)
+        for task in held:
+            task.cancel()
+        await asyncio.gather(*held, *lost, return_exceptions=True)
         await server.wait_closed()
-        # Closing the writers flushes buffered responses and makes
-        # blocked reads return EOF, so idle keep-alive connections
-        # (pooled clients) unwind without waiting out the grace period.
-        for writer in list(self._writers):
-            writer.close()
-        if self._tasks:
-            done, pending = await asyncio.wait(
-                self._tasks, timeout=self.drain_grace_s
-            )
-            for task in pending:
-                task.cancel()
-            if pending:
-                await asyncio.gather(*pending, return_exceptions=True)
         self._server = None
 
-    async def _handle(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        task = asyncio.current_task()
-        if task is not None:
-            self._tasks.add(task)
-        self._writers.add(writer)
-        try:
-            await self._serve_connection(reader, writer)
-        except (OSError, EOFError, asyncio.IncompleteReadError):
-            pass  # peer vanished mid-request; nothing left to answer
-        finally:
-            self._writers.discard(writer)
-            if task is not None:
-                self._tasks.discard(task)
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (OSError, ConnectionError):
-                pass
-
-    async def _serve_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
+    def _state(self) -> Any:
+        """Per-connection state with a ``closed`` flag."""
         raise NotImplementedError
+
+    def _respond(self, conn: Connection, chunk: bytes) -> Reply:
+        """The responses to one received chunk."""
+        raise NotImplementedError
+
+    def _write(self, transport: asyncio.Transport, reply: bytes) -> None:
+        transport.write(reply)
 
 
 class NodeServer(StreamListener):
@@ -236,61 +337,58 @@ class NodeServer(StreamListener):
         )
         self._m_write = metrics.histogram(
             "net_server_write_seconds",
-            "Response write+drain time per chunk",
+            "Response transport.write time per chunk",
             buckets=LATENCY_SECONDS_BUCKETS,
             node=node.name,
         )
 
-    async def _serve_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
+    def _state(self) -> TextProtocolServer:
         self._m_conns.inc()
-        protocol = TextProtocolServer(
-            self.node, self.clock, telemetry=self.telemetry
-        )
-        while not self._closing:
-            chunk = await reader.read(RECV_CHUNK)
-            if not chunk:
-                return
-            self._m_bytes_in.inc(len(chunk))
-            if self.fault_policy is not None:
-                kind, delay = self.fault_policy.disposition(self.node.name)
-                if kind == "drop":
-                    self._m_drops.inc()
-                    transport = writer.transport
-                    if transport is not None:
-                        transport.abort()
-                    return
-                if kind == "delay" and delay > 0:
-                    await asyncio.sleep(delay)
-                    if self._closing:
-                        return
-            # Parsing is all done inside feed_stepwise: a stepped import's
-            # records are framed before its first step runs.
-            if self._obs:
-                execute_before = protocol.execute_seconds
-                feed_start = time.perf_counter()
-                responses = protocol.feed_stepwise(chunk)
-                feed_elapsed = time.perf_counter() - feed_start
-                execute_delta = protocol.execute_seconds - execute_before
-                self._m_parse.observe(max(0.0, feed_elapsed - execute_delta))
-            else:
-                responses = protocol.feed_stepwise(chunk)
-            if not isinstance(responses, bytes):
-                responses = await run_steps(responses)
-            if responses:
-                if self._obs:
-                    write_start = time.perf_counter()
-                    writer.write(responses)
-                    self._m_bytes_out.inc(len(responses))
-                    await writer.drain()
-                    self._m_write.observe(time.perf_counter() - write_start)
-                else:
-                    writer.write(responses)
-                    self._m_bytes_out.inc(len(responses))
-                    await writer.drain()
-            if protocol.closed:
-                return  # `quit`, or a line the framer refused to buffer
+        return TextProtocolServer(self.node, self.clock, telemetry=self.telemetry)
+
+    def _respond(self, conn: Connection, chunk: bytes) -> Reply:
+        self._m_bytes_in.inc(len(chunk))
+        if self.fault_policy is not None:
+            kind, delay = self.fault_policy.disposition(self.node.name)
+            if kind == "drop":
+                self._m_drops.inc()
+                conn.transport.abort()
+                return b""
+            if kind == "delay" and delay > 0:
+                return self._delayed(conn.state, chunk, delay)
+        return self._execute(conn.state, chunk)
+
+    async def _delayed(
+        self, protocol: TextProtocolServer, chunk: bytes, delay: float
+    ) -> bytes:
+        await asyncio.sleep(delay)
+        reply = self._execute(protocol, chunk)
+        return reply if isinstance(reply, bytes) else await reply
+
+    def _execute(self, protocol: TextProtocolServer, chunk: bytes) -> Reply:
+        # Parsing is all done inside feed_stepwise: a stepped import's
+        # records are framed before its first step runs.
+        if self._obs:
+            execute_before = protocol.execute_seconds
+            feed_start = time.perf_counter()
+            responses = protocol.feed_stepwise(chunk)
+            feed_elapsed = time.perf_counter() - feed_start
+            execute_delta = protocol.execute_seconds - execute_before
+            self._m_parse.observe(max(0.0, feed_elapsed - execute_delta))
+        else:
+            responses = protocol.feed_stepwise(chunk)
+        if isinstance(responses, bytes):
+            return responses
+        return run_steps(responses)
+
+    def _write(self, transport: asyncio.Transport, reply: bytes) -> None:
+        if self._obs:
+            write_start = time.perf_counter()
+            transport.write(reply)
+            self._m_write.observe(time.perf_counter() - write_start)
+        else:
+            transport.write(reply)
+        self._m_bytes_out.inc(len(reply))
 
 
 class LiveClusterHarness:

@@ -11,7 +11,10 @@ listener itself stays a thin protocol adapter.
 
 Commands are handled sequentially per connection (the protocol is
 request/response ordered) but concurrently *across* connections, which
-is what lets the coalescer collapse a thundering herd of clients.
+is what lets the coalescer collapse a thundering herd of clients: a
+chunk whose commands await the router holds its connection (see
+:class:`~repro.net.server.Connection`) while other connections are
+served.
 
 Unlike a node server, the proxy never surfaces backend *transport*
 trouble to a client: a dead backend degrades ``get`` to a miss and
@@ -22,8 +25,8 @@ asserts.  A backend's deterministic ``CLIENT_ERROR``/``SERVER_ERROR``
 
 :class:`ProxyHarness` composes a backend
 :class:`~repro.net.server.LiveClusterHarness` with a router and a proxy
-listener on its own event loop, and is synchronous on the outside like
-every other harness in the repo.
+listener on the backends' event loop, and is synchronous on the outside
+like every other harness in the repo.
 """
 
 from __future__ import annotations
@@ -32,11 +35,14 @@ import asyncio
 from typing import Any, Awaitable, Callable, Iterable
 
 from repro import wire
-from repro.check.loopcheck import create_sanitizer
 from repro.errors import ConfigurationError, WireProtocolError
 from repro.faults.sockets import SocketFaultPolicy
-from repro.net.runtime import EventLoopThread
-from repro.net.server import RECV_CHUNK, LiveClusterHarness, StreamListener
+from repro.net.server import (
+    Connection,
+    LiveClusterHarness,
+    Reply,
+    StreamListener,
+)
 from repro.obs import Telemetry, create_telemetry
 from repro.obs.export import to_prometheus
 from repro.obs.livetrace import CURRENT_CONTEXT, TraceContext
@@ -97,54 +103,57 @@ class ProxyServer(StreamListener):
         await super().stop()
         await self.router.close()
 
-    async def _serve_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
+    def _state(self) -> wire.RequestFramer:
         self._m_conns.inc()
-        framer = wire.RequestFramer()
-        while not (self._closing or framer.closed):
-            chunk = await reader.read(RECV_CHUNK)
-            if not chunk:
-                return
-            for verb, args, body, trace_ctx in framer.feed(chunk):
-                self._m_commands.inc()
-                if verb is None:
-                    self._m_protocol_errors.inc()
-                    writer.write(body)
-                else:
-                    writer.write(
-                        await self._execute(verb, args, body, trace_ctx)
-                    )
-            await writer.drain()
+        return wire.RequestFramer()
+
+    def _respond(self, conn: Connection, chunk: bytes) -> Reply:
+        """Answer a chunk's requests in order; from the first one that
+        awaits the router on, the rest are answered in :meth:`_finish`."""
+        requests = conn.state.feed(chunk)
+        replies: list[bytes] = []
+        for index, request in enumerate(requests):
+            reply = self._execute(*request)
+            if not isinstance(reply, bytes):
+                return self._finish(reply, requests[index + 1 :], replies)
+            replies.append(reply)
+        return b"".join(replies)
+
+    async def _finish(
+        self,
+        pending: Awaitable[bytes],
+        requests: list[wire.Request],
+        replies: list[bytes],
+    ) -> bytes:
+        replies.append(await pending)
+        for request in requests:
+            reply = self._execute(*request)
+            replies.append(reply if isinstance(reply, bytes) else await reply)
+        return b"".join(replies)
 
     # ------------------------------------------------------------------
     # Command execution
     # ------------------------------------------------------------------
 
-    async def _execute(
+    def _execute(
         self,
-        verb: str,
+        verb: str | None,
         args: list[str],
         body: Any,
         trace_ctx: TraceContext | None,
-    ) -> bytes:
+    ) -> Reply:
         """Run one framed request: routed, answered locally, or refused."""
+        self._m_commands.inc()
+        if verb is None:
+            self._m_protocol_errors.inc()
+            return body  # the framer's refusal line
         handler = getattr(self, "_cmd_" + verb, None)
         if handler is None:
             self._m_protocol_errors.inc()
             return wire.ERROR
         if not wire.COMMANDS[verb].proxied:
-            return await handler(verb, args, body)
-        try:
-            return await self._execute_routed(handler, verb, args, body, trace_ctx)
-        except WireProtocolError as exc:
-            # A backend's deterministic rejection (object too large,
-            # non-numeric incr target) is the client's answer too.
-            self._m_protocol_errors.inc()
-            line = str(exc).encode("utf-8")
-            if not line.startswith(wire.ERROR_PREFIXES):
-                line = b"SERVER_ERROR " + line
-            return line + CRLF
+            return handler(verb, args, body)
+        return self._execute_routed(handler, verb, args, body, trace_ctx)
 
     async def _execute_routed(
         self,
@@ -160,7 +169,9 @@ class ProxyServer(StreamListener):
         joins its trace; without one the proxy is the trace root and the
         sampler decides.  The resulting context rides the ambient
         :data:`CURRENT_CONTEXT` so :class:`~repro.net.client.NodeClient`
-        picks it up when it hits the backends.
+        picks it up when it hits the backends.  A backend's
+        deterministic rejection (object too large, non-numeric incr
+        target) is the client's answer too.
         """
         live = self.router.telemetry.live
         span = None
@@ -175,6 +186,12 @@ class ProxyServer(StreamListener):
             token = CURRENT_CONTEXT.set(trace_ctx)
         try:
             return await handler(verb, args, body)
+        except WireProtocolError as exc:
+            self._m_protocol_errors.inc()
+            line = str(exc).encode("utf-8")
+            if not line.startswith(wire.ERROR_PREFIXES):
+                line = b"SERVER_ERROR " + line
+            return line + CRLF
         finally:
             if token is not None:
                 CURRENT_CONTEXT.reset(token)
@@ -232,16 +249,14 @@ class ProxyServer(StreamListener):
 
     _cmd_decr = _cmd_incr
 
-    async def _cmd_stats(self, verb: str, args: list[str], body: None) -> bytes:
+    def _cmd_stats(self, verb: str, args: list[str], body: None) -> bytes:
         if args and args[0] == "obs":
             # The harness shares one registry between the proxy and its
             # in-process backends, so a single scrape covers the tier.
             return wire.obs_reply(to_prometheus(self.router.telemetry.metrics))
         return wire.stats_reply(sorted(self.router.stats_snapshot().items()))
 
-    async def _cmd_version(
-        self, verb: str, args: list[str], body: None
-    ) -> bytes:
+    def _cmd_version(self, verb: str, args: list[str], body: None) -> bytes:
         return PROXY_VERSION
 
     async def _cmd_flush_all(
@@ -255,11 +270,14 @@ class ProxyHarness:
     """Backends + router + proxy listener, synchronous on the outside.
 
     Boots a :class:`~repro.net.server.LiveClusterHarness` for the
-    backend fleet, then a :class:`ProxyServer` on its own event loop
-    fronting them.  Clients connect to :attr:`proxy_endpoint`; scale
-    events go through :meth:`router`'s membership listener; backend
-    failures are injected with :meth:`kill_backend` /
-    :meth:`restart_backend`.
+    backend fleet, then a router and a :class:`ProxyServer` fronting
+    them on the same event loop (:attr:`loop`).  Proxy and backends
+    still talk over real sockets; one loop costs no parallelism, since
+    the threads of one process share the GIL anyway, and it saves the
+    GIL hand-off on every backend round trip.  Clients connect to
+    :attr:`proxy_endpoint`; scale events go through :meth:`router`'s
+    membership listener; backend failures are injected with
+    :meth:`kill_backend` / :meth:`restart_backend`.
 
     Parameters
     ----------
@@ -277,10 +295,9 @@ class ProxyHarness:
         (the proxy's own listener is never faulted -- the point is that
         clients behind the proxy stay clean while backends misbehave).
     sanitize:
-        Run both the proxy loop and the backend loop under
-        :class:`~repro.check.loopcheck.LoopSanitizer` instances (asyncio
-        debug mode + blocking-call trap); read verdicts from
-        :attr:`sanitizer` and ``backends.sanitizer`` after :meth:`stop`.
+        Run the loop under a :class:`~repro.check.loopcheck.LoopSanitizer`
+        (asyncio debug mode + blocking-call trap); read the verdict from
+        :attr:`sanitizer` (``backends.sanitizer``) after :meth:`stop`.
     """
 
     def __init__(
@@ -314,10 +331,8 @@ class ProxyHarness:
         self._host = host
         self._proxy_port = proxy_port
         self._drain_grace_s = drain_grace_s
-        self.sanitizer = create_sanitizer(sanitize)
-        self.loop = EventLoopThread(
-            name="proxy-harness", sanitizer=self.sanitizer
-        )
+        self.sanitizer = self.backends.sanitizer
+        self.loop = self.backends.loop
         self.router: ProxyRouter | None = None
         self.server: ProxyServer | None = None
         self._started = False
@@ -347,13 +362,12 @@ class ProxyHarness:
             drain_grace_s=self._drain_grace_s,
             telemetry=self.telemetry,
         )
-        self.loop.start()
         self.loop.call(self.server.start(), timeout=10.0)
         self._started = True
         return self
 
     def stop(self) -> None:
-        """Stop the proxy, then the backends; idempotent.
+        """Stop the proxy, then the backends and the loop; idempotent.
 
         Teardown order matters: the listener stops taking new
         connections, then the router settles its background tasks and
@@ -367,7 +381,6 @@ class ProxyHarness:
             return
         if self.server is not None:
             self.loop.call(self.server.stop(), timeout=30.0)
-        self.loop.stop()
         self.backends.stop()
         self._started = False
 
