@@ -45,6 +45,16 @@ def shutdown_signals() -> "Iterator[Callable[[float | None], str]]":
             signal.signal(sig, old)
 
 
+def sample_fraction(text: str) -> float:
+    """``--trace-sample`` values: a float in [0, 1]."""
+    import argparse
+
+    value = float(text)
+    if not 0.0 <= value <= 1.0:
+        raise argparse.ArgumentTypeError(f"must be in [0, 1], got {text}")
+    return value
+
+
 def parse_endpoint(spec: str) -> tuple[str, int]:
     host, _, port = spec.rpartition(":")
     if not host or not port.isdigit():

@@ -12,7 +12,7 @@ import argparse
 import json
 from typing import Any
 
-from repro.cli._shared import parse_targets
+from repro.cli._shared import parse_targets, sample_fraction
 
 
 def _finish(
@@ -60,10 +60,7 @@ def _cmd_live_migrate(args: argparse.Namespace) -> int:
         from repro.obs import create_telemetry
 
         telemetry = create_telemetry(
-            "live-migrate",
-            live_trace=True,
-            trace_sample=1.0,
-            trace_seed=args.seed,
+            "live-migrate", trace_sample=1.0, trace_seed=args.seed
         )
     result = run_live_migration(
         nodes=args.nodes,
@@ -153,7 +150,7 @@ def _add_live_migrate(sub: argparse._SubParsersAction) -> None:
     live.add_argument(
         "--trace-jsonl",
         default=None,
-        help="trace the migration and export its live spans",
+        help="trace the migration and export its spans",
     )
     live.add_argument(
         "--sanitize",
@@ -249,14 +246,14 @@ def _add_proxy_chaos(sub: argparse._SubParsersAction) -> None:
     )
     chaos.add_argument(
         "--trace-sample",
-        type=float,
+        type=sample_fraction,
         default=0.05,
         help="fraction of proxy requests that start a live trace",
     )
     chaos.add_argument(
         "--trace-jsonl",
         default=None,
-        help="export the run's sampled live spans as JSON lines",
+        help="export the run's sampled spans as JSON lines",
     )
     chaos.add_argument(
         "--window-json",

@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 from typing import TYPE_CHECKING
 
-from repro.cli._shared import parse_targets, shutdown_signals
+from repro.cli._shared import parse_targets, sample_fraction, shutdown_signals
 
 if TYPE_CHECKING:
     from collections.abc import Callable, Iterable
@@ -23,10 +23,7 @@ def _live_telemetry(args: argparse.Namespace, process: str):
     from repro.obs import create_telemetry
 
     return create_telemetry(
-        process,
-        live_trace=True,
-        trace_sample=args.trace_sample,
-        trace_seed=args.trace_seed,
+        process, trace_sample=args.trace_sample, trace_seed=args.trace_seed
     )
 
 
@@ -41,7 +38,7 @@ def _serve_until_stopped(
 ) -> int:
     """Banner, block until a signal or ``--duration``, drain, report.
 
-    After ``stop()``: the live spans go to ``--obs-jsonl``, each loop
+    After ``stop()``: the spans and metrics go to ``--obs-jsonl``, each loop
     sanitizer prints its verdict (exit code 1 on findings), then the
     ``epilogue`` lines and ``stopped.``.
     """
@@ -59,12 +56,11 @@ def _serve_until_stopped(
     finally:
         stop()
     if telemetry is not None and args.obs_jsonl is not None:
-        from repro.obs.livetrace import write_live_jsonl
+        from repro.obs.export import write_jsonl
 
-        count = write_live_jsonl(
-            args.obs_jsonl, telemetry.live, metrics=telemetry.metrics
-        )
-        print(f"live spans -> {args.obs_jsonl} ({count} spans)", flush=True)
+        write_jsonl(args.obs_jsonl, telemetry.tracer, telemetry.metrics)
+        count = len(telemetry.tracer.spans)
+        print(f"spans -> {args.obs_jsonl} ({count} spans)", flush=True)
     code = 0
     for sanitizer in sanitizers:
         if sanitizer is None:
@@ -149,7 +145,7 @@ def _add_obs_flags(command: argparse.ArgumentParser) -> None:
     )
     command.add_argument(
         "--trace-sample",
-        type=float,
+        type=sample_fraction,
         default=1.0,
         help="fraction of requests that start a live trace",
     )

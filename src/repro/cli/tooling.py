@@ -148,28 +148,54 @@ def _add_check(sub: argparse._SubParsersAction) -> None:
 
 
 def _cmd_obs(args: argparse.Namespace) -> int:
-    from repro.obs.livetrace import read_live_spans
+    from repro.errors import ConfigurationError
     from repro.obs.export import read_jsonl
-    from repro.obs.timeline import render_timeline, summary_table
+    from repro.obs.timeline import clock_for, render_timeline, summary_table
+    from repro.obs.trace import build_trees
 
-    live_spans = read_live_spans(args.jsonl)
-    if live_spans:
-        return _obs_stitch(args, live_spans)
-    if len(args.jsonl) != 1:
-        print("multiple files given but none contain live spans")
-        return 1
-    dump = read_jsonl(args.jsonl[0])
+    try:
+        dump = read_jsonl(*args.jsonl)
+    except ConfigurationError as exc:
+        raise SystemExit(f"repro obs: {exc}") from exc
     meta = {k: v for k, v in dump.meta.items() if k != "version"}
     if meta:
         print("run: " + ", ".join(f"{k}={v}" for k, v in meta.items()))
-    if not dump.spans:
+    roots = build_trees(dump.spans)
+    traces: dict[str, list] = {}
+    for root in roots:
+        traces.setdefault(root.trace_id, []).append(root)
+    print(
+        f"{len(dump.spans)} span(s) from {len(args.jsonl)} file(s) "
+        f"in {len(traces)} trace(s)"
+    )
+    shown = list(traces.items())
+    if args.limit > 0:
+        shown = shown[: args.limit]
+    for trace_id, trees in shown:
+        spans = [span for tree in trees for span in tree.walk()]
+        start = min(span.start_s for span in spans)
+        end = max(span.end_s or span.start_s for span in spans)
+        print()
+        print(
+            f"trace {trace_id}  "
+            f"processes: {', '.join(dict.fromkeys(s.process for s in spans))}  "
+            f"spans: {len(spans)}  wall: {(end - start) * 1000:.2f}ms"
+        )
+        for tree in trees:
+            clock = clock_for(tree, args.clock)
+            print(render_timeline(tree, width=args.width, clock=clock))
+    if len(shown) < len(traces):
+        print()
+        print(
+            f"... {len(traces) - len(shown)} more trace(s); "
+            "raise --limit to render them"
+        )
+    if roots:
+        print()
+        sim = any(clock_for(root, args.clock) == "sim" for root in roots)
+        print(summary_table(roots, clock="sim" if sim else "wall"))
+    else:
         print("(no span trees recorded)")
-    for span in dump.spans:
-        print()
-        print(render_timeline(span, width=args.width, clock=args.clock))
-    if dump.spans:
-        print()
-        print(summary_table(dump.spans, clock=args.clock))
     if dump.events:
         print()
         print(f"run-level events ({len(dump.events)}):")
@@ -210,57 +236,29 @@ def _cmd_obs(args: argparse.Namespace) -> int:
     return 0
 
 
-def _obs_stitch(args: argparse.Namespace, live_spans: list) -> int:
-    """Merge live-trace JSONL files and render stitched span trees."""
-    from repro.obs.livetrace import stitch_spans, trace_to_span_tree
-    from repro.obs.timeline import render_timeline
-
-    traces = stitch_spans(live_spans)
-    print(
-        f"stitched {len(live_spans)} live span(s) from "
-        f"{len(args.jsonl)} file(s) into {len(traces)} trace(s)"
-    )
-    shown = traces if args.limit <= 0 else traces[: args.limit]
-    for trace in shown:
-        print()
-        print(
-            f"trace {trace.trace_id}  "
-            f"processes: {', '.join(trace.processes)}  "
-            f"spans: {len(trace.spans)}  "
-            f"wall: {(trace.end_s - trace.start_s) * 1000:.2f}ms"
-        )
-        print(
-            render_timeline(
-                trace_to_span_tree(trace), width=args.width, clock="wall"
-            )
-        )
-    if len(shown) < len(traces):
-        print()
-        print(
-            f"... {len(traces) - len(shown)} more trace(s); "
-            "raise --limit to render them"
-        )
-    return 0
-
-
 def _add_obs(sub: argparse._SubParsersAction) -> None:
     obs = sub.add_parser(
         "obs",
-        help="render telemetry JSONL as ASCII timelines; multiple "
-        "live-trace files are stitched by trace id",
+        help="render telemetry JSONL as ASCII timelines; the spans of "
+        "several files are merged into one tree per trace id",
     )
     obs.add_argument(
         "jsonl",
         nargs="+",
-        help="file(s) written by run --trace-jsonl / --obs-jsonl",
+        help="file(s) written by --trace-jsonl / --obs-jsonl",
     )
     obs.add_argument("--width", type=int, default=60)
-    obs.add_argument("--clock", choices=["sim", "wall"], default="sim")
+    obs.add_argument(
+        "--clock",
+        choices=["sim", "wall"],
+        default="sim",
+        help="axis for trees with sim windows; the rest use the wall clock",
+    )
     obs.add_argument(
         "--limit",
         type=int,
         default=5,
-        help="stitched traces to render (0 renders all)",
+        help="traces to render (0 renders all)",
     )
     obs.set_defaults(func=_cmd_obs)
 

@@ -291,7 +291,7 @@ def run_controlplane_scenario(
         failures.append("no operation completed")
     if load["wire_errors"]:
         failures.append(f"{load['wire_errors']} wire errors in the stream")
-    trace_spans = len(telemetry.tracer.roots)
+    trace_spans = len(telemetry.tracer.spans)
     if trace_jsonl:
         from repro.obs.export import write_jsonl
 

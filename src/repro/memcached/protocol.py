@@ -53,8 +53,8 @@ from repro import wire
 from repro.memcached.node import MemcachedNode, MigratedItem, drain
 from repro.obs import NULL_TELEMETRY, Telemetry
 from repro.obs.export import to_prometheus
-from repro.obs.livetrace import TraceContext
 from repro.obs.metrics import LATENCY_SECONDS_BUCKETS
+from repro.obs.trace import TraceContext
 from repro.wire import BAD_FORMAT, CRLF
 
 Handler = Callable[[str, list[str], Any], bytes]
@@ -76,10 +76,10 @@ class TextProtocolServer:
     telemetry:
         Optional :class:`~repro.obs.Telemetry`.  When its metrics layer
         is enabled each dispatched command is timed into
-        ``net_server_execute_seconds``; when its live tracer is enabled
-        an incoming ``trace <trace_id> <span_id>`` framing line makes the
-        next command record a ``server.<command>`` span joined to the
-        caller's trace.
+        ``net_server_execute_seconds``; when its tracer samples requests
+        (``sample_rate > 0``) an incoming ``trace <trace_id> <span_id>``
+        framing line makes the next command record a ``server.<command>``
+        span joined to the caller's trace.
     """
 
     def __init__(
@@ -94,7 +94,8 @@ class TextProtocolServer:
         self._framer = wire.RequestFramer()
         metrics = self.telemetry.metrics
         self._obs: bool = bool(getattr(metrics, "enabled", False))
-        self._live: Any = self.telemetry.live
+        self._tracer: Any = self.telemetry.tracer
+        self._traced = self._tracer.sample_rate > 0
         if self._obs:
             self._m_execute: Any = metrics.histogram(
                 "net_server_execute_seconds",
@@ -225,15 +226,15 @@ class TextProtocolServer:
         self.execute_seconds += elapsed
         if self._m_execute is not None:
             self._m_execute.observe(elapsed)
-        if ctx is not None and self._live.enabled:
+        if ctx is not None and self._traced:
             wall_end = time.time()  # repro: allow[REP001]
-            span = self._live.start_span(
+            span = self._tracer.start_span(
                 f"server.{verb}",
                 ctx,
                 start_s=wall_end - elapsed,
                 node=self.node.name,
             )
-            span.end(wall_end)
+            span.end(end_s=wall_end)
 
     # ------------------------------------------------------------------
     # Storage commands

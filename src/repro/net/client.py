@@ -32,8 +32,8 @@ from repro.core.retry import RetryPolicy
 from repro.errors import TransportError, WireProtocolError
 from repro.memcached.node import MigratedItem
 from repro.obs import NULL_TELEMETRY, Telemetry
-from repro.obs.livetrace import TraceContext, current_context
 from repro.obs.metrics import LATENCY_SECONDS_BUCKETS
+from repro.obs.trace import TraceContext, current_context
 from repro.wire import (
     EXPORT_BATCH_KEYS,
     GET_BATCH_KEYS,
@@ -221,7 +221,8 @@ class NodeClient:
             buckets=LATENCY_SECONDS_BUCKETS,
             node=name,
         )
-        self._live = telemetry.live
+        self._tracer = telemetry.tracer
+        self._traced = telemetry.tracer.sample_rate > 0
         # Explicit trace context override for callers that bridge event
         # loops through threads (contextvars do not cross
         # run_coroutine_threadsafe); when set it wins over the ambient
@@ -284,8 +285,8 @@ class NodeClient:
         span = None
         prefix = b""
         if ctx is not None:
-            if self._live.enabled:
-                span = self._live.start_span(
+            if self._traced:
+                span = self._tracer.start_span(
                     "client.rpc",
                     ctx,
                     node=self.name,
@@ -334,7 +335,7 @@ class NodeClient:
                     if failures >= self.retry.max_attempts:
                         self._m_errors.inc()
                         if span is not None:
-                            span.set_attribute("error", repr(exc))
+                            span.set(error=repr(exc))
                         raise TransportError(
                             f"node {self.name!r} at "
                             f"{self.host}:{self.port}: request failed after "
@@ -357,7 +358,7 @@ class NodeClient:
                     return results
         finally:
             if span is not None:
-                span.set_attribute("retries", failures)
+                span.set(retries=failures)
                 span.end()
 
     # ------------------------------------------------------------------

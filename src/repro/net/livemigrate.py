@@ -30,8 +30,9 @@ from repro.memcached.node import MigratedItem
 from repro.memcached.slab import PAGE_SIZE
 from repro.net.cluster import LiveCluster
 from repro.net.server import LiveClusterHarness
-from repro.obs import Telemetry
-from repro.obs.livetrace import TraceContext, write_live_jsonl
+from repro.obs import NULL_TELEMETRY, Telemetry
+from repro.obs.export import write_jsonl
+from repro.obs.trace import TraceContext
 from repro.wire import flags_and_payload
 
 ContentSignature = list[tuple[str, int, bytes, float]]
@@ -171,12 +172,13 @@ def run_live_migration(
     raises :class:`~repro.errors.InvariantViolation` after the migration
     if either loop recorded a hazard.
 
-    With a live-tracing ``telemetry`` the whole migration becomes one
-    stitched trace -- a ``live_migration`` root with ``seed`` / ``plan``
-    / ``execute`` phase spans, each phase's wire operations (``ts_dump``
-    / ``mig_export`` / ``batch_import`` round trips and the servers'
-    execute spans) joined through the ``trace`` wire frame.
-    ``trace_jsonl`` exports this process's spans for ``repro obs``.
+    With a ``telemetry`` the run is traced: a ``live_migration`` root
+    with ``seed`` / ``plan`` / ``execute`` phase spans, and -- when its
+    tracer samples requests -- each phase's wire operations (``stats``
+    / ``ts_dump`` / ``mig_export`` / ``batch_import`` round trips and
+    the servers' execute spans) joined through the ``trace`` wire frame.
+    The Master records its own ``migration`` tree in the same tracer.
+    ``trace_jsonl`` exports both for ``repro obs``.
 
     ``process_cluster`` boots every node in its own OS process
     (:class:`~repro.net.procs.ProcessClusterHarness`) instead of on one
@@ -201,8 +203,7 @@ def run_live_migration(
         fault_policy = SocketFaultPolicy(
             fault_schedule, base_delay_s=fault_base_delay_s
         )
-    tracer: Any = getattr(telemetry, "live", None)
-    tracing = bool(getattr(tracer, "enabled", False))
+    tracer = (telemetry or NULL_TELEMETRY).tracer
     harness: Any
     if process_cluster:
         if fault_policy is not None or sanitize:
@@ -224,16 +225,7 @@ def run_live_migration(
             sanitize=sanitize,
         )
     started = time.monotonic()
-    root = (
-        tracer.start_trace("live_migration", nodes=nodes, retire=retire)
-        if tracing
-        else None
-    )
-
-    def _phase(name: str) -> Any:
-        if root is None:
-            return None
-        return tracer.start_span(name, root.context)
+    root = tracer.root("live_migration", nodes=nodes, retire=retire)
 
     with harness:
         live = LiveCluster(
@@ -253,15 +245,13 @@ def run_live_migration(
                 remote.client.trace_context = ctx
 
         def _run_phase(name: str, work: Any) -> Any:
-            span = _phase(name)
-            if span is not None:
-                _join_clients(span.context)
+            span = root.child(name)
+            _join_clients(span.context)
             try:
                 return work()
             finally:
-                if span is not None:
-                    _join_clients(None)
-                    span.end()
+                _join_clients(None)
+                span.end()
 
         try:
             owners = live.route_many([record.key for record in records])
@@ -273,9 +263,12 @@ def run_live_migration(
             )
 
             master = Master(live, telemetry=telemetry)
-            retiring = master.choose_retiring(retire)
+            # Choosing reads each node's metadata snapshot (stats, slab
+            # stats, one ts_dump per class) that planning then reuses,
+            # so it is part of the plan phase.
             plan = _run_phase(
-                "plan", lambda: master.plan_scale_in(retiring)
+                "plan",
+                lambda: master.plan_scale_in(master.choose_retiring(retire)),
             )
             execute_started = time.monotonic()
             report = _run_phase("execute", lambda: master.execute(plan))
@@ -296,7 +289,7 @@ def run_live_migration(
             )
             if verify:
                 _verify_against_twin(
-                    result, live, groups, retiring, memory_per_node
+                    result, live, groups, plan.retiring, memory_per_node
                 )
         finally:
             live.close()
@@ -305,20 +298,14 @@ def run_live_migration(
         harness_sanitizer.check("live-harness loop")
     if live.sanitizer is not None:
         live.sanitizer.check("live-cluster loop")
-    if root is not None:
-        root.set_attribute("outcome", result.outcome)
-        root.set_attribute(
-            "window_s", round(result.degradation_window_s or 0.0, 6)
-        )
-        root.end()
-    if tracing:
-        result.trace_spans = len(tracer.spans)
-        if trace_jsonl is not None:
-            write_live_jsonl(
-                trace_jsonl,
-                tracer,
-                metrics=telemetry.metrics if telemetry is not None else None,
-            )
+    root.set(
+        outcome=result.outcome,
+        window_s=round(result.degradation_window_s or 0.0, 6),
+    )
+    root.end()
+    result.trace_spans = len(tracer.spans)
+    if telemetry is not None and trace_jsonl is not None:
+        write_jsonl(trace_jsonl, tracer, telemetry.metrics)
     result.wall_seconds = time.monotonic() - started
     return result
 

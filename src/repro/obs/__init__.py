@@ -1,37 +1,30 @@
 """Observability for the ElMem reproduction.
 
-The package bundles four layers:
+The package bundles three layers:
 
-- :mod:`repro.obs.trace` -- nested spans with wall- and sim-clock
-  durations, recording each migration as a tree;
-- :mod:`repro.obs.livetrace` -- sampled cross-process spans propagated
-  over the wire (``trace <trace_id> <span_id>`` framing) and stitched
-  back together by trace id;
+- :mod:`repro.obs.trace` -- one span model for both tiers: seeded
+  trace/span ids, wall- and sim-clock windows, events.  Each migration
+  is a span tree; a sampled live request is a tree whose spans are
+  recorded by every process it crosses (``trace <trace_id> <span_id>``
+  wire framing) and rebuilt by trace id;
 - :mod:`repro.obs.metrics` -- named counters/gauges/histograms with a
   no-op disabled mode and bucket-interpolated quantiles;
 - :mod:`repro.obs.export` / :mod:`repro.obs.timeline` /
-  :mod:`repro.obs.scrape` -- JSONL and Prometheus exporters, an ASCII
-  span-timeline renderer (the ``repro obs`` CLI subcommand), and the
-  ``stats obs`` fleet scraper behind ``repro top``.
+  :mod:`repro.obs.scrape` -- one JSONL format and Prometheus exporters,
+  an ASCII span-timeline renderer (the ``repro obs`` CLI subcommand,
+  which merges any number of JSONL files), and the ``stats obs`` fleet
+  scraper behind ``repro top``.
 
-Components take a :class:`Telemetry` handle (tracer + registry + live
-tracer triple).  The default is :data:`NULL_TELEMETRY`, whose members
-absorb every call, so instrumentation costs almost nothing unless a run
-opts in via :func:`create_telemetry`.
+Components take a :class:`Telemetry` handle (tracer + registry pair).
+The default is :data:`NULL_TELEMETRY`, whose members absorb every call,
+so instrumentation costs almost nothing unless a run opts in via
+:func:`create_telemetry`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.obs.livetrace import (
-    CURRENT_CONTEXT,
-    LiveSpan,
-    LiveTracer,
-    NULL_LIVE_TRACER,
-    TraceContext,
-    current_context,
-)
 from repro.obs.metrics import (
     Counter,
     Gauge,
@@ -43,28 +36,28 @@ from repro.obs.metrics import (
     bucket_quantile,
 )
 from repro.obs.trace import (
+    CURRENT_CONTEXT,
     NULL_SPAN,
     NULL_TRACER,
     Span,
     SpanEvent,
+    TraceContext,
     Tracer,
+    current_context,
 )
 
 
 @dataclass(frozen=True)
 class Telemetry:
-    """A tracer + metrics registry + live tracer threaded through the stack."""
+    """A tracer + metrics registry threaded through the stack."""
 
     tracer: object = NULL_TRACER
     metrics: object = NULL_METRICS
-    live: object = NULL_LIVE_TRACER
 
     @property
     def enabled(self) -> bool:
-        """True when any layer actually records."""
-        return bool(
-            self.tracer.enabled or self.metrics.enabled or self.live.enabled
-        )
+        """True when either layer actually records."""
+        return bool(self.tracer.enabled or self.metrics.enabled)
 
 
 NULL_TELEMETRY = Telemetry()
@@ -74,20 +67,21 @@ NULL_TELEMETRY = Telemetry()
 def create_telemetry(
     process: str = "repro",
     *,
-    live_trace: bool = False,
-    trace_sample: float = 1.0,
+    trace_sample: float = 0.0,
     trace_seed: int = 0,
 ) -> Telemetry:
     """A fresh enabled tracer + registry for one run.
 
-    ``live_trace=True`` additionally attaches a :class:`LiveTracer` for
-    cross-process wire tracing, sampling at ``trace_sample`` with a
-    deterministic ``trace_seed``.
+    The tracer always records migration and scenario span trees.  Wire
+    requests are traced only when ``trace_sample`` > 0: the proxy then
+    starts a trace for that fraction of requests (seeded by
+    ``trace_seed``), and every component joins the traces that arrive
+    in a ``trace`` frame.
     """
-    live: object = NULL_LIVE_TRACER
-    if live_trace:
-        live = LiveTracer(process, sample_rate=trace_sample, seed=trace_seed)
-    return Telemetry(tracer=Tracer(), metrics=MetricsRegistry(), live=live)
+    return Telemetry(
+        tracer=Tracer(process, sample_rate=trace_sample, seed=trace_seed),
+        metrics=MetricsRegistry(),
+    )
 
 
 __all__ = [
@@ -96,10 +90,7 @@ __all__ = [
     "Gauge",
     "Histogram",
     "LATENCY_SECONDS_BUCKETS",
-    "LiveSpan",
-    "LiveTracer",
     "MetricsRegistry",
-    "NULL_LIVE_TRACER",
     "NULL_METRIC",
     "NULL_METRICS",
     "NULL_SPAN",

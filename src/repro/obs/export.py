@@ -1,9 +1,11 @@
 """Telemetry exporters: JSONL structured events and Prometheus text.
 
-One JSONL file captures a whole run: a ``meta`` line, one ``span`` line
-per root span tree (children embedded), one ``event`` line per run-level
-event, and one ``metric`` line per registered metric sample.  The format
-round-trips through :func:`read_jsonl`, which is what the ``repro obs``
+One JSONL file captures one process's run: a ``meta`` line, one
+``event`` line per run-level event, one ``span`` line per recorded span
+(flat; trees are rebuilt from parent ids), and one ``metric`` line per
+registered metric sample.  :func:`read_jsonl` reads any number of such
+files back as one :class:`ObsDump` -- the spans of a request that
+crossed processes meet again there -- which is what the ``repro obs``
 CLI subcommand renders.
 
 :func:`to_prometheus` renders a :class:`~repro.obs.metrics.MetricsRegistry`
@@ -18,15 +20,16 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
+from repro.errors import ConfigurationError
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import Span, SpanEvent, Tracer
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
 @dataclass
 class ObsDump:
-    """Parsed contents of one telemetry JSONL file."""
+    """Parsed contents of one or more telemetry JSONL files."""
 
     meta: dict[str, Any] = field(default_factory=dict)
     spans: list[Span] = field(default_factory=list)
@@ -40,52 +43,55 @@ def write_jsonl(
     metrics: MetricsRegistry | None = None,
     meta: dict[str, Any] | None = None,
 ) -> Path:
-    """Write one run's telemetry as JSON lines; returns the path."""
+    """Write one process's telemetry as JSON lines; returns the path."""
     path = Path(path)
-    lines: list[str] = [
-        json.dumps(
-            {"type": "meta", "version": FORMAT_VERSION, **(meta or {})}
-        )
+    records: list[dict[str, Any]] = [
+        {"type": "meta", "version": FORMAT_VERSION, **(meta or {})}
     ]
     if tracer is not None:
-        for event in tracer.events:
-            lines.append(
-                json.dumps({"type": "event", **event.to_dict()})
-            )
-        for span in tracer.roots:
-            lines.append(
-                json.dumps({"type": "span", "tree": span.to_dict()})
-            )
+        records.extend({"type": "event", **e.to_dict()} for e in tracer.events)
+        records.extend({"type": "span", **s.to_dict()} for s in tracer.spans)
     if metrics is not None:
-        for sample in metrics.snapshot():
-            lines.append(json.dumps({"type": "metric", **sample}))
-    path.write_text("\n".join(lines) + "\n")
+        records.extend({"type": "metric", **m} for m in metrics.snapshot())
+    path.write_text(
+        "".join(json.dumps(record, default=repr) + "\n" for record in records)
+    )
     return path
 
 
-def read_jsonl(path: str | Path) -> ObsDump:
-    """Parse a file written by :func:`write_jsonl`."""
+def read_jsonl(*paths: str | Path) -> ObsDump:
+    """Read files written by :func:`write_jsonl` into one dump.
+
+    Lines of an unknown ``type`` are skipped; a line that is not a JSON
+    object with a ``type``, or whose record is incomplete, raises
+    :class:`~repro.errors.ConfigurationError` naming its file and line.
+    """
     dump = ObsDump()
-    with Path(path).open() as handle:
-        for line in handle:
-            line = line.strip()
-            if not line:
-                continue
-            record = json.loads(line)
-            kind = record.get("type")
-            if kind == "meta":
-                dump.meta = {
-                    k: v for k, v in record.items() if k != "type"
-                }
-            elif kind == "span":
-                dump.spans.append(Span.from_dict(record["tree"]))
-            elif kind == "event":
-                dump.events.append(SpanEvent.from_dict(record))
-            elif kind == "metric":
-                dump.metrics.append(
-                    {k: v for k, v in record.items() if k != "type"}
-                )
+    for path in paths:
+        with Path(path).open(encoding="utf-8") as handle:
+            for number, line in enumerate(handle, 1):
+                if not line.strip():
+                    continue
+                try:
+                    _read_record(dump, json.loads(line))
+                except (ValueError, KeyError, TypeError) as exc:
+                    raise ConfigurationError(
+                        f"{path}:{number}: malformed telemetry line: {exc!r}"
+                    ) from exc
     return dump
+
+
+def _read_record(dump: ObsDump, record: dict[str, Any]) -> None:
+    kind = record["type"]
+    fields = {k: v for k, v in record.items() if k != "type"}
+    if kind == "span":
+        dump.spans.append(Span.from_dict(fields))
+    elif kind == "event":
+        dump.events.append(SpanEvent.from_dict(fields))
+    elif kind == "metric":
+        dump.metrics.append(fields)
+    elif kind == "meta":
+        dump.meta.update(fields)
 
 
 # ----------------------------------------------------------------------

@@ -3,9 +3,11 @@
 Built on the same Unicode block vocabulary as
 :mod:`repro.analysis.asciiplot` -- each span becomes one row whose bar is
 positioned proportionally inside the root span's window, with ``·``
-marks where span events (retries, faults) landed.  The sim clock is the
-default x-axis because that is the timeline the paper's figures use; the
-wall clock is available for profiling the reproduction itself.
+marks where span events (retries, faults) landed.  A tree with sim
+windows is drawn on the sim clock, the timeline the paper's figures
+use; a tree without them (a wire request, a live scenario phase) on the
+wall clock, rebased to the tree's start and labelled ``process:name``
+so a cross-process tree says where each span ran.
 """
 
 from __future__ import annotations
@@ -15,6 +17,14 @@ from repro.analysis.asciiplot import BLOCKS
 from repro.obs.trace import Span, SpanEvent
 
 HALF_BLOCK = BLOCKS[4]  # "▄": a span too short for a full cell
+
+
+def clock_for(root: Span, preferred: str = "sim") -> str:
+    """``preferred``, unless that is the sim clock and no span of the
+    tree carries a sim window."""
+    if preferred == "sim" and all(s.start_sim_s is None for s in root.walk()):
+        return "wall"
+    return preferred
 
 
 def _window(span: Span, clock: str) -> tuple[float, float] | None:
@@ -28,29 +38,21 @@ def _window(span: Span, clock: str) -> tuple[float, float] | None:
             else span.start_sim_s
         )
         return span.start_sim_s, end
-    end = (
-        span.end_wall_s
-        if span.end_wall_s is not None
-        else span.start_wall_s
-    )
-    return span.start_wall_s, end
+    return span.start_s, span.end_s if span.end_s is not None else span.start_s
 
 
 def _event_time(event: SpanEvent, clock: str) -> float | None:
     return event.sim_s if clock == "sim" else event.wall_s
 
 
-def _label(span: Span, depth: int) -> str:
-    label = "  " * depth + span.name
-    for key in ("src", "dst"):
-        if key in span.attributes:
-            label = (
-                "  " * depth
-                + f"{span.name} {span.attributes.get('src', '?')}"
-                + f"->{span.attributes.get('dst', '?')}"
-            )
-            break
-    return label
+def _label(span: Span, depth: int, clock: str) -> str:
+    name = span.name if clock == "sim" else f"{span.process}:{span.name}"
+    if "src" in span.attributes or "dst" in span.attributes:
+        name += (
+            f" {span.attributes.get('src', '?')}"
+            f"->{span.attributes.get('dst', '?')}"
+        )
+    return "  " * depth + name
 
 
 def render_timeline(
@@ -75,20 +77,22 @@ def render_timeline(
 
     windows = [_window(span, clock) for _, span in rows]
     bounded = [w for w in windows if w is not None]
+    title = _label(root, 0, clock)
     if not bounded:
-        return f"{root.name}: no {clock}-clock data recorded"
+        return f"{title}: no {clock}-clock data recorded"
     t0 = min(w[0] for w in bounded)
     t1 = max(w[1] for w in bounded)
     span_total = (t1 - t0) or 1.0
-    label_width = max(len(_label(span, depth)) for depth, span in rows)
-    unit = "s" if clock == "sim" else "s wall"
+    labels = [_label(span, depth, clock) for depth, span in rows]
+    label_width = max(len(label) for label in labels)
+    unit, origin = ("s", 0.0) if clock == "sim" else ("s wall", t0)
 
     lines = [
-        f"{root.name} timeline ({clock} clock, "
-        f"{t0:.1f}{unit} .. {t1:.1f}{unit})"
+        f"{title} timeline ({clock} clock, "
+        f"{t0 - origin:.1f}{unit} .. {t1 - origin:.1f}{unit})"
     ]
-    for (depth, span), window in zip(rows, windows):
-        label = _label(span, depth).ljust(label_width)
+    for (_, span), label, window in zip(rows, labels, windows):
+        label = label.ljust(label_width)
         if window is None:
             lines.append(f"{label} |{' ' * width}| (no {clock} data)")
             continue

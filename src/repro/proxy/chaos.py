@@ -34,6 +34,7 @@ from repro.faults.spec import FaultSchedule, FaultSpec
 from repro.net.client import NodeClient
 from repro.net.runtime import EventLoopThread
 from repro.obs import create_telemetry
+from repro.obs.export import write_jsonl
 from repro.proxy.breaker import CLOSED, OPEN
 from repro.proxy.router import ProxyConfig
 from repro.proxy.server import ProxyHarness
@@ -202,10 +203,7 @@ def run_proxy_chaos(
     )
     started = time.monotonic()
     telemetry = create_telemetry(
-        "proxy-chaos",
-        live_trace=True,
-        trace_sample=trace_sample,
-        trace_seed=seed,
+        "proxy-chaos", trace_sample=trace_sample, trace_seed=seed
     )
     harness = ProxyHarness(
         names,
@@ -372,11 +370,7 @@ def run_proxy_chaos(
         ),
         "phases": phases,
     }
-    result.trace_spans = len(getattr(telemetry.live, "spans", ()))
+    result.trace_spans = len(telemetry.tracer.spans)
     if trace_jsonl is not None:
-        from repro.obs.livetrace import write_live_jsonl
-
-        write_live_jsonl(
-            trace_jsonl, telemetry.live, metrics=telemetry.metrics
-        )
+        write_jsonl(trace_jsonl, telemetry.tracer, telemetry.metrics)
     return result

@@ -356,9 +356,9 @@ class ProxyRouter:
         the tracer's newest record -- ``repro.net`` needs no change for
         the proxy's batches to say how many keys they carried.
         """
-        live = self.telemetry.live
-        if live.enabled and current_context() is not None:
-            live.spans[-1].set_attribute("keys", keys)
+        tracer = self.telemetry.tracer
+        if tracer.sample_rate > 0 and current_context() is not None:
+            tracer.spans[-1].set(keys=keys)
 
     async def _guarded_set(
         self,

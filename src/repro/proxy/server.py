@@ -45,7 +45,7 @@ from repro.net.server import (
 )
 from repro.obs import Telemetry, create_telemetry
 from repro.obs.export import to_prometheus
-from repro.obs.livetrace import CURRENT_CONTEXT, TraceContext
+from repro.obs.trace import CURRENT_CONTEXT, TraceContext
 from repro.proxy.router import ProxyConfig, ProxyRouter
 from repro.wire import BAD_FORMAT, CRLF
 
@@ -165,20 +165,23 @@ class ProxyServer(StreamListener):
     ) -> bytes:
         """Run one backend-fanning command under a trace span.
 
-        An incoming context (client-supplied ``trace`` frame) always
-        joins its trace; without one the proxy is the trace root and the
-        sampler decides.  The resulting context rides the ambient
+        When the tracer samples requests, an incoming context
+        (client-supplied ``trace`` frame) always joins its trace; without
+        one the proxy is the trace root and the sampler decides.  The
+        resulting context rides the ambient
         :data:`CURRENT_CONTEXT` so :class:`~repro.net.client.NodeClient`
         picks it up when it hits the backends.  A backend's
         deterministic rejection (object too large, non-numeric incr
         target) is the client's answer too.
         """
-        live = self.router.telemetry.live
+        tracer = self.router.telemetry.tracer
         span = None
-        if trace_ctx is not None and live.enabled:
-            span = live.start_span(f"proxy.{verb}", trace_ctx)
-        elif trace_ctx is None and live.enabled:
-            span = live.start_trace(f"proxy.{verb}")
+        if tracer.sample_rate > 0:
+            span = (
+                tracer.start_trace(f"proxy.{verb}")
+                if trace_ctx is None
+                else tracer.start_span(f"proxy.{verb}", trace_ctx)
+            )
         token = None
         if span is not None:
             token = CURRENT_CONTEXT.set(span.context)

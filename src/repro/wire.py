@@ -32,7 +32,7 @@ from typing import Any, Callable, Generator, Iterable, Mapping, NamedTuple, Sequ
 
 from repro.errors import WireProtocolError
 from repro.memcached.node import MigratedItem
-from repro.obs.livetrace import TraceContext, parse_trace_args
+from repro.obs.trace import TraceContext, parse_trace_args
 
 CRLF = b"\r\n"
 END = b"END" + CRLF

@@ -3,7 +3,7 @@
 
 from contextvars import copy_context
 
-from repro.obs.livetrace import current_context
+from repro.obs.trace import current_context
 
 TRACE_CONTEXT = None  # stands in for a module-level ContextVar
 

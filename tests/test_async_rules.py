@@ -88,7 +88,7 @@ def test_rep105_get_event_loop_anywhere():
 
 def test_rep106_ambient_contextvar_in_bridged_package():
     source = (
-        "from repro.obs.livetrace import current_context\n"
+        "from repro.obs.trace import current_context\n"
         "async def send(conn):\n"
         "    return current_context()\n"
     )
@@ -172,7 +172,7 @@ def test_get_running_loop_chain_is_clean():
 
 def test_rep106_only_applies_to_bridged_packages():
     source = (
-        "from repro.obs.livetrace import current_context\n"
+        "from repro.obs.trace import current_context\n"
         "async def send(conn):\n"
         "    return current_context()\n"
     )

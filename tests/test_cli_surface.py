@@ -207,3 +207,19 @@ class TestParseTargets:
     def test_malformed_spec_exits_with_the_spec_named(self, spec):
         with pytest.raises(SystemExit, match="expected .*HOST:PORT"):
             parse_targets([spec])
+
+
+@pytest.mark.parametrize("command", ["serve", "proxy", "proxy-chaos"])
+@pytest.mark.parametrize("value", ["-0.1", "5", "nan"])
+def test_trace_sample_outside_the_unit_interval_exits(command, value, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        build_parser().parse_args([command, "--trace-sample", value])
+    assert excinfo.value.code == 2
+    assert "must be in [0, 1]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["serve", "proxy", "proxy-chaos"])
+def test_trace_sample_inside_the_unit_interval_parses(command):
+    for value in ("0", "0.25", "1"):
+        args = build_parser().parse_args([command, "--trace-sample", value])
+        assert args.trace_sample == float(value)

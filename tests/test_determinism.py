@@ -2,9 +2,10 @@
 
 Runs the same strict-mode experiment twice and asserts the headline
 metrics, the per-second series, the migration outcomes, and the exported
-telemetry JSONL are bit-identical -- modulo the wall-clock span fields
-(``start_wall_s``/``end_wall_s``/``wall_s``), which measure the host
-machine and are the only sanctioned nondeterminism.
+telemetry JSONL are bit-identical, span ids included -- modulo the
+wall-clock fields (``start_s``/``end_s`` on spans, ``wall_s`` on events),
+which measure the host machine and are the only sanctioned
+nondeterminism.
 """
 
 import json
@@ -17,7 +18,7 @@ from repro.obs.export import write_jsonl
 from repro.sim.experiment import ExperimentConfig, run_experiment
 from repro.workloads.traces import make_trace
 
-WALL_FIELDS = {"start_wall_s", "end_wall_s", "wall_s"}
+WALL_FIELDS = {"start_s", "end_s", "wall_s"}
 
 # Load-report fields that measure the host machine rather than the
 # tape: everything else must be bit-identical across same-seed runs.
@@ -106,6 +107,13 @@ def test_same_seed_reproduces_everything(tmp_path):
     assert len(first_lines) == len(second_lines)
     for left, right in zip(first_lines, second_lines):
         assert scrub(json.loads(left)) == scrub(json.loads(right))
+    # The comparison above covers the seeded trace and span ids.
+    spans = [
+        record
+        for record in map(json.loads, first_lines)
+        if record["type"] == "span"
+    ]
+    assert spans and all(span["span_id"] for span in spans)
 
 
 def test_loadgen_same_seed_same_tape_across_runs():

@@ -13,6 +13,7 @@ import pytest
 
 from repro.controlplane import run_controlplane_scenario
 from repro.loadgen import run_load, run_load_migration
+from repro.obs.export import read_jsonl
 
 pytestmark = pytest.mark.proc
 
@@ -80,10 +81,12 @@ def test_load_migration_is_warm_and_measures_the_window():
     )
 
 
-def test_controlplane_scenario_decides_and_measures_the_window():
+def test_controlplane_scenario_decides_and_measures_the_window(tmp_path):
+    trace = tmp_path / "controlplane_trace.jsonl"
     result = run_controlplane_scenario(
         nodes=4, retire=1, rate=500, duration_s=6.0, seed=7, num_keys=1000,
         min_window=600, evaluate_interval_s=0.5, poll_interval_s=0.25,
+        trace_jsonl=str(trace),
     )
     data = result.to_dict()
     assert set(data) == SCENARIO_KEYS
@@ -104,4 +107,6 @@ def test_controlplane_scenario_decides_and_measures_the_window():
     assert data["load"]["ops_ok"] > 0
     assert data["load"]["wire_errors"] == 0
     assert data["engine"]
-    assert data["trace_spans"] > 0
+    # trace_spans counts every recorded span (the Master's migration
+    # tree, not just its root), as exported.
+    assert data["trace_spans"] == len(read_jsonl(trace).spans) > 1

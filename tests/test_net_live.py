@@ -26,8 +26,11 @@ from repro.net.livemigrate import (
     run_live_migration,
     seed_records,
 )
+from repro.cli import main as cli_main
 from repro.net.runtime import EventLoopThread
 from repro.obs import create_telemetry
+from repro.obs.export import read_jsonl
+from repro.obs.trace import build_trees
 
 MEMORY = 8 * PAGE_SIZE
 FAST_RETRY = RetryPolicy(
@@ -520,6 +523,64 @@ class TestSocketEquivalence:
         payload = result.to_dict()
         assert payload["outcome"] == "warm"
         assert payload["verified"] is True
+
+    def test_trace_jsonl_holds_the_master_tree_and_the_wire_spans(
+        self, tmp_path, capsys
+    ):
+        """One tracer, one file: the Master's migration tree next to the
+        scenario phases and the wire round trips they caused."""
+        path = tmp_path / "live_migration_trace.jsonl"
+        result = run_live_migration(
+            nodes=3,
+            retire=1,
+            items=250,
+            value_bytes=32,
+            seed=11,
+            verify=False,
+            backoff_scale=0.1,
+            telemetry=create_telemetry(
+                "live-migrate", trace_sample=1.0, trace_seed=11
+            ),
+            trace_jsonl=str(path),
+        )
+        assert result.warm
+        spans = read_jsonl(path).spans
+        assert result.trace_spans == len(spans)
+        roots = {root.name: root for root in build_trees(spans)}
+        assert set(roots) == {"live_migration", "migration"}
+
+        migration = roots["migration"]
+        assert [c.name for c in migration.children] == [
+            "plan",
+            "import",
+            "switch",
+        ]
+        for phase in ("scoring", "dump", "fusecache", "pair"):
+            assert migration.find(phase) is not None, phase
+
+        scenario = roots["live_migration"]
+        seed, plan, execute = scenario.children
+        assert [seed.name, plan.name, execute.name] == [
+            "seed",
+            "plan",
+            "execute",
+        ]
+        # Choosing the retiring node fills the metadata snapshot the plan
+        # reads, so its ts_dump round trips belong to the plan phase.
+        rpcs = {c.span_id for c in plan.children if c.name == "client.rpc"}
+        ts_dumps = plan.find_all("server.ts_dump")
+        assert ts_dumps
+        assert {span.parent_id for span in ts_dumps} <= rpcs
+        assert execute.find_all("server.batch_import")
+        assert execute.find_all("server.mig_export")
+
+        assert cli_main(["obs", str(path), "--limit", "0"]) == 0
+        out = capsys.readouterr().out
+        assert "in 2 trace(s)" in out
+        assert "migration timeline (sim clock" in out
+        assert "live-migrate:live_migration timeline (wall clock" in out
+        for label in ("    pair ", "  switch ", "live-migrate:server.ts_dump"):
+            assert label in out, label
 
     def test_node_signature_live_equals_in_process(self, loop):
         """The signature helper reads identical bytes through the wire

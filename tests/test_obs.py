@@ -26,7 +26,7 @@ from repro.obs import (
 )
 from repro.obs.export import read_jsonl, to_prometheus, write_jsonl
 from repro.obs.timeline import render_timeline, summary_table
-from repro.obs.trace import Span
+from repro.obs.trace import Span, build_trees
 from repro.sim.metrics import MetricsCollector, SecondRecord
 
 
@@ -76,13 +76,19 @@ class TestSpans:
         span = tracer.root("work")
         child = span.child("inner")
         child.end()
-        first = child.end_wall_s
+        first = child.end_s
         child.end()  # second end must not move the wall clock
-        assert child.end_wall_s == first
+        assert child.end_s == first
         span.end()
         assert span.ended
         assert span.wall_s >= 0.0
-        assert child.start_wall_s >= span.start_wall_s
+        assert child.start_s >= span.start_s
+        # Recorded once each, when they ended; ids link the child.
+        assert tracer.spans == [child, span]
+        assert (child.trace_id, child.parent_id) == (
+            span.trace_id,
+            span.span_id,
+        )
 
     def test_sim_window_pins_interval_post_hoc(self):
         span = Span("scoring")
@@ -211,9 +217,9 @@ class TestExporters:
             json.loads(line)
         dump = read_jsonl(path)
         assert dump.meta["policy"] == "elmem"
-        assert dump.meta["version"] == 1
-        assert len(dump.spans) == 1
-        tree = dump.spans[0]
+        assert dump.meta["version"] == 2
+        assert len(dump.spans) == 2  # flat: root and pair
+        (tree,) = build_trees(dump.spans)
         assert tree.name == "migration"
         assert tree.attributes["kind"] == "scale_in"
         pair = tree.find("pair")
@@ -461,7 +467,8 @@ class TestInstrumentedMigration:
             meta={"test": "faulted_scale_in"},
         )
         dump = read_jsonl(path)
-        assert dump.spans[0].find("pair") is not None
+        (tree,) = build_trees(dump.spans)
+        assert tree.find("pair") is not None
         prom = to_prometheus(telemetry.metrics)
         assert "migrations_executed_total" in prom
 

@@ -6,8 +6,8 @@ Covers the satellite checklist of the observability PR:
   overflow edge cases),
 - Prometheus label-value escaping regression (backslash, quote, newline
   roundtrip through export -> parse),
-- :mod:`repro.obs.livetrace` (frame validation, seeded determinism,
-  sampling, JSONL roundtrip, stitching),
+- the request path of :mod:`repro.obs.trace` (frame validation, seeded
+  determinism, sampling, JSONL roundtrip, stitching across files),
 - :mod:`repro.obs.scrape` parse-back and quantile estimation,
 - the ``repro top`` renderer as a pure function of canned samples.
 """
@@ -16,18 +16,9 @@ import math
 
 import pytest
 
+from repro.cli import main as cli_main
 from repro.errors import ConfigurationError
-from repro.obs.export import to_prometheus
-from repro.obs.livetrace import (
-    LiveTracer,
-    NULL_LIVE_TRACER,
-    TraceContext,
-    parse_trace_args,
-    read_live_spans,
-    stitch_spans,
-    trace_to_span_tree,
-    write_live_jsonl,
-)
+from repro.obs.export import read_jsonl, to_prometheus, write_jsonl
 from repro.obs.metrics import (
     LATENCY_SECONDS_BUCKETS,
     MetricsRegistry,
@@ -39,7 +30,16 @@ from repro.obs.scrape import (
     histogram_quantile,
     parse_prometheus,
 )
+from repro.obs.timeline import clock_for, render_timeline
 from repro.obs.top import FleetSample, TopDashboard
+from repro.obs.trace import (
+    NULL_SPAN,
+    NULL_TRACER,
+    TraceContext,
+    Tracer,
+    build_trees,
+    parse_trace_args,
+)
 
 
 class TestHistogramQuantile:
@@ -142,22 +142,30 @@ class TestTraceFrameValidation:
 
 
 class TestLiveTracer:
+    """The request-path half of the one tracer: seeded sampling and ids."""
+
     def test_fixed_seed_is_deterministic(self):
-        ids_a = [LiveTracer(seed=42).start_trace("t").trace_id]
-        ids_b = [LiveTracer(seed=42).start_trace("t").trace_id]
-        assert ids_a == ids_b
+        def ids(seed):
+            tracer = Tracer(sample_rate=1.0, seed=seed)
+            root = tracer.start_trace("t")
+            child = root.child("c")
+            joined = tracer.start_span("s", child.context)
+            return [root.trace_id, root.span_id, child.span_id, joined.span_id]
+
+        assert ids(42) == ids(42)
+        assert ids(42) != ids(43)
 
     def test_sampling_extremes(self):
-        never = LiveTracer(sample_rate=0.0, seed=1)
+        never = Tracer(sample_rate=0.0, seed=1)
         assert all(never.start_trace("t") is None for _ in range(20))
-        always = LiveTracer(sample_rate=1.0, seed=1)
+        always = Tracer(sample_rate=1.0, seed=1)
         assert all(
             always.start_trace("t") is not None for _ in range(20)
         )
 
     def test_fractional_sampling_is_seeded(self):
         def decisions(seed):
-            tracer = LiveTracer(sample_rate=0.3, seed=seed)
+            tracer = Tracer(sample_rate=0.3, seed=seed)
             return [
                 tracer.start_trace("t") is not None for _ in range(50)
             ]
@@ -166,26 +174,40 @@ class TestLiveTracer:
         assert first == decisions(9)
         assert any(first) and not all(first)
 
+    @pytest.mark.parametrize("rate", [-0.1, 1.5, 5.0, math.nan])
+    def test_out_of_range_sample_rate_rejected(self, rate):
+        with pytest.raises(ConfigurationError, match=r"\[0, 1\]"):
+            Tracer(sample_rate=rate)
+
     def test_span_recorded_only_on_end(self):
-        tracer = LiveTracer("p")
+        tracer = Tracer("p", sample_rate=1.0)
         root = tracer.start_trace("root")
+        migration = tracer.root("migration")
         assert tracer.spans == []
         root.end()
         root.end()  # idempotent
-        assert [s.name for s in tracer.spans] == ["root"]
+        migration.end()
+        assert [s.name for s in tracer.spans] == ["root", "migration"]
+        assert tracer.find_roots("migration") == [migration]
 
     def test_null_tracer_preserves_foreign_chain(self):
         ctx = TraceContext("aaaa", "bbbb")
-        span = NULL_LIVE_TRACER.start_span("x", ctx)
-        assert span.trace_id == "aaaa"
+        span = NULL_TRACER.start_span("x", ctx)
+        assert span is NULL_SPAN and span.context is None
         span.end()
-        assert NULL_LIVE_TRACER.spans == []
+        assert NULL_TRACER.spans == ()
+        # A tracer that starts no traces of its own still joins one.
+        tracer = Tracer("p", sample_rate=0.0)
+        joined = tracer.start_span("x", ctx)
+        joined.end()
+        assert (joined.trace_id, joined.parent_id) == ("aaaa", "bbbb")
+        assert tracer.spans == [joined]
 
 
 class TestJsonlRoundtripAndStitch:
     def _spans(self, tmp_path):
-        proxy = LiveTracer("proxy", seed=3)
-        backend = LiveTracer("backend", seed=4)
+        proxy = Tracer("proxy", sample_rate=1.0, seed=3)
+        backend = Tracer("backend", sample_rate=1.0, seed=4)
         root = proxy.start_trace("proxy.get", key="k")
         rpc = proxy.start_span("client.rpc", root.context, node="n0")
         remote = backend.start_span("server.get", rpc.context)
@@ -196,20 +218,23 @@ class TestJsonlRoundtripAndStitch:
         registry.counter("x_total").inc()
         proxy_path = tmp_path / "proxy.jsonl"
         backend_path = tmp_path / "backend.jsonl"
-        assert write_live_jsonl(proxy_path, proxy, metrics=registry) == 2
-        assert write_live_jsonl(backend_path, backend) == 1
+        write_jsonl(proxy_path, proxy, registry)
+        write_jsonl(backend_path, backend)
         return [proxy_path, backend_path], root
 
     def test_two_files_stitch_into_one_trace(self, tmp_path):
         paths, root = self._spans(tmp_path)
-        spans = read_live_spans(paths)
-        assert len(spans) == 3  # live_meta/live_metric lines skipped
-        traces = stitch_spans(spans)
-        assert len(traces) == 1
-        trace = traces[0]
-        assert trace.trace_id == root.trace_id
-        assert trace.processes == ["proxy", "backend"]
-        assert {s.name for s in trace.spans} == {
+        dump = read_jsonl(*paths)
+        assert len(dump.spans) == 3  # meta/metric lines are not spans
+        assert [m["name"] for m in dump.metrics] == ["x_total"]
+        (tree,) = build_trees(dump.spans)
+        assert tree.trace_id == root.trace_id
+        assert [s.process for s in tree.walk()] == [
+            "proxy",
+            "proxy",
+            "backend",
+        ]
+        assert {s.name for s in tree.walk()} == {
             "proxy.get",
             "client.rpc",
             "server.get",
@@ -217,23 +242,50 @@ class TestJsonlRoundtripAndStitch:
 
     def test_span_tree_renders_nested(self, tmp_path):
         paths, _ = self._spans(tmp_path)
-        trace = stitch_spans(read_live_spans(paths))[0]
-        tree = trace_to_span_tree(trace)
-        assert tree.name == "proxy:proxy.get"
-        assert tree.children[0].name == "proxy:client.rpc"
-        assert tree.children[0].children[0].name == "backend:server.get"
+        (tree,) = build_trees(read_jsonl(*paths).spans)
+        assert tree.name == "proxy.get"
+        assert tree.children[0].name == "client.rpc"
+        assert tree.children[0].children[0].name == "server.get"
+        text = render_timeline(tree, clock=clock_for(tree))
+        assert "proxy:proxy.get timeline (wall clock" in text
+        assert "\n    backend:server.get " in text
 
-    def test_orphan_spans_get_synthetic_root(self):
-        a = LiveTracer("a", seed=1)
+    def test_orphan_spans_become_roots(self):
+        a = Tracer("a", seed=1)
         ctx = TraceContext("feed", "01")
         first = a.start_span("one", ctx)
         second = a.start_span("two", ctx)
         first.end()
         second.end()
-        trace = stitch_spans(a.spans)[0]
-        tree = trace_to_span_tree(trace)
-        assert tree.name == "trace feed"
-        assert len(tree.children) == 2
+        roots = build_trees(a.spans)
+        assert [root.name for root in roots] == ["one", "two"]
+        assert all(root.trace_id == "feed" for root in roots)
+        assert all(root.children == [] for root in roots)
+
+    def test_reader_skips_unknown_types_and_rejects_malformed_lines(
+        self, tmp_path
+    ):
+        paths, _ = self._spans(tmp_path)
+        path = paths[0]
+        with path.open("a") as handle:
+            handle.write('{"type": "live_span", "name": "old"}\n\n')
+        assert len(read_jsonl(path).spans) == 2
+        lines = path.read_text().count("\n")
+        for bad in (
+            "not json",
+            "[1, 2]",
+            '{"name": "no type"}',
+            '{"type": "span", "name": "no ids"}',
+            '{"type": "event", "name": "no clock"}',
+        ):
+            broken = tmp_path / "broken.jsonl"
+            broken.write_text(path.read_text() + bad + "\n")
+            with pytest.raises(
+                ConfigurationError, match=f"broken.jsonl:{lines + 1}:"
+            ):
+                read_jsonl(paths[1], broken)
+            with pytest.raises(SystemExit, match="broken.jsonl"):
+                cli_main(["obs", str(broken)])
 
 
 class TestScrapeParsing:

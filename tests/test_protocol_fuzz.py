@@ -340,7 +340,7 @@ def test_trace_frame_applies_to_exactly_one_command():
     from repro.obs import create_telemetry
     from repro.memcached.node import MemcachedNode
 
-    telemetry = create_telemetry("fuzz", live_trace=True)
+    telemetry = create_telemetry("fuzz", trace_sample=1.0)
     node = MemcachedNode("fuzz", 4 * PAGE_SIZE)
     server = TextProtocolServer(node, clock=lambda: 1.0, telemetry=telemetry)
     out = server.feed(
@@ -349,7 +349,7 @@ def test_trace_frame_applies_to_exactly_one_command():
         b"get k\r\n"
     )
     assert b"STORED" in out and b"VALUE k" in out
-    spans = telemetry.live.spans
+    spans = telemetry.tracer.spans
     assert [s.name for s in spans] == ["server.set"]
     assert spans[0].trace_id == "abcd1234"
     assert spans[0].parent_id == "ef01"
@@ -360,11 +360,11 @@ def test_consecutive_trace_frames_latest_wins():
     from repro.obs import create_telemetry
     from repro.memcached.node import MemcachedNode
 
-    telemetry = create_telemetry("fuzz", live_trace=True)
+    telemetry = create_telemetry("fuzz", trace_sample=1.0)
     node = MemcachedNode("fuzz", 4 * PAGE_SIZE)
     server = TextProtocolServer(node, clock=lambda: 1.0, telemetry=telemetry)
     out = server.feed(
         b"trace aaaa 01\r\ntrace bbbb 02\r\nget missing\r\n"
     )
     assert out == b"END\r\n"
-    assert [s.trace_id for s in telemetry.live.spans] == ["bbbb"]
+    assert [s.trace_id for s in telemetry.tracer.spans] == ["bbbb"]

@@ -27,6 +27,9 @@ from repro.memcached.slab import PAGE_SIZE
 from repro.net import LiveCluster, NodeClient
 from repro.net.livemigrate import seed_records
 from repro.net.runtime import EventLoopThread
+from repro.obs import create_telemetry
+from repro.obs.export import read_jsonl
+from repro.obs.trace import TraceContext
 from repro.proxy import (
     CLOSED,
     OPEN,
@@ -239,11 +242,40 @@ class TestHotKeyReplication:
             loop.call(client.close())
 
 
+class TestRequestTracing:
+    @pytest.mark.parametrize("sample", (0.0, 1.0))
+    def test_only_a_sampling_tracer_records_request_spans(self, loop, sample):
+        """Default telemetry records no span over N requests, whether or
+        not they arrive under a ``trace`` frame; a sampling tracer
+        records them all."""
+        telemetry = create_telemetry("proxy", trace_sample=sample)
+        with ProxyHarness(
+            ["n0", "n1"], MEMORY, drain_grace_s=0.2, telemetry=telemetry
+        ) as harness:
+            client = NodeClient("proxy", *harness.proxy_endpoint)
+            for i in range(20):
+                if i == 10:
+                    client.trace_context = TraceContext("abcd", "01")
+                assert loop.call(client.set(f"k{i}", b"v"))
+                assert loop.call(client.get(f"k{i}")) == (0, b"v")
+            loop.call(client.close())
+        spans = telemetry.tracer.spans
+        if sample == 0.0:
+            assert spans == []
+        else:
+            proxied = [s for s in spans if s.name.startswith("proxy.")]
+            assert len(proxied) == 40
+            joined = [s for s in proxied if s.trace_id == "abcd"]
+            assert len(joined) == 20
+            assert {span.parent_id for span in joined} == {"01"}
+
+
 class TestFailoverChaos:
-    def test_chaos_contract_zero_client_errors(self):
+    def test_chaos_contract_zero_client_errors(self, tmp_path):
         """Acceptance: kill+restart a backend mid-traffic behind the
         proxy; the client stream stays error-free, the breaker cycle is
         observable, and the backend is re-admitted after restart."""
+        trace = tmp_path / "chaos.jsonl"
         result = run_proxy_chaos(
             nodes=3,
             memory_per_node=MEMORY,
@@ -251,7 +283,10 @@ class TestFailoverChaos:
             healthy_ops=80,
             dead_ops=120,
             seed=5,
+            trace_jsonl=str(trace),
         )
+        # trace_spans counts every recorded span, as exported.
+        assert result.trace_spans == len(read_jsonl(trace).spans) > 0
         assert result.client_transport_errors == 0
         assert result.breaker_opened
         assert result.breaker_recovered

@@ -703,7 +703,7 @@ class TestRouterMultiget:
 
     def test_route_histogram_counts_commands_and_span_counts_keys(self):
         async def scenario():
-            telemetry = create_telemetry("unit-proxy", live_trace=True)
+            telemetry = create_telemetry("unit-proxy", trace_sample=1.0)
             async with live_router(["n0", "n1"]) as (router, _):
                 keys = keys_owned_by(router, "n0", 3) + keys_owned_by(
                     router, "n1", 2
@@ -721,7 +721,7 @@ class TestRouterMultiget:
                 traced = ProxyRouter(
                     router._endpoints, telemetry=telemetry
                 )
-                root = telemetry.live.start_trace("proxy.get")
+                root = telemetry.tracer.start_trace("proxy.get")
 
                 async def under_trace():
                     CURRENT_CONTEXT.set(root.context)  # dies with the task
@@ -735,7 +735,7 @@ class TestRouterMultiget:
                     await traced.close()
                 assert {
                     span.attributes["node"]: span.attributes["keys"]
-                    for span in telemetry.live.spans
+                    for span in telemetry.tracer.spans
                     if span.name == "client.rpc"
                 } == {"n0": 3, "n1": 2}
 

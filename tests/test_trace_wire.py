@@ -23,11 +23,8 @@ import pytest
 from repro.net.client import NodeClient
 from repro.net.runtime import EventLoopThread
 from repro.obs import create_telemetry
-from repro.obs.livetrace import (
-    read_live_spans,
-    stitch_spans,
-    write_live_jsonl,
-)
+from repro.obs.export import read_jsonl, write_jsonl
+from repro.obs.trace import build_trees
 from repro.proxy.router import ProxyRouter
 from repro.proxy.server import ProxyServer
 
@@ -92,7 +89,7 @@ def test_one_trace_id_spans_two_processes(tmp_path):
     backend = _spawn_backend(backend_jsonl)
     loop = EventLoopThread(name="trace-wire-proxy")
     telemetry = create_telemetry(
-        "test-proxy", live_trace=True, trace_sample=1.0, trace_seed=1
+        "test-proxy", trace_sample=1.0, trace_seed=1
     )
     server = None
     client = None
@@ -122,35 +119,34 @@ def test_one_trace_id_spans_two_processes(tmp_path):
             backend.communicate()
             pytest.fail("backend did not exit after SIGTERM")
     assert backend.returncode == 0, tail
-    write_live_jsonl(proxy_jsonl, telemetry.live, metrics=telemetry.metrics)
+    write_jsonl(proxy_jsonl, telemetry.tracer, telemetry.metrics)
 
-    spans = read_live_spans([backend_jsonl, proxy_jsonl])
-    traces = stitch_spans(spans)
-    assert traces, "no stitched traces recovered from the JSONL exports"
+    traces: dict[str, list] = {}
+    for span in read_jsonl(backend_jsonl, proxy_jsonl).spans:
+        traces.setdefault(span.trace_id, []).append(span)
+    assert traces, "no traces recovered from the JSONL exports"
     get_traces = [
-        trace
-        for trace in traces
-        if {"test-proxy", "serve"} <= set(trace.processes)
-        and any(s.name == "proxy.get" for s in trace.spans)
+        spans
+        for spans in traces.values()
+        if {"test-proxy", "serve"} <= {s.process for s in spans}
+        and any(s.name == "proxy.get" for s in spans)
     ]
     assert get_traces, (
         "no trace crossed both processes with a proxy.get span: "
-        f"{[(t.processes, sorted({s.name for s in t.spans})) for t in traces]}"
+        f"{[sorted({(s.process, s.name) for s in t}) for t in traces.values()]}"
     )
-    trace = get_traces[0]
-    names = {span.name for span in trace.spans}
+    spans = get_traces[0]
     # One trace id covers the proxy hop, the client RPC, and the remote
-    # backend's execution -- the cross-process stitch.
+    # backend's execution -- the cross-process stitch -- and the merged
+    # spans form one tree rooted at the proxy.
+    (root,) = build_trees(spans)
+    assert root.name == "proxy.get" and root.process == "test-proxy"
+    names = {span.name for span in root.walk()}
     assert {"proxy.get", "client.rpc", "server.get"} <= names
-    assert all(span.trace_id == trace.trace_id for span in trace.spans)
-    by_process = {
-        span.process for span in trace.spans
-    }
-    assert {"test-proxy", "serve"} <= by_process
+    assert len(list(root.walk())) == len(spans)
     # Parent links hold across the process boundary: the backend span's
     # parent is the proxy-side client RPC span.
-    server_get = next(s for s in trace.spans if s.name == "server.get")
-    rpc_ids = {
-        s.span_id for s in trace.spans if s.name == "client.rpc"
-    }
+    server_get = next(s for s in spans if s.name == "server.get")
+    assert server_get.process == "serve"
+    rpc_ids = {s.span_id for s in spans if s.name == "client.rpc"}
     assert server_get.parent_id in rpc_ids
