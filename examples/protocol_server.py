@@ -16,7 +16,8 @@ Run with:  python examples/protocol_server.py
 
 import sys
 
-from repro.net import LiveClusterHarness, NodeClient
+from repro.net.client import NodeClient
+from repro.net.server import LiveClusterHarness
 from repro.net.runtime import EventLoopThread
 
 SMOKE = "--smoke" in sys.argv

@@ -24,18 +24,17 @@ The package is organised as one subpackage per subsystem:
   elasticity-potential analysis.
 """
 
-from repro.core.elmem import ElMemController
 from repro.core.fusecache import fuse_cache
 from repro.core.retry import RetryPolicy
 from repro.errors import FaultError, FlowTimeoutError, MigrationAbortedError
-from repro.faults import FaultInjector, FaultSchedule, FaultSpec
+from repro.faults.injector import FaultInjector
+from repro.faults.spec import FaultSchedule, FaultSpec
 from repro.memcached.cluster import MemcachedCluster
 from repro.memcached.node import MemcachedNode
 
 __version__ = "1.0.0"
 
 __all__ = [
-    "ElMemController",
     "FaultError",
     "FaultInjector",
     "FaultSchedule",

@@ -8,28 +8,3 @@
 - :mod:`repro.analysis.elasticity` -- the Section II-C estimate that a
   perfectly elastic tier saves 30-70 % of cache nodes.
 """
-
-from repro.analysis.cost import (
-    EC2_COMPUTE_HOURLY,
-    EC2_MEMORY_HOURLY,
-    ServerSpec,
-    power_watts,
-)
-from repro.analysis.degradation import (
-    DegradationSummary,
-    degradation_reduction,
-    summarize_post_scaling,
-)
-from repro.analysis.elasticity import elastic_node_series, node_savings
-
-__all__ = [
-    "DegradationSummary",
-    "EC2_COMPUTE_HOURLY",
-    "EC2_MEMORY_HOURLY",
-    "ServerSpec",
-    "degradation_reduction",
-    "elastic_node_series",
-    "node_savings",
-    "power_watts",
-    "summarize_post_scaling",
-]

@@ -15,20 +15,3 @@ Two implementations are provided:
 - :mod:`repro.cache_analysis.mimir` -- the bucketed approximation of the
   MIMIR system the paper says ElMem uses, ``O(M)`` with bounded error.
 """
-
-from repro.cache_analysis.mimir import MimirProfiler
-from repro.cache_analysis.mrc import HitRateCurve, memory_for_hit_rate
-from repro.cache_analysis.shards import ShardsProfiler
-from repro.cache_analysis.stack_distance import (
-    StackDistanceProfiler,
-    stack_distances,
-)
-
-__all__ = [
-    "HitRateCurve",
-    "MimirProfiler",
-    "ShardsProfiler",
-    "StackDistanceProfiler",
-    "memory_for_hit_rate",
-    "stack_distances",
-]

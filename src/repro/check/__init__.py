@@ -10,10 +10,9 @@ from a seed.  This package *checks* them, from two sides:
   framework with repo-specific rules (no wall-clock in simulated code, no
   unseeded RNG, no private cache-state mutation from outside
   ``repro.memcached``, ...) run by ``repro check [paths]``;
-- :mod:`repro.check.invariants` / :mod:`repro.check.oracle` -- runtime
-  validators over live data structures (LRU list integrity, slab
-  accounting, ring mapping, a brute-force FuseCache reference) that raise
-  :class:`~repro.errors.InvariantViolation` with a structured diff;
+- :mod:`repro.check.invariants` -- runtime validators over live data
+  structures (LRU list integrity, slab accounting, ring mapping) that
+  raise :class:`~repro.errors.InvariantViolation` with a structured diff;
 - :mod:`repro.check.strict` -- the ``strict_mode`` hook the
   :class:`~repro.core.master.Master` calls after each migration phase;
 - :mod:`repro.check.async_rules` -- the REP1xx concurrency-safety rule
@@ -21,47 +20,3 @@ from a seed.  This package *checks* them, from two sides:
 - :mod:`repro.check.loopcheck` -- the opt-in runtime loop sanitizer
   behind ``--sanitize`` (asyncio debug mode + blocking-call trap).
 """
-
-from __future__ import annotations
-
-from repro.check.async_rules import ASYNC_RULES, async_rule_catalogue
-from repro.check.invariants import (
-    check_lru,
-    check_ring,
-    check_ring_remap,
-    check_slabs,
-)
-from repro.check.lint import (
-    LintRule,
-    Linter,
-    Violation,
-    lint_paths,
-    lint_source,
-)
-from repro.check.loopcheck import LoopSanitizer, create_sanitizer
-from repro.check.oracle import check_fusecache, fusecache_oracle
-from repro.check.rules import DEFAULT_RULES, rule_catalogue
-from repro.check.strict import StrictChecker
-from repro.errors import InvariantViolation
-
-__all__ = [
-    "ASYNC_RULES",
-    "DEFAULT_RULES",
-    "InvariantViolation",
-    "LintRule",
-    "Linter",
-    "LoopSanitizer",
-    "StrictChecker",
-    "Violation",
-    "async_rule_catalogue",
-    "check_fusecache",
-    "check_lru",
-    "check_ring",
-    "check_ring_remap",
-    "check_slabs",
-    "create_sanitizer",
-    "fusecache_oracle",
-    "lint_paths",
-    "lint_source",
-    "rule_catalogue",
-]

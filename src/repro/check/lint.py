@@ -44,7 +44,7 @@ class Module:
     """One parsed source file handed to every rule."""
 
     path: str
-    #: Dotted module name rooted at ``repro`` (e.g. ``repro.sim.clock``);
+    #: Dotted module name rooted at ``repro`` (e.g. ``repro.sim.metrics``);
     #: rules scope themselves by prefix.  Files outside a ``repro``
     #: package tree get their bare stem.
     module: str
@@ -97,7 +97,7 @@ class LintRule:
 def module_name_for(path: Path) -> str:
     """Dotted module name for ``path``, rooted at the ``repro`` package.
 
-    ``src/repro/sim/clock.py -> repro.sim.clock``; ``__init__.py`` maps to
+    ``src/repro/sim/metrics.py -> repro.sim.metrics``; ``__init__.py`` maps to
     its package.  Paths with no ``repro`` component fall back to the stem,
     which keeps synthetic lint fixtures out of every scoped rule unless
     the test passes an explicit module name to :func:`lint_source`.

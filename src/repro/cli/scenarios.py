@@ -49,7 +49,7 @@ def _window_line(degradation: dict[str, Any]) -> str:
 
 def _cmd_live_migrate(args: argparse.Namespace) -> int:
     from repro.memcached.slab import PAGE_SIZE
-    from repro.net import run_live_migration
+    from repro.net.livemigrate import run_live_migration
 
     print(
         f"live scale-in: {args.nodes} nodes -> retire {args.retire}, "
@@ -167,7 +167,7 @@ def _add_live_migrate(sub: argparse._SubParsersAction) -> None:
 
 
 def _cmd_proxy_chaos(args: argparse.Namespace) -> int:
-    from repro.proxy import run_proxy_chaos
+    from repro.proxy.chaos import run_proxy_chaos
 
     print(
         f"proxy chaos: {args.nodes} backends, kill+restart one "
@@ -301,7 +301,7 @@ def _print_load_report(data: dict[str, Any]) -> None:
 
 
 def _cmd_loadgen(args: argparse.Namespace) -> int:
-    from repro.loadgen import run_load, run_load_migration
+    from repro.loadgen.runner import run_load, run_load_migration
     from repro.memcached.slab import PAGE_SIZE
 
     if args.migrate and args.target:
@@ -428,7 +428,7 @@ def _add_loadgen(sub: argparse._SubParsersAction) -> None:
 
 
 def _cmd_controlplane_scenario(args: argparse.Namespace) -> int:
-    from repro.controlplane import run_controlplane_scenario
+    from repro.controlplane.scenario import run_controlplane_scenario
     from repro.memcached.slab import PAGE_SIZE
 
     print(

@@ -87,7 +87,7 @@ def _endpoint_lines(endpoints: dict[str, tuple[str, int]]) -> list[str]:
 
 def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.memcached.slab import PAGE_SIZE
-    from repro.net import LiveClusterHarness
+    from repro.net.server import LiveClusterHarness
 
     names = [f"live-{index:02d}" for index in range(args.nodes)]
     telemetry = _live_telemetry(args, "serve")
@@ -178,7 +178,8 @@ def _add_serve(sub: argparse._SubParsersAction) -> None:
 
 def _cmd_proxy(args: argparse.Namespace) -> int:
     from repro.memcached.slab import PAGE_SIZE
-    from repro.proxy import ProxyConfig, ProxyHarness
+    from repro.proxy.router import ProxyConfig
+    from repro.proxy.server import ProxyHarness
 
     names = [f"live-{index:02d}" for index in range(args.nodes)]
     config = ProxyConfig(
@@ -249,7 +250,7 @@ def _add_proxy(sub: argparse._SubParsersAction) -> None:
 
 def _cmd_serve_cluster(args: argparse.Namespace) -> int:
     from repro.memcached.slab import PAGE_SIZE
-    from repro.net import ProcessClusterHarness
+    from repro.net.procs import ProcessClusterHarness
 
     names = [f"proc-{index:02d}" for index in range(args.nodes)]
     harness = ProcessClusterHarness(
@@ -298,7 +299,7 @@ def _add_serve_cluster(sub: argparse._SubParsersAction) -> None:
 
 
 def _cmd_controlplane(args: argparse.Namespace) -> int:
-    from repro.controlplane import ControlPlane, ControlPlaneConfig
+    from repro.controlplane.daemon import ControlPlane, ControlPlaneConfig
     from repro.core.autoscaler import (
         AutoScaler,
         AutoScalerConfig,

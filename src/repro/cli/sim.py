@@ -7,8 +7,6 @@ from __future__ import annotations
 import argparse
 import time
 
-import numpy as np
-
 
 def _cmd_run(args: argparse.Namespace) -> int:
     from repro.sim.experiment import ExperimentConfig, run_experiment
@@ -246,6 +244,8 @@ def _add_fusecache(sub: argparse._SubParsersAction) -> None:
 
 
 def _cmd_mrc(args: argparse.Namespace) -> int:
+    import numpy as np
+
     from repro.cache_analysis.mimir import MimirProfiler
     from repro.cache_analysis.mrc import HitRateCurve
     from repro.cache_analysis.shards import ShardsProfiler

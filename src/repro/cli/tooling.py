@@ -11,7 +11,8 @@ from repro.cli._shared import parse_endpoint, shutdown_signals
 
 def _check_rule_rows(args: argparse.Namespace) -> "list[tuple[str, str, str]]":
     """The rule catalogue covering every pack this invocation runs."""
-    from repro.check import async_rule_catalogue, rule_catalogue
+    from repro.check.async_rules import async_rule_catalogue
+    from repro.check.rules import rule_catalogue
 
     rows = list(rule_catalogue())
     if getattr(args, "async_rules", False) or getattr(args, "list_rules", False):
@@ -20,12 +21,13 @@ def _check_rule_rows(args: argparse.Namespace) -> "list[tuple[str, str, str]]":
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
-    from repro.check import DEFAULT_RULES, lint_paths
+    from repro.check.lint import lint_paths
     from repro.check.output import (
         github_annotations,
         violations_json,
         write_sarif,
     )
+    from repro.check.rules import DEFAULT_RULES
     from repro.check.strict import (
         strict_fault_sweep_report,
         strict_smoke_report,
@@ -40,7 +42,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
     machine = args.json_out
     rules = list(DEFAULT_RULES)
     if args.async_rules:
-        from repro.check import ASYNC_RULES
+        from repro.check.async_rules import ASYNC_RULES
 
         rules.extend(ASYNC_RULES)
 

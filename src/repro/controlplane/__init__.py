@@ -23,25 +23,3 @@ The decision policy itself lives in :mod:`repro.core.autoscaler`
 (:class:`~repro.core.autoscaler.ScalingEngine`), consumed unchanged by
 both the simulator and this daemon -- one policy object, two clocks.
 """
-
-from __future__ import annotations
-
-from repro.controlplane.admin import AdminServer
-from repro.controlplane.daemon import (
-    ControlPlane,
-    ControlPlaneConfig,
-    ScaleInProgressError,
-)
-from repro.controlplane.scenario import (
-    ControlPlaneScenarioResult,
-    run_controlplane_scenario,
-)
-
-__all__ = [
-    "AdminServer",
-    "ControlPlane",
-    "ControlPlaneConfig",
-    "ControlPlaneScenarioResult",
-    "ScaleInProgressError",
-    "run_controlplane_scenario",
-]

@@ -11,35 +11,4 @@
   migration).
 - :mod:`repro.core.policies` -- migration policies compared in the paper:
   ElMem, Naive, CacheScale, and the no-migration baseline.
-- :mod:`repro.core.elmem` -- the :class:`ElMemController` facade tying the
-  AutoScaler, Master, and Agents together.
 """
-
-from repro.core.autoscaler import AutoScaler, AutoScalerConfig, ScalingDecision
-from repro.core.elmem import ElMemController
-from repro.core.fusecache import (
-    FuseCacheResult,
-    fuse_cache,
-    fuse_cache_detailed,
-    kway_merge_top_n,
-    sort_merge_top_n,
-)
-from repro.core.master import Master, MigrationReport
-from repro.core.retry import RetryPolicy
-from repro.core.scoring import score_nodes
-
-__all__ = [
-    "AutoScaler",
-    "AutoScalerConfig",
-    "ElMemController",
-    "FuseCacheResult",
-    "Master",
-    "MigrationReport",
-    "RetryPolicy",
-    "ScalingDecision",
-    "fuse_cache",
-    "fuse_cache_detailed",
-    "kway_merge_top_n",
-    "score_nodes",
-    "sort_merge_top_n",
-]

@@ -7,8 +7,3 @@ misses pushing the database past this knee, so the reproduction models the
 tier as a backing key-value store plus an M/M/1-with-backlog latency
 model.
 """
-
-from repro.database.kvstore import BackingStore
-from repro.database.latency import DatabaseTier, MM1LatencyModel
-
-__all__ = ["BackingStore", "DatabaseTier", "MM1LatencyModel"]

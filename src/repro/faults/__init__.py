@@ -9,16 +9,3 @@ network failures or throttling.  The Master's retry/deadline machinery
 and the migration policies consume the injector's query side to decide
 when to retry, skip, or degrade a migration to plain cold scaling.
 """
-
-from repro.faults.injector import AppliedFault, FaultInjector
-from repro.faults.sockets import SocketFaultPolicy
-from repro.faults.spec import FAULT_KINDS, FaultSchedule, FaultSpec
-
-__all__ = [
-    "AppliedFault",
-    "FAULT_KINDS",
-    "FaultInjector",
-    "FaultSchedule",
-    "FaultSpec",
-    "SocketFaultPolicy",
-]

@@ -5,9 +5,3 @@ each key to pick the node (Section II-A of the paper).  Consistent hashing
 keeps the remapped key fraction near ``1/(k+1)`` when membership changes,
 which is what makes the paper's scale-out migration cheap (Section III-D4).
 """
-
-from repro.hashing.hashutil import hash64
-from repro.hashing.ketama import ConsistentHashRing
-from repro.hashing.rendezvous import RendezvousHash
-
-__all__ = ["ConsistentHashRing", "RendezvousHash", "hash64"]

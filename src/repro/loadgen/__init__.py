@@ -28,28 +28,3 @@ silently rescheduled.
   mid-load and reports the ``killed_at -> recovered_at`` degradation
   window.
 """
-
-from __future__ import annotations
-
-from repro.loadgen.driver import LoadGenerator
-from repro.loadgen.report import LoadReport
-from repro.loadgen.runner import run_load, run_load_migration
-from repro.loadgen.schedule import (
-    ScheduledOp,
-    build_schedule,
-    payload_for,
-    tape_rows,
-    tape_sha256,
-)
-
-__all__ = [
-    "LoadGenerator",
-    "LoadReport",
-    "ScheduledOp",
-    "build_schedule",
-    "payload_for",
-    "run_load",
-    "run_load_migration",
-    "tape_rows",
-    "tape_sha256",
-]

@@ -12,27 +12,3 @@ machinery manipulates:
   and a *batch import* that installs migrated items while evicting colder
   local items (Section V-A1).
 """
-
-from repro.memcached.cluster import MemcachedCluster
-from repro.memcached.items import ITEM_OVERHEAD, Item
-from repro.memcached.lru import MRUList
-from repro.memcached.node import MemcachedNode, NodeStats
-from repro.memcached.slab import (
-    PAGE_SIZE,
-    SlabAllocator,
-    SlabClass,
-    size_class_table,
-)
-
-__all__ = [
-    "ITEM_OVERHEAD",
-    "Item",
-    "MRUList",
-    "MemcachedCluster",
-    "MemcachedNode",
-    "NodeStats",
-    "PAGE_SIZE",
-    "SlabAllocator",
-    "SlabClass",
-    "size_class_table",
-]

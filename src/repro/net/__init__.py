@@ -30,25 +30,3 @@ clock, transfers move real bytes, and failures are real socket errors
 (surfaced as :class:`~repro.errors.TransportError` once retries are
 exhausted).
 """
-
-from __future__ import annotations
-
-from repro.net.client import NodeClient
-from repro.net.cluster import LiveCluster, RemoteNode
-from repro.net.livemigrate import LiveMigrationResult, run_live_migration
-from repro.net.procs import CrashEvent, ProcessClusterHarness
-from repro.net.runtime import EventLoopThread
-from repro.net.server import LiveClusterHarness, NodeServer
-
-__all__ = [
-    "CrashEvent",
-    "EventLoopThread",
-    "LiveCluster",
-    "LiveClusterHarness",
-    "LiveMigrationResult",
-    "NodeClient",
-    "NodeServer",
-    "ProcessClusterHarness",
-    "RemoteNode",
-    "run_live_migration",
-]

@@ -224,9 +224,9 @@ class ProcessClusterHarness:
         default lets each child pick a free port, read back through the
         readiness handshake.
     startup_timeout_s:
-        Wall-clock budget for the whole fleet to report ready (spawned
-        interpreters import the package from scratch, so this is
-        seconds, not milliseconds).
+        Wall-clock budget for the whole fleet to report ready.  A child
+        imports only the node's modules (~0.1 s) and binds; the default
+        leaves room for a loaded machine.
     restart_crashed:
         When True the watcher respawns a crashed node (cold, same port).
     on_crash:

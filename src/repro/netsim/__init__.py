@@ -6,7 +6,3 @@ per-flow bandwidth and per-connection setup cost, and lets concurrent
 flows through one NIC share its bandwidth -- enough fidelity to reproduce
 the ~2 minute migration overhead breakdown of Section V-B2.
 """
-
-from repro.netsim.transfer import Flow, FlowResult, NetworkModel
-
-__all__ = ["Flow", "FlowResult", "NetworkModel"]

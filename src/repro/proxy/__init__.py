@@ -24,34 +24,3 @@ ElMem assumes (Section II: ECE-Memcached sits behind a proxy/router
 tier).  :func:`run_proxy_chaos` replays the kill-a-backend-mid-traffic
 scenario end to end.
 """
-
-from repro.proxy.breaker import (
-    CLOSED,
-    HALF_OPEN,
-    OPEN,
-    STATE_CODES,
-    CircuitBreaker,
-)
-from repro.proxy.chaos import ProxyChaosResult, run_proxy_chaos
-from repro.proxy.coalesce import GetCoalescer
-from repro.proxy.hotkeys import HotKeyDetector, ReplicaRegistry
-from repro.proxy.router import DEFAULT_PROXY_RETRY, ProxyConfig, ProxyRouter
-from repro.proxy.server import ProxyHarness, ProxyServer
-
-__all__ = [
-    "CLOSED",
-    "HALF_OPEN",
-    "OPEN",
-    "STATE_CODES",
-    "CircuitBreaker",
-    "DEFAULT_PROXY_RETRY",
-    "GetCoalescer",
-    "HotKeyDetector",
-    "ProxyChaosResult",
-    "ProxyConfig",
-    "ProxyHarness",
-    "ProxyRouter",
-    "ProxyServer",
-    "ReplicaRegistry",
-    "run_proxy_chaos",
-]

@@ -5,24 +5,3 @@ web-tier multi-gets, the Memcached cluster, and the capacity-limited
 database -- in one-second ticks, recording per-second hit rate and
 95th-percentile response time exactly as the paper's figures plot them.
 """
-
-from repro.sim.clock import SimulationClock
-from repro.sim.experiment import (
-    ExperimentConfig,
-    ExperimentResult,
-    run_experiment,
-)
-from repro.sim.metrics import MetricsCollector, MigrationOutcome, SecondRecord
-from repro.sim.webapp import LatencyModel, WebApplication
-
-__all__ = [
-    "ExperimentConfig",
-    "ExperimentResult",
-    "LatencyModel",
-    "MetricsCollector",
-    "MigrationOutcome",
-    "SecondRecord",
-    "SimulationClock",
-    "WebApplication",
-    "run_experiment",
-]

@@ -25,7 +25,8 @@ from repro.core.policies import MigrationPolicy, make_policy
 from repro.core.retry import RetryPolicy
 from repro.database.latency import DatabaseTier
 from repro.errors import ConfigurationError
-from repro.faults import FaultInjector, FaultSchedule
+from repro.faults.injector import FaultInjector
+from repro.faults.spec import FaultSchedule
 from repro.memcached.cluster import MemcachedCluster
 from repro.netsim.transfer import GBIT, NetworkModel
 from repro.obs import NULL_TELEMETRY, Telemetry

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 from repro.core.policies import MigrationPolicy
 from repro.errors import ConfigurationError
-from repro.faults import FaultSchedule, FaultSpec
+from repro.faults.spec import FaultSchedule, FaultSpec
 from repro.sim.experiment import ExperimentConfig
 from repro.workloads.traces import make_trace
 

@@ -9,27 +9,3 @@
 - request generation: Poisson arrivals whose mean follows the trace, each
   web request touching a fixed number of KV pairs via multi-get.
 """
-
-from repro.workloads.generator import RequestGenerator
-from repro.workloads.keyspace import Dataset, KeySpace, build_dataset
-from repro.workloads.popularity import (
-    PopularityDistribution,
-    UniformPopularity,
-    ZipfPopularity,
-)
-from repro.workloads.traces import RateTrace, TRACE_FACTORIES, make_trace
-from repro.workloads.valuesize import GeneralizedParetoSizes
-
-__all__ = [
-    "Dataset",
-    "GeneralizedParetoSizes",
-    "KeySpace",
-    "PopularityDistribution",
-    "RateTrace",
-    "RequestGenerator",
-    "TRACE_FACTORIES",
-    "UniformPopularity",
-    "ZipfPopularity",
-    "build_dataset",
-    "make_trace",
-]

@@ -6,7 +6,7 @@ sanctioned live-tier patterns each rule must NOT flag, suppression via
 ``repro: allow[...]``, and the package scoping of the bridge rule.
 """
 
-from repro.check import ASYNC_RULES, async_rule_catalogue
+from repro.check.async_rules import ASYNC_RULES, async_rule_catalogue
 from repro.check.lint import lint_source
 
 

@@ -11,7 +11,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.check import ASYNC_RULES, lint_paths
+from repro.check.async_rules import ASYNC_RULES
+from repro.check.lint import lint_paths
 from repro.check.lint import Linter, module_name_for
 from repro.check.rules import DEFAULT_RULES
 

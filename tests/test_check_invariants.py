@@ -11,7 +11,7 @@ import random
 
 import pytest
 
-from repro.check import (
+from repro.check.invariants import (
     check_lru,
     check_ring,
     check_ring_remap,

@@ -10,7 +10,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.check import lint_paths, lint_source, rule_catalogue
+from repro.check.lint import lint_paths, lint_source
+from repro.check.rules import rule_catalogue
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
 

@@ -17,7 +17,7 @@ import urllib.request
 
 import pytest
 
-from repro.controlplane import ControlPlane, ControlPlaneConfig
+from repro.controlplane.daemon import ControlPlane, ControlPlaneConfig
 from repro.core.autoscaler import (
     AutoScaler,
     AutoScalerConfig,

@@ -10,7 +10,8 @@ nondeterminism.
 
 import json
 
-from repro.loadgen import build_schedule, run_load, tape_rows
+from repro.loadgen.runner import run_load
+from repro.loadgen.schedule import build_schedule, tape_rows
 from repro.memcached.slab import PAGE_SIZE
 from repro.net.server import LiveClusterHarness
 from repro.obs import create_telemetry

@@ -4,7 +4,8 @@ and the network model's per-flow failure semantics)."""
 import pytest
 
 from repro.errors import ConfigurationError, FaultError, FlowTimeoutError
-from repro.faults import FaultInjector, FaultSchedule, FaultSpec
+from repro.faults.injector import FaultInjector
+from repro.faults.spec import FaultSchedule, FaultSpec
 from repro.memcached.cluster import MemcachedCluster
 from repro.memcached.slab import PAGE_SIZE
 from repro.netsim.transfer import Flow, NetworkModel

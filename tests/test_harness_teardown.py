@@ -26,10 +26,11 @@ import threading
 import pytest
 
 from repro.memcached.slab import PAGE_SIZE
-from repro.net import LiveCluster, NodeClient
+from repro.net.client import NodeClient
+from repro.net.cluster import LiveCluster
 from repro.net.runtime import EventLoopThread
 from repro.net.server import LiveClusterHarness
-from repro.proxy import ProxyHarness
+from repro.proxy.server import ProxyHarness
 
 MEMORY = 8 * PAGE_SIZE
 CYCLES = 3

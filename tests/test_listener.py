@@ -30,12 +30,13 @@ from repro.faults.sockets import DEAD_STOP_DELAY_S, SocketFaultPolicy
 from repro.faults.spec import FaultSchedule, FaultSpec
 from repro.memcached.node import MemcachedNode
 from repro.memcached.slab import PAGE_SIZE
-from repro.net import LiveClusterHarness, NodeClient
+from repro.net.client import NodeClient
+from repro.net.server import LiveClusterHarness
 from repro.net.runtime import EventLoopThread
 from repro.net.server import NodeServer, StreamListener
 from repro.obs import create_telemetry
 from repro.obs.scrape import parse_prometheus
-from repro.proxy import ProxyHarness
+from repro.proxy.server import ProxyHarness
 from tests.test_stepped_import import (
     CLOCK_BASE,
     cold_records,

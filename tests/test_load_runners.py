@@ -11,8 +11,8 @@ process per node, so they carry the ``proc`` marker:
 
 import pytest
 
-from repro.controlplane import run_controlplane_scenario
-from repro.loadgen import run_load, run_load_migration
+from repro.controlplane.scenario import run_controlplane_scenario
+from repro.loadgen.runner import run_load, run_load_migration
 from repro.obs.export import read_jsonl
 
 pytestmark = pytest.mark.proc

@@ -15,9 +15,9 @@ import json
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.loadgen import (
-    LoadGenerator,
-    LoadReport,
+from repro.loadgen.driver import LoadGenerator
+from repro.loadgen.report import LoadReport
+from repro.loadgen.schedule import (
     build_schedule,
     payload_for,
     tape_rows,

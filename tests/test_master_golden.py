@@ -22,7 +22,8 @@ from repro.core.agent import Agent
 from repro.core.master import Master, MigrationPlan, MigrationReport
 from repro.core.policies import ElMemPolicy
 from repro.core.retry import RetryPolicy
-from repro.faults import FaultInjector, FaultSchedule, FaultSpec
+from repro.faults.injector import FaultInjector
+from repro.faults.spec import FaultSchedule, FaultSpec
 from repro.memcached.cluster import MemcachedCluster
 from repro.memcached.slab import PAGE_SIZE
 from repro.netsim.transfer import NetworkModel

@@ -20,7 +20,9 @@ from repro.errors import TransportError
 from repro.faults.sockets import DEAD_STOP_DELAY_S, SocketFaultPolicy
 from repro.faults.spec import FaultSchedule, FaultSpec
 from repro.memcached.slab import PAGE_SIZE
-from repro.net import LiveCluster, LiveClusterHarness, NodeClient
+from repro.net.client import NodeClient
+from repro.net.cluster import LiveCluster
+from repro.net.server import LiveClusterHarness
 from repro.net.livemigrate import (
     node_signature,
     run_live_migration,

@@ -26,7 +26,8 @@ from repro.errors import TransportError, WireProtocolError
 from repro.memcached.node import MemcachedNode, MigratedItem
 from repro.memcached.protocol import TextProtocolServer
 from repro.memcached.slab import PAGE_SIZE
-from repro.net import LiveClusterHarness, NodeClient
+from repro.net.client import NodeClient
+from repro.net.server import LiveClusterHarness
 from repro.net.runtime import EventLoopThread
 from repro.obs import create_telemetry
 

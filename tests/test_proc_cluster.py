@@ -20,7 +20,8 @@ import pytest
 
 from repro.errors import ConfigurationError, TransportError
 from repro.memcached.slab import PAGE_SIZE
-from repro.net import NodeClient, ProcessClusterHarness
+from repro.net.client import NodeClient
+from repro.net.procs import ProcessClusterHarness
 from repro.net.livemigrate import run_live_migration
 from repro.net.runtime import EventLoopThread
 

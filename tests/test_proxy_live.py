@@ -24,19 +24,17 @@ from repro.core.retry import RetryPolicy
 from repro.faults.sockets import SocketFaultPolicy
 from repro.faults.spec import FaultSchedule, FaultSpec
 from repro.memcached.slab import PAGE_SIZE
-from repro.net import LiveCluster, NodeClient
+from repro.net.client import NodeClient
+from repro.net.cluster import LiveCluster
 from repro.net.livemigrate import seed_records
 from repro.net.runtime import EventLoopThread
 from repro.obs import create_telemetry
 from repro.obs.export import read_jsonl
 from repro.obs.trace import TraceContext
-from repro.proxy import (
-    CLOSED,
-    OPEN,
-    ProxyConfig,
-    ProxyHarness,
-    run_proxy_chaos,
-)
+from repro.proxy.breaker import CLOSED, OPEN
+from repro.proxy.chaos import run_proxy_chaos
+from repro.proxy.router import ProxyConfig
+from repro.proxy.server import ProxyHarness
 from repro.sim.scenarios import hot_key_storm
 
 MEMORY = 8 * PAGE_SIZE

@@ -19,17 +19,10 @@ from repro.memcached.slab import PAGE_SIZE
 from repro.net.server import NodeServer
 from repro.obs import CURRENT_CONTEXT, create_telemetry
 from repro.obs.metrics import LATENCY_SECONDS_BUCKETS
-from repro.proxy import (
-    CLOSED,
-    HALF_OPEN,
-    OPEN,
-    CircuitBreaker,
-    GetCoalescer,
-    HotKeyDetector,
-    ProxyConfig,
-    ProxyRouter,
-    ReplicaRegistry,
-)
+from repro.proxy.breaker import CLOSED, HALF_OPEN, OPEN, CircuitBreaker
+from repro.proxy.coalesce import GetCoalescer
+from repro.proxy.hotkeys import HotKeyDetector, ReplicaRegistry
+from repro.proxy.router import ProxyConfig, ProxyRouter
 
 
 class StepClock:

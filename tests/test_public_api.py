@@ -24,7 +24,6 @@ class TestPackageSurface:
 
     def test_top_level_exports(self):
         for name in (
-            "ElMemController",
             "FaultError",
             "FaultInjector",
             "FaultSchedule",

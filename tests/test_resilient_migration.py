@@ -10,7 +10,8 @@ from repro.core.master import Master, MigrationReport
 from repro.core.policies import ElMemPolicy
 from repro.core.retry import NO_RETRY, RetryPolicy
 from repro.errors import ConfigurationError, MigrationAbortedError
-from repro.faults import FaultInjector, FaultSchedule, FaultSpec
+from repro.faults.injector import FaultInjector
+from repro.faults.spec import FaultSchedule, FaultSpec
 from repro.memcached.cluster import MemcachedCluster
 from repro.memcached.slab import PAGE_SIZE
 from repro.netsim.transfer import NetworkModel

@@ -119,7 +119,7 @@ class TestClientSeedPlumbing:
 
     def test_proxy_clients_get_per_backend_seeds(self):
         from repro.hashing.hashutil import hash32
-        from repro.proxy import ProxyRouter
+        from repro.proxy.router import ProxyRouter
 
         router = ProxyRouter(
             {"a": ("127.0.0.1", 1), "b": ("127.0.0.1", 2)}

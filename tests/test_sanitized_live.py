@@ -11,10 +11,10 @@ latency.
 import pytest
 
 from repro.memcached.slab import PAGE_SIZE
-from repro.net import NodeClient
+from repro.net.client import NodeClient
 from repro.net.livemigrate import run_live_migration
 from repro.net.runtime import EventLoopThread
-from repro.proxy import ProxyHarness
+from repro.proxy.server import ProxyHarness
 
 MEMORY = 8 * PAGE_SIZE
 

@@ -1,12 +1,10 @@
-"""Tests for the clock, metrics, web application, and experiment runner."""
+"""Tests for the metrics, web application, and experiment runner."""
 
 import math
 
 import numpy as np
 import pytest
 
-from repro.errors import ConfigurationError
-from repro.sim.clock import SimulationClock
 from repro.sim.experiment import (
     ExperimentConfig,
     build_stack,
@@ -38,26 +36,6 @@ def tiny_config(**overrides) -> ExperimentConfig:
     )
     defaults.update(overrides)
     return ExperimentConfig(**defaults)
-
-
-class TestClock:
-    def test_starts_at_zero(self):
-        assert SimulationClock().now == 0.0
-
-    def test_advance(self):
-        clock = SimulationClock()
-        assert clock.advance(2.5) == 2.5
-        assert clock.now == 2.5
-
-    def test_rejects_negative_advance(self):
-        with pytest.raises(ConfigurationError):
-            SimulationClock().advance(-1.0)
-
-    def test_at_jumps_forward_only(self):
-        clock = SimulationClock(5.0)
-        clock.at(7.0)
-        with pytest.raises(ConfigurationError):
-            clock.at(6.0)
 
 
 class TestMetricsCollector:

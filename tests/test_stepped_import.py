@@ -38,7 +38,7 @@ from repro.memcached.items import Item
 from repro.memcached.node import MemcachedNode, MigratedItem, drain
 from repro.memcached.protocol import TextProtocolServer
 from repro.memcached.slab import PAGE_SIZE
-from repro.net import NodeClient
+from repro.net.client import NodeClient
 from repro.net import server as server_module
 from repro.net.runtime import EventLoopThread
 from repro.net.server import NodeServer, run_steps

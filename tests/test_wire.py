@@ -25,9 +25,11 @@ from repro.hashing.ketama import ConsistentHashRing
 from repro.memcached.node import MigratedItem
 from repro.memcached.protocol import TextProtocolServer
 from repro.memcached.slab import PAGE_SIZE
-from repro.net import LiveClusterHarness, NodeClient
+from repro.net.client import NodeClient
+from repro.net.server import LiveClusterHarness
 from repro.net.runtime import EventLoopThread
-from repro.proxy import ProxyConfig, ProxyHarness
+from repro.proxy.router import ProxyConfig
+from repro.proxy.server import ProxyHarness
 from repro.proxy.router import ProxyRouter
 from repro.proxy.server import ProxyServer
 from repro.wire import COMMANDS, MAX_KEY_LENGTH, MAX_LINE, RequestFramer
