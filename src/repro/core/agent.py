@@ -43,15 +43,19 @@ class Agent:
         head-prepending batch import (and any ``fresh``-mode migration)
         perturbs it, and FuseCache's binary searches silently misbehave
         on unsorted input.
+
+        Each key is looked up once on a ring built for this plan, so the
+        lookups skip the ring's route cache, which would only fill with
+        entries nobody reads again.
         """
         grouped: dict[str, dict[int, list[tuple[str, float]]]] = {}
         for class_id in self.node.active_class_ids():
-            for key, timestamp in self.node.dump_timestamps(class_id):
-                target = target_ring.node_for_key(key)
+            for entry in self.node.dump_timestamps(class_id):
+                target = target_ring.uncached_lookup(entry[0])
                 if target == self.node.name:
                     continue
                 per_class = grouped.setdefault(target, {})
-                per_class.setdefault(class_id, []).append((key, timestamp))
+                per_class.setdefault(class_id, []).append(entry)
         for per_class in grouped.values():
             for entries in per_class.values():
                 entries.sort(key=lambda pair: pair[1], reverse=True)
@@ -60,8 +64,8 @@ class Agent:
     def sorted_timestamps(self, class_id: int) -> list[float]:
         """This node's own slab timestamps, hottest-first (FuseCache's
         ``k``-th list), robust to prepend-mode order drift."""
-        items = self.node.items_in_mru_order(class_id)
-        return sorted((item.last_access for item in items), reverse=True)
+        rows = self.node.dump_timestamps(class_id)
+        return sorted((timestamp for _, timestamp in rows), reverse=True)
 
     @staticmethod
     def metadata_bytes(

@@ -41,6 +41,7 @@ from repro.errors import (
 from repro.memcached.cluster import MemcachedCluster
 from repro.netsim.transfer import Flow, NetworkModel
 from repro.obs import NULL_SPAN, NULL_TELEMETRY, Telemetry
+from repro.wire import EXPORT_BATCH_KEYS
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.faults.injector import FaultInjector
@@ -803,17 +804,11 @@ class Master:
             if attempt is not None:
                 clock += attempt.duration_s
             try:
-                migrated = nodes[src].export_items(keys)
-                result.exported = len(migrated)
-                result.imported = nodes[dst].batch_import(
-                    migrated, mode=mode, now=clock
-                )
-                clock += Agent.local_seconds(
-                    result.imported, self.import_rate_items_s, import_factor
-                )
+                self._relay(step, mode, clock, result)
             except TransportError as exc:
                 # A live (socket-backed) pair whose transport retries ran
-                # out degrades exactly like an exhausted simulated flow.
+                # out degrades exactly like an exhausted simulated flow;
+                # the batches that landed before the failure still count.
                 result.status = FAILED
                 failures += 1
                 pair_span.event("transport_failed", sim_s=clock, error=str(exc))
@@ -821,12 +816,36 @@ class Master:
                     "migration_transport_failures_total",
                     "Live data flows lost to exhausted transport retries",
                 ).inc()
+            else:
+                clock += Agent.local_seconds(
+                    result.imported, self.import_rate_items_s, import_factor
+                )
         if result.status == COMPLETED:
             pair_span.set(outcome=COMPLETED, items=result.imported, bytes=size)
         else:
             pair_span.set(outcome=result.status, attempts=failures)
         pair_span.end(sim_s=clock)
         return result, clock
+
+    def _relay(
+        self, step: MigrationStep, mode: str, clock: float, result: StepResult
+    ) -> None:
+        """Ship ``step``'s keys one wire batch at a time, adding each
+        batch to ``result`` as it lands.
+
+        Each slice of :data:`~repro.wire.EXPORT_BATCH_KEYS` keys is
+        exported and imported before the next is read, so the
+        controller, the source's ``mig_export`` reply and the target's
+        ``batch_import`` request each hold one batch, however large the
+        pair.
+        """
+        source = self.cluster.nodes[step.src]
+        target = self.cluster.nodes[step.dst]
+        keys = step.keys
+        for start in range(0, len(keys), EXPORT_BATCH_KEYS):
+            migrated = source.export_items(keys[start : start + EXPORT_BATCH_KEYS])
+            result.exported += len(migrated)
+            result.imported += target.batch_import(migrated, mode=mode, now=clock)
 
     def _switch(
         self,

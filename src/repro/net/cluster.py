@@ -118,6 +118,15 @@ class RemoteNode:
     and bulk data (``export_items``, ``batch_import``, ``delete``,
     ``flush_all``) always go over the wire.
 
+    The snapshot holds each ``ts_dump`` row once: the
+    ``(key, last_access, value_size)`` tuples sit in their slab class's
+    ``mru_rows`` list in MRU order.  The first ``peek`` or ``contains``
+    after a refresh builds a ``key -> row`` index over the same tuples;
+    planning peeks only at retiring nodes, so retained nodes never
+    build one.  Nothing else is materialised per key;
+    ``items_in_mru_order`` builds its :class:`_RemoteItem` views on
+    demand.
+
     The snapshot mirrors the trust model of the paper's Master, which
     also plans on a metadata dump that may drift from the live cache;
     drift is tolerated downstream (evicted keys are skipped at export).
@@ -135,8 +144,9 @@ class RemoteNode:
         # Live nodes run slab.py's default geometry on both ends.
         self._chunk_sizes = size_class_table()
         self._snapshot: _RemoteSlabs | None = None
-        self._sizes: dict[str, int] = {}
-        self._timestamps: dict[str, float] = {}
+        # key -> its ts_dump row (the same tuple as in its class's
+        # mru_rows), built by the first peek/contains after a refresh.
+        self._index: dict[str, tuple[str, float, int]] | None = None
         self._memory_bytes: int | None = None
         self._curr_items = 0
 
@@ -169,16 +179,12 @@ class RemoteNode:
                 slab_class.pages = value
             elif field == "used_chunks":
                 slab_class.used_chunks = value
-        self._sizes = {}
-        self._timestamps = {}
+        self._index = None
         for slab_class in slabs.classes:
             if slab_class.pages == 0:
                 continue
             rows = self._call(self.client.ts_dump(slab_class.class_id))
             slab_class.mru_rows = rows
-            for key, last_access, size in rows:
-                self._sizes[key] = size
-                self._timestamps[key] = last_access
         self._snapshot = slabs
         return slabs
 
@@ -254,21 +260,21 @@ class RemoteNode:
 
     def peek(self, key: str) -> _RemoteItem | None:
         """Snapshot metadata for ``key`` (no payload, no MRU effects)."""
-        if self._snapshot is None:
-            self.refresh()
-        size = self._sizes.get(key)
-        if size is None:
+        row = self._row(key)
+        if row is None:
             return None
-        return _RemoteItem(
-            key=key,
-            last_access=self._timestamps.get(key, 0.0),
-            value_size=size,
-        )
+        return _RemoteItem(*row)
 
     def contains(self, key: str) -> bool:
-        if self._snapshot is None:
-            self.refresh()
-        return key in self._sizes
+        return self._row(key) is not None
+
+    def _row(self, key: str) -> tuple[str, float, int] | None:
+        slabs = self.slabs  # a refresh drops the index with the snapshot
+        if self._index is None:
+            self._index = {
+                row[0]: row for c in slabs.classes for row in c.mru_rows
+            }
+        return self._index.get(key)
 
     # ------------------------------------------------------------------
     # Wire operations

@@ -7,7 +7,9 @@ from repro.core.master import Master
 from repro.errors import MigrationError
 from repro.memcached.cluster import MemcachedCluster
 from repro.memcached.slab import PAGE_SIZE
+from repro.net.livemigrate import node_signature
 from repro.netsim.transfer import NetworkModel
+from repro.wire import EXPORT_BATCH_KEYS
 
 
 def warmed_cluster(nodes=4, items=400, memory_pages=4) -> MemcachedCluster:
@@ -16,6 +18,30 @@ def warmed_cluster(nodes=4, items=400, memory_pages=4) -> MemcachedCluster:
     for i in range(items):
         cluster.set(f"key-{i:05d}", f"v{i}", 150, float(i))
     return cluster
+
+
+class RelaySpy:
+    """A node stand-in that records the size of every phase-3 call."""
+
+    def __init__(self, node, calls: list[tuple[str, int]]) -> None:
+        self._node = node
+        self._calls = calls
+
+    def __getattr__(self, name):
+        return getattr(self._node, name)
+
+    def __len__(self) -> int:
+        return len(self._node)
+
+    def export_items(self, keys):
+        keys = list(keys)
+        self._calls.append(("export_items", len(keys)))
+        return self._node.export_items(keys)
+
+    def batch_import(self, migrated, mode="merge", now=0.0):
+        migrated = list(migrated)
+        self._calls.append(("batch_import", len(migrated)))
+        return self._node.batch_import(migrated, mode=mode, now=now)
 
 
 def make_master(cluster) -> Master:
@@ -175,6 +201,42 @@ class TestScaleInExecution:
         )
         # With room on retained nodes all migrated keys must now hit.
         assert hits == len(migrated_keys)
+
+    def test_pairs_relay_one_wire_batch_at_a_time(self):
+        """Every export and import carries at most one wire batch, and
+        the result equals moving each pair in one piece."""
+        cluster = warmed_cluster(nodes=3, items=13_000, memory_pages=6)
+        twin = warmed_cluster(nodes=3, items=13_000, memory_pages=6)
+        calls: list[tuple[str, int]] = []
+        for name in list(cluster.nodes):
+            cluster.nodes[name] = RelaySpy(cluster.nodes[name], calls)
+        master = make_master(cluster)
+        plan = master.plan_scale_in(master.choose_retiring(1))
+        assert min(map(len, plan.transfers.values())) > 3 * EXPORT_BATCH_KEYS
+        report = master.execute(plan)
+
+        assert max(size for _, size in calls) <= EXPORT_BATCH_KEYS
+        batches = sum(
+            -(-len(keys) // EXPORT_BATCH_KEYS) for keys in plan.transfers.values()
+        )
+        assert [verb for verb, _ in calls] == ["export_items", "batch_import"] * batches
+
+        # Reference: each pair moved in one piece on an identical cluster.
+        twin_master = make_master(twin)
+        twin_plan = twin_master.plan_scale_in(twin_master.choose_retiring(1))
+        assert twin_plan.transfers == plan.transfers
+        exported = imported = 0
+        for (src, dst), keys in twin_plan.transfers.items():
+            migrated = twin.nodes[src].export_items(keys)
+            exported += len(migrated)
+            imported += twin.nodes[dst].batch_import(migrated, mode="merge")
+        assert report.outcome == "warm"
+        assert report.completed_pairs == len(plan.transfers)
+        assert (report.items_exported, report.items_imported) == (exported, imported)
+        for name in plan.retained:
+            assert node_signature(cluster.nodes[name]) == node_signature(
+                twin.nodes[name]
+            )
 
     def test_execute_tolerates_evicted_keys(self):
         cluster = warmed_cluster()

@@ -79,6 +79,16 @@ class TestRouting:
         for name, node in small_cluster.nodes.items():
             assert node.contains("key1") == (name == owner)
 
+    def test_contains_follows_writes_after_a_read(self, small_cluster):
+        node = small_cluster.nodes[small_cluster.route("key1")]
+        assert not node.contains("key1")
+        small_cluster.set("key1", "v1", 100, 1.0)
+        assert node.contains("key1")
+        assert node.peek("key1").key == "key1"
+        small_cluster.delete("key1")
+        assert not node.contains("key1")
+        assert node.peek("key1") is None
+
     def test_delete_routes(self, small_cluster):
         small_cluster.set("key1", "v1", 100, 1.0)
         assert small_cluster.delete("key1")

@@ -33,6 +33,7 @@ from repro.net.runtime import EventLoopThread
 from repro.obs import create_telemetry
 from repro.obs.export import read_jsonl
 from repro.obs.trace import build_trees
+from repro.wire import EXPORT_BATCH_KEYS
 
 MEMORY = 8 * PAGE_SIZE
 FAST_RETRY = RetryPolicy(
@@ -500,6 +501,63 @@ class TestDegradeToColdOverSockets:
             finally:
                 # Clear the fault so pooled-connection teardown and the
                 # harness drain do not wait out aborted sockets.
+                schedule.specs.clear()
+                live.close()
+
+    def test_pair_failing_mid_relay_counts_the_batches_that_landed(self):
+        """Arm the flow fault on one target after its first batch lands:
+        that pair fails, and the batch already imported still counts."""
+        schedule = FaultSchedule([])
+        policy = SocketFaultPolicy(schedule, clock=StepClock())
+        names = [f"live-{i:02d}" for i in range(3)]
+        with LiveClusterHarness(
+            names, MEMORY, fault_policy=policy, drain_grace_s=0.2
+        ) as harness:
+            live = LiveCluster(
+                harness.endpoints,
+                timeout_s=2.0,
+                retry=FAST_RETRY,
+                backoff_scale=0.05,
+            )
+            try:
+                records = seed_records(4000, value_bytes=32, seed=5)
+                owners = live.route_many([r.key for r in records])
+                groups = {}
+                for record, owner in zip(records, owners):
+                    groups.setdefault(owner, []).append(record)
+                for name, group in groups.items():
+                    live.nodes[name].batch_import(group, mode="merge")
+
+                master = Master(live)
+                plan = master.plan_scale_in(master.choose_retiring(1))
+                pair = next(
+                    pair
+                    for pair, keys in plan.transfers.items()
+                    if len(keys) > EXPORT_BATCH_KEYS
+                )
+                victim = live.nodes[pair[1]]
+                landed = []
+                import_batch = victim.batch_import
+
+                def import_then_fail_the_flow(migrated, mode="merge", now=0.0):
+                    landed.append(import_batch(migrated, mode=mode, now=now))
+                    schedule.add(FaultSpec(0.0, "flow_fail", dst=victim.name))
+                    return landed[-1]
+
+                victim.batch_import = import_then_fail_the_flow
+                report = master.execute(plan)
+                assert landed == [EXPORT_BATCH_KEYS]
+                assert report.failed_flows == [pair]
+                assert report.outcome == "partial"
+                others = sum(
+                    len(keys) for other, keys in plan.transfers.items()
+                    if other != pair
+                )
+                assert report.items_imported == others + EXPORT_BATCH_KEYS
+                # The failed slice was exported before its import failed.
+                second = min(len(plan.transfers[pair]), 2 * EXPORT_BATCH_KEYS)
+                assert report.items_exported == others + second
+            finally:
                 schedule.specs.clear()
                 live.close()
 

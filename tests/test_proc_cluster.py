@@ -15,14 +15,17 @@ byte for byte.
 
 import os
 import time
+import tracemalloc
 
 import pytest
 
+from repro.core.master import Master
 from repro.errors import ConfigurationError, TransportError
 from repro.memcached.slab import PAGE_SIZE
 from repro.net.client import NodeClient
+from repro.net.cluster import LiveCluster
 from repro.net.procs import ProcessClusterHarness
-from repro.net.livemigrate import run_live_migration
+from repro.net.livemigrate import run_live_migration, seed_records
 from repro.net.runtime import EventLoopThread
 
 pytestmark = pytest.mark.proc
@@ -197,3 +200,46 @@ class TestMigrationEquivalence:
             run_live_migration(
                 nodes=2, items=10, process_cluster=True, sanitize=True
             )
+
+
+def execute_peak_bytes(items: int) -> tuple[int, int]:
+    """Seed ``items`` records on three node processes, retire one, and
+    return (items imported, tracemalloc peak inside ``Master.execute``).
+
+    The nodes are other processes, so the trace sees the controller
+    alone: the Master, its clients and their event loop."""
+    names = ["p0", "p1", "p2"]
+    with ProcessClusterHarness(names, MEMORY) as harness:
+        live = LiveCluster(harness.endpoints)
+        try:
+            records = seed_records(items, value_bytes=256, seed=3)
+            owners = live.route_many([record.key for record in records])
+            for name in names:
+                live.nodes[name].batch_import(
+                    [r for r, owner in zip(records, owners) if owner == name]
+                )
+            del records, owners
+            # Prepend keeps the nodes' merge walk out of the runtime; the
+            # controller's work does not depend on the import mode.
+            master = Master(live, import_mode="prepend")
+            plan = master.plan_scale_in(master.choose_retiring(1))
+            tracemalloc.start()
+            try:
+                report = master.execute(plan)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        finally:
+            live.close()
+    assert report.outcome == "warm"
+    return report.items_imported, peak
+
+
+class TestControllerMemory:
+    def test_execute_peak_does_not_grow_with_the_migration(self):
+        """Pairs are relayed one wire batch at a time, so a migration
+        four times larger leaves the controller's peak where it was."""
+        small_items, small_peak = execute_peak_bytes(4_000)
+        large_items, large_peak = execute_peak_bytes(16_000)
+        assert large_items > 3.5 * small_items
+        assert large_peak < 1.5 * small_peak, (small_peak, large_peak)
