@@ -7,16 +7,16 @@ sorted lists), slab accounting never leaks pages, the ketama ring remaps
 from a seed.  This package *checks* them, from two sides:
 
 - :mod:`repro.check.lint` + :mod:`repro.check.rules` -- an AST-based lint
-  framework with repo-specific rules (no wall-clock in simulated code, no
+  framework and its one rule catalogue, run by ``repro check [paths]``:
+  the REP0xx simulation rules (no wall-clock in simulated code, no
   unseeded RNG, no private cache-state mutation from outside
-  ``repro.memcached``, ...) run by ``repro check [paths]``;
+  ``repro.memcached``, ...) and the REP1xx concurrency rules for the
+  asyncio/threading live tier;
 - :mod:`repro.check.invariants` -- runtime validators over live data
   structures (LRU list integrity, slab accounting, ring mapping) that
   raise :class:`~repro.errors.InvariantViolation` with a structured diff;
 - :mod:`repro.check.strict` -- the ``strict_mode`` hook the
   :class:`~repro.core.master.Master` calls after each migration phase;
-- :mod:`repro.check.async_rules` -- the REP1xx concurrency-safety rule
-  pack for the asyncio/threading live tier (``repro check --async``);
 - :mod:`repro.check.loopcheck` -- the opt-in runtime loop sanitizer
   behind ``--sanitize`` (asyncio debug mode + blocking-call trap).
 """

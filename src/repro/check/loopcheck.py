@@ -1,6 +1,6 @@
 """Runtime event-loop sanitizer for the live tier.
 
-The static REP1xx rules (:mod:`repro.check.async_rules`) catch blocking
+The static REP1xx rules (:mod:`repro.check.rules`) catch blocking
 patterns the AST can see; this module catches the ones it can't --
 third-party calls, dynamic dispatch, callbacks that are merely *slow* --
 by instrumenting the loop itself.  A :class:`LoopSanitizer` is opt-in

@@ -1,4 +1,5 @@
 """Corpus: REP101 -- blocking calls inside ``async def``."""
+# module: repro.net.corpus_rep101
 
 import time
 

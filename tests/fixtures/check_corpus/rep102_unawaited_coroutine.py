@@ -1,4 +1,5 @@
 """Corpus: REP102 -- coroutines called but never awaited."""
+# module: repro.net.corpus_rep102
 
 import asyncio
 

@@ -1,4 +1,5 @@
 """Corpus: REP103 -- tasks spawned without retaining a reference."""
+# module: repro.net.corpus_rep103
 
 import asyncio
 

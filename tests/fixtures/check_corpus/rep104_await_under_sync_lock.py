@@ -1,4 +1,5 @@
 """Corpus: REP104 -- ``await`` while holding a synchronous lock."""
+# module: repro.net.corpus_rep104
 
 import asyncio
 import threading

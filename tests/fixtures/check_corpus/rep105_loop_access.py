@@ -1,4 +1,5 @@
 """Corpus: REP105 -- non-thread-safe loop access from synchronous code."""
+# module: repro.net.corpus_rep105
 
 import asyncio
 

@@ -39,10 +39,7 @@ PARENT_SURFACE = {'run': {'--trace': 'etc',
            '--list-rules': False,
            '--no-sim': False,
            '--strict-sim': False,
-           '--async': False,
-           '--json': False,
-           '--sarif': None,
-           '--annotate': False},
+           '--json': False},
  'serve': {'--nodes': 4,
            '--memory-mb': 8,
            '--host': '127.0.0.1',

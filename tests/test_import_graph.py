@@ -30,7 +30,6 @@ FORBIDDEN = (
     "repro.workloads",
     "repro.check.lint",
     "repro.check.rules",
-    "repro.check.async_rules",
     "repro.core.autoscaler",
     "repro.core.policies",
 )
