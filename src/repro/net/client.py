@@ -5,8 +5,12 @@ bytes plus the framing of its reply (both from :mod:`repro.wire`); a
 batch of requests is written in a single ``write`` (request pipelining)
 and the connection -- an :class:`asyncio.Protocol` -- feeds the replies
 to :class:`~repro.wire.ReplyFramer` as their bytes arrive, resolving one
-future per round trip.  Failures -- connection refused/reset, a stalled
-server exceeding ``timeout_s``, a connection closed mid-response -- are
+future per round trip.  A round trip that finds an idle connection and a
+free pool slot awaits nothing but that future: the pool is a plain slot
+count with a first-come queue, and each connection keeps one re-armed
+deadline timer instead of arming one per round trip.  Failures --
+connection refused/reset, a stalled server exceeding ``timeout_s``, a
+connection closed mid-response -- are
 retried with the bounded exponential backoff of
 :class:`~repro.core.retry.RetryPolicy` on a fresh connection, and
 surface as :class:`~repro.errors.TransportError` once the budget is
@@ -22,10 +26,10 @@ state), and ``batch_import`` (install with hotness metadata).
 from __future__ import annotations
 
 import asyncio
+import math
 import time
 from collections import deque
-from dataclasses import dataclass
-from typing import Any, Iterable, Sequence, cast
+from typing import Any, Iterable, NamedTuple, Sequence, cast
 
 from repro import wire
 from repro.core.retry import RetryPolicy
@@ -51,21 +55,41 @@ class _Conn(asyncio.Protocol):
 
     At most one round trip is in flight.  It owns one future, resolved
     by :meth:`data_received` when the last pipelined reply completes,
-    and one timer.  Whatever ends the connection's usefulness -- EOF, a
-    lost socket, a timeout, a reply that does not parse, bytes nobody
-    asked for -- sets :attr:`broken`, which the pool checks before
-    handing the connection out again.
+    and a deadline.  The connection arms at most one timer, and only
+    when a round trip starts while none is armed; deadlines only move
+    later, so the timer it finds armed is never late.  When the timer
+    fires it fails a round trip that is due, re-arms at the deadline of
+    one that is not, and disarms on an idle connection -- a connection
+    kept busy arms one timer per ``timeout_s``, not one per round trip.
+    Whatever ends the connection's usefulness -- EOF, a lost socket, a
+    timeout, a reply that does not parse, bytes nobody asked for -- sets
+    :attr:`broken`, which the pool checks before handing the connection
+    out again.
     """
 
-    __slots__ = ("transport", "broken", "_framer", "_waiter", "_lost")
+    __slots__ = (
+        "transport",
+        "broken",
+        "_loop",
+        "_framer",
+        "_waiter",
+        "_deadline",
+        "_timer",
+        "_timer_at",
+        "_lost",
+    )
 
     transport: asyncio.Transport
 
     def __init__(self) -> None:
         self.broken = False
+        self._loop = asyncio.get_running_loop()
         self._framer = wire.ReplyFramer()
         self._waiter: asyncio.Future[list[Any]] | None = None
-        self._lost = asyncio.get_running_loop().create_future()
+        self._deadline = 0.0
+        self._timer: asyncio.TimerHandle | None = None
+        self._timer_at = math.inf  # when the armed timer fires
+        self._lost = self._loop.create_future()
 
     def connection_made(self, transport: asyncio.BaseTransport) -> None:
         self.transport = cast(asyncio.Transport, transport)
@@ -83,6 +107,7 @@ class _Conn(asyncio.Protocol):
         if results is not None:
             if self._framer.unread:
                 self.broken = True  # more than the batch's last reply
+            self._waiter = None
             waiter.set_result(results)
 
     def eof_received(self) -> None:
@@ -95,36 +120,61 @@ class _Conn(asyncio.Protocol):
 
     def _fail(self, exc: BaseException | type[BaseException]) -> None:
         self.broken = True
-        waiter = self._waiter
+        waiter, self._waiter = self._waiter, None
         if waiter is not None and not waiter.done():
             waiter.set_exception(exc)
 
-    async def round_trip(
-        self, data: bytes, framings: Sequence[str], timeout_s: float
-    ) -> list[Any]:
-        """Write one pipelined batch; its decoded replies, in order."""
-        loop = asyncio.get_running_loop()
-        self._waiter = waiter = loop.create_future()
+    def round_trip(
+        self, data: bytes, framings: Sequence[str], deadline: float
+    ) -> asyncio.Future[list[Any]]:
+        """Write one pipelined batch; the future of its decoded replies,
+        in order, failed with :class:`asyncio.TimeoutError` at
+        ``deadline`` (loop time)."""
+        self._waiter = waiter = self._loop.create_future()
+        self._deadline = deadline
         self._framer.expect(framings)
-        timer = loop.call_later(timeout_s, self._fail, asyncio.TimeoutError)
-        try:
-            self.transport.write(data)
-            return await waiter
-        finally:
-            timer.cancel()
-            self._waiter = None
+        if deadline < self._timer_at:
+            self._arm(deadline)
+        self.transport.write(data)
+        return waiter
+
+    def _arm(self, when: float) -> None:
+        if self._timer is not None:
+            self._timer.cancel()
+        # Called from a round trip or from the timer: on the loop thread.
+        self._timer = asyncio.get_running_loop().call_at(when, self._expire)
+        self._timer_at = when
+
+    def _disarm(self) -> None:
+        if self._timer is not None:
+            self._timer.cancel()
+            self._timer = None
+        self._timer_at = math.inf
+
+    def _expire(self) -> None:
+        fired_at = self._timer_at
+        self._timer = None
+        self._timer_at = math.inf
+        waiter = self._waiter
+        if waiter is None or waiter.done():
+            return  # idle: stay disarmed until the next round trip
+        if self._deadline <= fired_at:
+            self._fail(asyncio.TimeoutError)
+        else:
+            self._arm(self._deadline)
 
     def abort(self) -> None:
+        self._disarm()
         self.transport.abort()
 
     async def close(self) -> None:
         """Close and wait until the transport has let go of its socket."""
+        self._disarm()
         self.transport.close()
         await self._lost
 
 
-@dataclass(frozen=True)
-class _Request:
+class _Request(NamedTuple):
     """Wire bytes plus the framing of the reply they will be answered with."""
 
     wire: bytes
@@ -151,7 +201,9 @@ class NodeClient:
     pool_size:
         Maximum concurrently open connections.
     timeout_s:
-        Wall-clock budget per pipelined round trip (dial included).
+        Wall-clock budget per attempt of a pipelined round trip: one
+        deadline, taken once the attempt holds a pool slot, bounds the
+        dial (if any) and the round trip together.
     retry:
         Transport retry schedule; backoffs are real ``asyncio.sleep``
         waits scaled by ``backoff_scale`` (tests shrink it).
@@ -183,8 +235,12 @@ class NodeClient:
         self.retry = retry or DEFAULT_CLIENT_RETRY
         self.backoff_scale = backoff_scale
         self.retry_seed = retry_seed
+        # The pool: idle connections, slots in use (a slot is a
+        # connection in use or being dialled) and the callers queued for
+        # one, in arrival order.
         self._idle: deque[_Conn] = deque()
-        self._sem = asyncio.Semaphore(self.pool_size)
+        self._busy = 0
+        self._waiters: deque[asyncio.Future[None]] = deque()
         self._closed = False
         telemetry = telemetry or NULL_TELEMETRY
         metrics = telemetry.metrics
@@ -238,29 +294,64 @@ class NodeClient:
         _, conn = await loop.create_connection(_Conn, self.host, self.port)
         return conn
 
-    async def _acquire(self) -> _Conn:
-        await self._sem.acquire()
+    def _pop_idle(self) -> _Conn | None:
+        while self._idle:
+            conn = self._idle.popleft()
+            if not conn.broken:
+                return conn
+            conn.abort()
+        return None
+
+    async def _acquire(
+        self, loop: asyncio.AbstractEventLoop
+    ) -> tuple[_Conn, float]:
+        """The slow way to a connection: queue for a slot (first come,
+        first served), then reuse an idle connection or dial one.  The
+        attempt's deadline starts once the slot is ours and bounds the
+        dial as well as the round trip."""
+        if self._busy < self.pool_size:
+            self._busy += 1
+        else:
+            waiter: asyncio.Future[None] = loop.create_future()
+            self._waiters.append(waiter)
+            try:
+                await waiter
+            except BaseException:
+                if not waiter.cancelled():
+                    self._free_slot()  # woken, then cancelled: pass it on
+                raise
         try:
-            while self._idle:
-                conn = self._idle.popleft()
-                if not conn.broken:
-                    return conn
-                conn.abort()
-            return await asyncio.wait_for(self._dial(), self.timeout_s)
+            deadline = loop.time() + self.timeout_s
+            conn = self._pop_idle()
+            if conn is None:
+                conn = await asyncio.wait_for(
+                    self._dial(), deadline - loop.time()
+                )
+            return conn, deadline
         except BaseException:
-            self._sem.release()
+            self._free_slot()
             raise
+
+    def _free_slot(self) -> None:
+        """Hand the slot to the longest-queued caller, else return it."""
+        waiters = self._waiters
+        while waiters:
+            waiter = waiters.popleft()
+            if not waiter.done():  # a cancelled caller left its future
+                waiter.set_result(None)
+                return
+        self._busy -= 1
 
     def _release(self, conn: _Conn) -> None:
         if self._closed or conn.broken:
             conn.abort()
         else:
             self._idle.append(conn)
-        self._sem.release()
+        self._free_slot()
 
     def _discard(self, conn: _Conn) -> None:
         conn.abort()
-        self._sem.release()
+        self._free_slot()
 
     async def close(self) -> None:
         """Close every pooled connection; in-flight requests finish."""
@@ -298,6 +389,7 @@ class NodeClient:
             prefix = ctx.wire_prefix()
         data = prefix + b"".join(request.wire for request in requests)
         framings = [request.reply for request in requests]
+        loop = asyncio.get_running_loop()
         failures = 0
         try:
             while True:
@@ -305,21 +397,29 @@ class NodeClient:
                 try:
                     if self._obs:
                         wait_start = time.perf_counter()
-                        conn = await self._acquire()
+                    # The common case -- a free slot and an idle
+                    # connection -- takes both without awaiting.
+                    if self._busy < self.pool_size:
+                        conn = self._pop_idle()
+                    if conn is not None:
+                        self._busy += 1
+                        deadline = loop.time() + self.timeout_s
+                    else:
+                        conn, deadline = await self._acquire(loop)
+                    if self._obs:
                         self._m_queue_wait.observe(
                             time.perf_counter() - wait_start
                         )
                         rt_start = time.perf_counter()
                         results = await conn.round_trip(
-                            data, framings, self.timeout_s
+                            data, framings, deadline
                         )
                         self._m_round_trip.observe(
                             time.perf_counter() - rt_start
                         )
                     else:
-                        conn = await self._acquire()
                         results = await conn.round_trip(
-                            data, framings, self.timeout_s
+                            data, framings, deadline
                         )
                 except WireProtocolError:
                     # Deterministic server-side rejection: the connection's
@@ -348,8 +448,8 @@ class NodeClient:
                     )
                 except BaseException:
                     # Cancellation (e.g. a proxy fan-out losing the race)
-                    # must not leak the pooled connection or its semaphore
-                    # slot; the connection state is unknown, so drop it.
+                    # must not leak the pooled connection or its slot;
+                    # the connection state is unknown, so drop it.
                     if conn is not None:
                         self._discard(conn)
                     raise

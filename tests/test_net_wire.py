@@ -16,6 +16,7 @@ bytes, timers, close -- against a scripted fake server over real TCP.
 
 import asyncio
 import gc
+import random
 import re
 import warnings
 
@@ -290,27 +291,28 @@ async def answer_gets(reader, writer, index=0) -> None:
 @pytest.fixture
 def on_loop():
     """Run a coroutine on a background loop and assert what it leaves
-    behind: no timer still armed (a finished, failed, timed-out or
-    aborted round trip cancels its own) and nothing reported to the
-    loop's exception handler (a callback that raised, a future whose
-    exception nobody retrieved)."""
+    behind: no timer still armed (a connection's deadline timer is
+    cancelled when the connection is aborted or closed) and nothing
+    reported to the loop's exception handler (a callback that raised, a
+    future whose exception nobody retrieved).  Timers are recorded at
+    ``call_at``, which ``call_later`` goes through."""
     with EventLoopThread(name="test-scripted") as thread:
 
         async def watched(coro):
             loop = asyncio.get_running_loop()
-            timers, call_later = [], loop.call_later
+            timers, call_at = [], loop.call_at
             reported: list[dict] = []
 
-            def recording_call_later(*args, **kwargs):
-                timers.append(call_later(*args, **kwargs))
+            def recording_call_at(*args, **kwargs):
+                timers.append(call_at(*args, **kwargs))
                 return timers[-1]
 
-            loop.call_later = recording_call_later
+            loop.call_at = recording_call_at
             loop.set_exception_handler(lambda _, context: reported.append(context))
             try:
                 result = await coro
             finally:
-                del loop.call_later
+                del loop.call_at
             armed = [
                 timer
                 for timer in timers
@@ -471,6 +473,186 @@ class TestClientConnectionSemantics:
                 assert await client.get("k") is None
                 assert server.connections == 2
                 assert server.counter("net_client_retries_total") == 0
+                await client.close()
+
+        on_loop(scenario())
+
+    def test_one_deadline_bounds_the_dial_and_the_round_trip(self, on_loop):
+        timeout_s = 0.3
+
+        async def never_answer(reader, writer, index):
+            pass  # the listener reads the request and says nothing
+
+        async def scenario():
+            async with ScriptedServer(never_answer) as server:
+                client = server.client(timeout_s=timeout_s)
+                dial = client._dial
+
+                async def slow_dial():
+                    await asyncio.sleep(0.9 * timeout_s)
+                    return await dial()
+
+                client._dial = slow_dial
+                loop = asyncio.get_running_loop()
+                start = loop.time()
+                with pytest.raises(TransportError):
+                    await client.get("k")
+                elapsed = loop.time() - start
+                # An attempt whose dial took 0.9 x timeout_s has only the
+                # rest of the budget for its round trip, not a fresh one.
+                attempts = client.retry.max_attempts
+                backoff = sum(
+                    client.retry.backoff_s(failures)
+                    for failures in range(1, attempts)
+                )
+                assert server.connections == attempts
+                assert elapsed < attempts * timeout_s + backoff + timeout_s / 2
+                await client.close()
+
+        on_loop(scenario())
+
+    def test_a_reused_connection_times_out_at_its_own_deadline(self, on_loop):
+        """The connection's timer, armed by the first round trip, fires
+        while the second is in flight but not yet due: it re-arms, and
+        the second fails at its own deadline -- not earlier, not later."""
+        timeout_s = 0.2
+
+        async def answer_once(reader, writer, index):
+            await request_of(reader)
+            writer.write(b"END\r\n")  # then ignores the second request
+
+        async def scenario():
+            async with ScriptedServer(answer_once) as server:
+                client = server.client(
+                    timeout_s=timeout_s, retry=RetryPolicy(max_attempts=1)
+                )
+                assert await client.get("k") is None
+                await asyncio.sleep(timeout_s / 2)
+                loop = asyncio.get_running_loop()
+                start = loop.time()
+                with pytest.raises(TransportError, match="TimeoutError"):
+                    await client.get("k")
+                elapsed = loop.time() - start
+                assert server.connections == 1
+                assert timeout_s - 0.005 <= elapsed < timeout_s + 0.1, elapsed
+                await client.close()
+
+        on_loop(scenario())
+
+    def test_timers_do_not_scale_with_round_trips(self, on_loop):
+        async def scenario():
+            async with ScriptedServer(answer_gets) as server:
+                client = server.client(pool_size=2, timeout_s=60.0)
+                loop = asyncio.get_running_loop()
+                armed, call_at = [], loop.call_at
+
+                def recording_call_at(*args, **kwargs):
+                    armed.append(call_at(*args, **kwargs))
+                    return armed[-1]
+
+                loop.call_at = recording_call_at
+                try:
+                    for _ in range(1000):
+                        keys = ["a", "b", "c", "d"]
+                        assert await client.get_many(keys) == [None] * 4
+                finally:
+                    loop.call_at = call_at
+                # One deadline timer per connection, re-armed, not one
+                # per round trip.
+                assert 1 <= len(armed) <= 2, len(armed)
+                await client.close()
+                assert all(timer.cancelled() for timer in armed)
+
+        on_loop(scenario())
+
+    @pytest.mark.parametrize(
+        "woken_then_cancelled", [False, True], ids=["queued", "woken"]
+    )
+    def test_slots_go_to_queued_callers_in_arrival_order(
+        self, on_loop, woken_then_cancelled
+    ):
+        stalled = asyncio.Event()
+        asked: list[str] = []
+
+        async def stall_then_answer(reader, writer, index):
+            if index == 0:
+                await request_of(reader)
+                stalled.set()
+                return  # never answers
+            while line := await reader.readline():
+                asked.append(line.split()[1].decode())
+                writer.write(b"END\r\n")
+
+        async def scenario():
+            async with ScriptedServer(stall_then_answer) as server:
+                client = server.client(pool_size=1)
+                queued: dict[str, asyncio.Future] = {}
+
+                async def in_flight():
+                    try:
+                        await client.get("a")
+                    finally:
+                        if woken_then_cancelled:
+                            # "b" was handed the slot in this very step
+                            # and has not run yet: it must pass it on.
+                            queued["b"].cancel()
+
+                first = asyncio.ensure_future(in_flight())
+                await stalled.wait()
+                names = ["b", "c", "d", "e"] if woken_then_cancelled else [
+                    "b", "c", "d"
+                ]
+                for name in names:
+                    queued[name] = asyncio.ensure_future(client.get(name))
+                await asyncio.sleep(0)  # all queued, in this order
+                queued["c"].cancel()
+                first.cancel()
+                cancelled = {"b", "c"} if woken_then_cancelled else {"c"}
+                served = [name for name in names if name not in cancelled]
+                for name in names:
+                    if name in cancelled:
+                        with pytest.raises(asyncio.CancelledError):
+                            await queued[name]
+                    else:
+                        assert await asyncio.wait_for(queued[name], 5.0) is None
+                with pytest.raises(asyncio.CancelledError):
+                    await first
+                assert asked == served
+                # Exactly one usable slot: two callers at once get
+                # answered, one after the other on the same connection.
+                both = asyncio.gather(client.get("x"), client.get("y"))
+                assert await asyncio.wait_for(both, 5.0) == [None, None]
+                assert server.connections == 2
+                assert asked == served + ["x", "y"]
+                await client.close()
+
+        on_loop(scenario())
+
+    def test_slot_count_survives_a_cancellation_storm(self, on_loop):
+        """200 callers on two slots, cancelled at random points: queued,
+        just woken, dialling or in flight.  Every caller left standing is
+        answered and the pool ends with both slots free."""
+        rng = random.Random(0)
+
+        async def scenario():
+            async with ScriptedServer(answer_gets) as server:
+                client = server.client(pool_size=2)
+                callers = [
+                    asyncio.ensure_future(client.get(f"k{i}")) for i in range(200)
+                ]
+                while live := [caller for caller in callers if not caller.done()]:
+                    await asyncio.sleep(0)
+                    rng.choice(live).cancel()
+                results = await asyncio.gather(*callers, return_exceptions=True)
+                assert all(
+                    result is None or isinstance(result, asyncio.CancelledError)
+                    for result in results
+                )
+                assert any(result is None for result in results)
+                assert client._busy == 0
+                assert all(waiter.done() for waiter in client._waiters)
+                both = asyncio.gather(client.get("x"), client.get("y"))
+                assert await asyncio.wait_for(both, 5.0) == [None, None]
                 await client.close()
 
         on_loop(scenario())
