@@ -8,7 +8,6 @@ since then, counted with a Fenwick tree over access positions in
 
 from __future__ import annotations
 
-import math
 from collections.abc import Iterable, Iterator
 
 INFINITE = -1
@@ -158,8 +157,3 @@ def distance_histogram(
             histogram.extend([0] * (distance - len(histogram) + 1))
         histogram[distance] += 1
     return histogram, cold
-
-
-def theoretical_tree_depth(requests: int) -> int:
-    """Depth of the Fenwick tree for a window of ``requests`` accesses."""
-    return max(1, math.ceil(math.log2(requests + 1)))

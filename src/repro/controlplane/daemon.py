@@ -56,22 +56,21 @@ __all__ = [
 EVENT_LOG_LIMIT = 200
 """Events kept in memory (oldest dropped past this)."""
 
+RATE_SMOOTHING = 0.5
+"""EWMA weight of the newest rate sample (1.0 = no smoothing)."""
+
 
 @dataclass
 class ControlPlaneConfig:
     """Daemon knobs (the decision policy itself lives in the engine)."""
 
     poll_interval_s: float = 1.0
-    #: EWMA weight of the newest rate sample (1.0 = no smoothing).
-    rate_smoothing: float = 0.5
     admin_host: str = "127.0.0.1"
     admin_port: int = 0
 
     def __post_init__(self) -> None:
         if self.poll_interval_s <= 0:
             raise ConfigurationError("poll_interval_s must be positive")
-        if not 0.0 < self.rate_smoothing <= 1.0:
-            raise ConfigurationError("rate_smoothing must be in (0, 1]")
 
 
 class ControlPlane:
@@ -254,7 +253,7 @@ class ControlPlane:
         if last_total is None or last_at is None or now <= last_at:
             return self._rate
         sample = max(0, total - last_total) / (now - last_at)
-        alpha = self.config.rate_smoothing
+        alpha = RATE_SMOOTHING
         self._rate = (
             sample
             if self._polls <= 1

@@ -25,7 +25,7 @@ import json
 import time
 import urllib.error
 import urllib.request
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Any
 
 from repro.controlplane.daemon import ControlPlane, ControlPlaneConfig
@@ -77,23 +77,7 @@ class ControlPlaneScenarioResult:
 
     def to_dict(self) -> dict[str, Any]:
         """JSON-friendly dump (the ``--json`` artifact)."""
-        return {
-            "nodes": self.nodes,
-            "retire": self.retire,
-            "offered_rate": self.offered_rate,
-            "duration_s": self.duration_s,
-            "seed": self.seed,
-            "decision": self.decision,
-            "migration": self.migration,
-            "degradation": dict(self.degradation),
-            "admin": dict(self.admin),
-            "engine": dict(self.engine),
-            "load": dict(self.load),
-            "trace_spans": self.trace_spans,
-            "elapsed_s": self.elapsed_s,
-            "ok": self.ok,
-            "failures": list(self.failures),
-        }
+        return {**asdict(self), "ok": self.ok}
 
 
 def _http(

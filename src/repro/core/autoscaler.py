@@ -99,8 +99,6 @@ class AutoScalerConfig:
         Profiling window size (the "recent history" of key requests).
     profiler:
         ``"mimir"`` (paper default, O(1) per request) or ``"exact"``.
-    mimir_buckets:
-        Aging buckets for the MIMIR profiler.
     """
 
     db_capacity_rps: float
@@ -111,7 +109,6 @@ class AutoScalerConfig:
     hit_rate_margin: float = 0.01
     window_requests: int = 200_000
     profiler: str = "mimir"
-    mimir_buckets: int = 128
     cold_misses: str = "exclude"
 
     def __post_init__(self) -> None:
@@ -148,7 +145,7 @@ class AutoScaler:
     def _new_profiler(self):
         if self.config.profiler == "exact":
             return StackDistanceProfiler(self.config.window_requests)
-        return MimirProfiler(self.config.mimir_buckets)
+        return MimirProfiler()
 
     @property
     def window_fill(self) -> int:

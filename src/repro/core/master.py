@@ -47,6 +47,15 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.faults.injector import FaultInjector
     from repro.hashing.ketama import ConsistentHashRing
 
+IMPORT_RATE_ITEMS_S = 500_000.0
+"""Modeled throughput of the batch-import command (local CPU/disk cost)."""
+
+SCORING_TIME_PER_NODE_S = 0.2
+"""Modeled cost of collecting median reports from one node."""
+
+COMPARISON_TIME_S = 2e-6
+"""Modeled cost per FuseCache timestamp comparison."""
+
 
 @dataclass
 class PhaseTimings:
@@ -250,13 +259,9 @@ class Master:
     import_mode:
         ``"merge"`` keeps MRU lists timestamp-sorted (default);
         ``"prepend"`` reproduces the paper's head insertion exactly.
-    dump_rate_items_s / import_rate_items_s:
-        Modeled throughput of the timestamp-dump+hash and batch-import
-        commands (local CPU/disk cost).
-    scoring_time_per_node_s:
-        Modeled cost of collecting median reports from one node.
-    comparison_time_s:
-        Modeled cost per FuseCache timestamp comparison.
+    dump_rate_items_s:
+        Modeled throughput of the timestamp-dump+hash command (local
+        CPU/disk cost).
     retry_policy:
         Backoff schedule for failed data flows (phase 3).
     deadline_s:
@@ -297,9 +302,6 @@ class Master:
         network: NetworkModel | None = None,
         import_mode: str = "merge",
         dump_rate_items_s: float = 100_000.0,
-        import_rate_items_s: float = 500_000.0,
-        scoring_time_per_node_s: float = 0.2,
-        comparison_time_s: float = 2e-6,
         retry_policy: RetryPolicy | None = None,
         deadline_s: float | None = None,
         on_deadline: str = "degrade",
@@ -317,9 +319,6 @@ class Master:
         self.network = network or NetworkModel()
         self.import_mode = import_mode
         self.dump_rate_items_s = dump_rate_items_s
-        self.import_rate_items_s = import_rate_items_s
-        self.scoring_time_per_node_s = scoring_time_per_node_s
-        self.comparison_time_s = comparison_time_s
         self.retry_policy = retry_policy or RetryPolicy()
         self.deadline_s = deadline_s
         self.on_deadline = on_deadline
@@ -362,13 +361,6 @@ class Master:
         """
         self._membership_listeners.append(listener)
 
-    def unsubscribe_membership(
-        self, listener: Callable[[list[str]], None]
-    ) -> None:
-        """Remove a previously subscribed listener (no-op if absent)."""
-        if listener in self._membership_listeners:
-            self._membership_listeners.remove(listener)
-
     def _notify_membership(self, members: list[str]) -> None:
         for listener in list(self._membership_listeners):
             listener(list(members))
@@ -410,7 +402,7 @@ class Master:
         retained = self._retained_after(retiring)
         scoring_s = None
         if include_scoring:
-            scoring_s = self.scoring_time_per_node_s * len(self.cluster.active_members)
+            scoring_s = SCORING_TIME_PER_NODE_S * len(self.cluster.active_members)
         return self._plan("scale_in", sorted(retiring), retained, now, scoring_s)
 
     def plan_scale_out(
@@ -539,7 +531,7 @@ class Master:
                         plan.transfers.setdefault((src, dst), []).extend(
                             key for key, _ in entries[:take]
                         )
-        timings.fusecache_s = plan.fusecache_comparisons * self.comparison_time_s
+        timings.fusecache_s = plan.fusecache_comparisons * COMPARISON_TIME_S
         cursor = _pin(
             fusecache_span,
             cursor,
@@ -645,7 +637,7 @@ class Master:
         timings = plan.timings
         timings.data_transfer_s = self.network.phase_time(data_flows)
         busiest_import = max(import_load.values(), default=0)
-        timings.import_s = busiest_import / self.import_rate_items_s
+        timings.import_s = busiest_import / IMPORT_RATE_ITEMS_S
         plan_span.end(sim_s=cursor)
         plan.span.set(
             items_to_migrate=plan.items_to_migrate,
@@ -818,7 +810,7 @@ class Master:
                 ).inc()
             else:
                 clock += Agent.local_seconds(
-                    result.imported, self.import_rate_items_s, import_factor
+                    result.imported, IMPORT_RATE_ITEMS_S, import_factor
                 )
         if result.status == COMPLETED:
             pair_span.set(outcome=COMPLETED, items=result.imported, bytes=size)

@@ -145,13 +145,6 @@ class ConsistentHashRing:
                 )
             yield pair
 
-    def vnode_counts(self) -> dict[str, int]:
-        """Virtual points currently owned by each member."""
-        counts: dict[str, int] = {name: 0 for name in self._members}
-        for owner in self._owners:
-            counts[owner] = counts.get(owner, 0) + 1
-        return counts
-
     def uncached_lookup(self, key: str) -> str:
         """Owner of ``key`` computed from scratch (cache bypassed).
 

@@ -15,13 +15,14 @@ silently rescheduled.
   deadlines over a Zipf-popular key space, plus the tape digest the
   determinism tests compare;
 - :mod:`repro.loadgen.driver` -- :class:`~repro.loadgen.driver.LoadGenerator`,
-  the asyncio dispatcher: tick-batched pipelined sends through
-  :class:`~repro.net.client.NodeClient`, ketama routing with live
-  membership swaps, lateness/response/service histograms from
+  the asyncio dispatcher: each op leaves at its own deadline (ops that
+  came due together ship as one pipelined
+  :class:`~repro.net.client.NodeClient` batch per node), ketama routing
+  with live membership swaps, lateness/response/service histograms from
   :mod:`repro.obs.metrics`;
 - :mod:`repro.loadgen.report` -- the JSON report schema
-  (:class:`~repro.loadgen.report.LoadReport`) with a round-trippable
-  ``to_dict``/``from_dict`` pair;
+  (:class:`~repro.loadgen.report.LoadReport`), whose keys are its
+  dataclass fields;
 - :mod:`repro.loadgen.runner` -- end-to-end runs for the CLI and CI:
   steady-state load against a :class:`~repro.net.procs.ProcessClusterHarness`
   (or external endpoints), and the ``--migrate`` mode that scales in

@@ -3,9 +3,11 @@
 :class:`LoadGenerator` replays a pre-built schedule (see
 :mod:`repro.loadgen.schedule`) against live node endpoints.  The run is
 **open loop**: deadlines were fixed when the tape was built and never
-move.  Operations due within one dispatch tick are routed on the ketama
-ring, grouped per node, and shipped as pipelined
-:class:`~repro.net.client.NodeClient` batches.
+move.  The dispatcher sleeps until the next op's deadline, then takes
+every op whose deadline has passed -- one *due wave* -- routes it on the
+ketama ring, groups it per node, and ships it as pipelined
+:class:`~repro.net.client.NodeClient` batches.  No op leaves before its
+deadline, so lateness, response and service times are never negative.
 
 Coordinated-omission discipline:
 
@@ -35,16 +37,16 @@ import time
 from typing import Callable, Iterable
 
 from repro.errors import ConfigurationError, TransportError, WireProtocolError
-from repro.hashing.ketama import DEFAULT_VNODES, ConsistentHashRing
+from repro.hashing.ketama import ConsistentHashRing
 from repro.loadgen.report import LoadReport, quantiles_ms
 from repro.loadgen.schedule import ScheduledOp, payload_for, tape_sha256
 from repro.net.client import NodeClient
 from repro.obs.metrics import LATENCY_SECONDS_BUCKETS, Histogram
 
-DEFAULT_TICK_S = 0.01
-"""Dispatch quantum: ops due within one tick ship as one batch wave."""
+MAX_INFLIGHT = 32
+"""Batches in flight at once, over all nodes; a send waits for a slot."""
 
-DEFAULT_LATE_THRESHOLD_S = 0.010
+LATE_THRESHOLD_S = 0.010
 """A send this far past its deadline counts as late."""
 
 
@@ -52,44 +54,40 @@ class LoadGenerator:
     """Open-loop driver over pipelined node clients.
 
     Build it with the target ``endpoints`` and the full ``schedule``,
-    then ``asyncio.run(generator.run())`` (typically on a worker thread
-    while a Master migrates on another).  Counters and histograms are
-    mutated only on the generator's loop thread; other threads may read
-    them after :meth:`run` returns, watch :attr:`started`, call
-    :meth:`now`, or swap membership.
+    then run :meth:`run` on an event loop (typically an
+    :class:`~repro.net.runtime.EventLoopThread` while a Master migrates
+    on the calling thread).  Counters and histograms are mutated only
+    on the generator's loop thread; other threads may read them after
+    :meth:`run` returns, watch :attr:`started`, call :meth:`now`, or
+    swap membership.
     """
 
     def __init__(
         self,
         endpoints: dict[str, tuple[str, int]],
         schedule: list[ScheduledOp],
-        tick_s: float = DEFAULT_TICK_S,
-        max_inflight: int = 32,
         pool_size: int = 4,
         timeout_s: float = 5.0,
-        vnodes: int = DEFAULT_VNODES,
-        late_threshold_s: float = DEFAULT_LATE_THRESHOLD_S,
         key_observer: Callable[[list[str]], None] | None = None,
     ) -> None:
         if not endpoints:
             raise ConfigurationError("load generator needs endpoints")
         if not schedule:
             raise ConfigurationError("load generator needs a schedule")
-        if tick_s <= 0:
-            raise ConfigurationError("tick_s must be positive")
+        if any(
+            later.send_at_s < earlier.send_at_s
+            for earlier, later in zip(schedule, schedule[1:])
+        ):
+            raise ConfigurationError("schedule deadlines must not decrease")
         self.endpoints = dict(endpoints)
         self.schedule = schedule
-        self.tick_s = tick_s
-        self.max_inflight = max(1, max_inflight)
         self.pool_size = pool_size
         self.timeout_s = timeout_s
-        self.vnodes = vnodes
-        self.late_threshold_s = late_threshold_s
         # Control-plane key feed: called on the loop thread with each
         # dispatch wave's keys, in schedule order (the AutoScaler's
         # profiling window samples the live request stream through it).
         self.key_observer = key_observer
-        self._ring = ConsistentHashRing(sorted(endpoints), vnodes=vnodes)
+        self._ring = ConsistentHashRing(sorted(endpoints))
         self._tasks: set[asyncio.Task[None]] = set()
         self._clients: dict[str, NodeClient] = {}
         self._anchor = 0.0
@@ -141,7 +139,7 @@ class LoadGenerator:
         unknown = [name for name in names if name not in self.endpoints]
         if unknown:
             raise ConfigurationError(f"unknown members: {unknown}")
-        self._ring = ConsistentHashRing(names, vnodes=self.vnodes)
+        self._ring = ConsistentHashRing(names)
 
     @property
     def members(self) -> frozenset[str]:
@@ -151,16 +149,6 @@ class LoadGenerator:
     # ------------------------------------------------------------------
     # The run
     # ------------------------------------------------------------------
-
-    def _ticks(self) -> list[tuple[float, list[ScheduledOp]]]:
-        """Group the tape into dispatch waves of one tick each."""
-        grouped: dict[int, list[ScheduledOp]] = {}
-        for op in self.schedule:
-            grouped.setdefault(int(op.send_at_s / self.tick_s), []).append(op)
-        return [
-            (index * self.tick_s, grouped[index])
-            for index in sorted(grouped)
-        ]
 
     async def run(self) -> None:
         """Replay the whole tape; returns when every batch resolved."""
@@ -174,15 +162,26 @@ class LoadGenerator:
             )
             for name, (host, port) in self.endpoints.items()
         }
-        inflight = asyncio.Semaphore(self.max_inflight)
-        ticks = self._ticks()
+        inflight = asyncio.Semaphore(MAX_INFLIGHT)
+        schedule = self.schedule
+        total = len(schedule)
+        start = 0
         self._anchor = time.perf_counter()
         self.started.set()
         try:
-            for deadline, ops in ticks:
-                delay = deadline - self.now()
+            while start < total:
+                delay = schedule[start].send_at_s - self.now()
                 if delay > 0:
+                    # Check again on waking: a timer may fire a hair
+                    # early, and no op may leave before its deadline.
                     await asyncio.sleep(delay)
+                    continue
+                now = self.now()
+                end = start + 1
+                while end < total and schedule[end].send_at_s <= now:
+                    end += 1
+                ops = schedule[start:end]
+                start = end
                 if self.key_observer is not None:
                     self.key_observer([op.key for op in ops])
                 ring = self._ring  # one consistent ring per wave
@@ -197,9 +196,9 @@ class LoadGenerator:
                     await inflight.acquire()
                     sent_at = self.now()
                     for op in node_ops:
-                        lateness = max(0.0, sent_at - op.send_at_s)
+                        lateness = sent_at - op.send_at_s
                         self.lateness_hist.observe(lateness)
-                        if lateness > self.late_threshold_s:
+                        if lateness > LATE_THRESHOLD_S:
                             self.late_sends += 1
                     task = asyncio.create_task(
                         self._dispatch(inflight, node, node_ops, sent_at)
@@ -255,24 +254,19 @@ class LoadGenerator:
                         LATENCY_SECONDS_BUCKETS,
                     )
                     self._second_response[second] = second_hist
-                response = max(0.0, done_at - op.send_at_s)
+                response = done_at - op.send_at_s
                 self.response_hist.observe(response)
                 second_hist.observe(response)
-                self.service_hist.observe(max(0.0, done_at - sent_at))
+                self.service_hist.observe(done_at - sent_at)
                 self._second_ok[second] = (
                     self._second_ok.get(second, 0) + 1
                 )
             self.ops_ok += len(ops)
-        except TransportError:
-            self.transport_errors += len(ops)
-            failed_at = self.now()
-            self.error_timeline.append((failed_at, node))
-            second = int(failed_at)
-            self._second_errors[second] = (
-                self._second_errors.get(second, 0) + len(ops)
-            )
-        except WireProtocolError:
-            self.wire_errors += len(ops)
+        except (TransportError, WireProtocolError) as exc:
+            if isinstance(exc, TransportError):
+                self.transport_errors += len(ops)
+            else:
+                self.wire_errors += len(ops)
             failed_at = self.now()
             self.error_timeline.append((failed_at, node))
             second = int(failed_at)

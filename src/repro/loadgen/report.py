@@ -13,13 +13,14 @@ achieved rate, per-op outcome counters, and three latency distributions
 - ``lateness_ms`` -- actual minus scheduled send time: how far behind
   the dispatcher itself fell.
 
-``to_dict`` / ``from_dict`` round-trip exactly (tested), so CI
-artifacts can be re-read and gated on.
+``to_dict`` is the dataclass's own field dump and ``from_dict`` feeds
+it straight back to the constructor, so the JSON keys are the field
+names and a CI artifact re-reads into an equal report (tested).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Any
 
 QUANTILE_LABELS = ("p50", "p95", "p99")
@@ -63,66 +64,12 @@ class LoadReport:
 
     def to_dict(self) -> dict[str, Any]:
         """JSON-friendly dump; :meth:`from_dict` inverts it exactly."""
-        return {
-            "mode": self.mode,
-            "offered_rate": self.offered_rate,
-            "duration_s": self.duration_s,
-            "seed": self.seed,
-            "nodes": list(self.nodes),
-            "ops_total": self.ops_total,
-            "ops_sent": self.ops_sent,
-            "ops_ok": self.ops_ok,
-            "hits": self.hits,
-            "misses": self.misses,
-            "stored": self.stored,
-            "transport_errors": self.transport_errors,
-            "wire_errors": self.wire_errors,
-            "late_sends": self.late_sends,
-            "achieved_rate": self.achieved_rate,
-            "wall_seconds": self.wall_seconds,
-            "response_ms": dict(self.response_ms),
-            "service_ms": dict(self.service_ms),
-            "lateness_ms": dict(self.lateness_ms),
-            "tape_sha256": self.tape_sha256,
-            "trace": self.trace,
-            "migration": (
-                dict(self.migration) if self.migration is not None else None
-            ),
-            "extras": dict(self.extras),
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "LoadReport":
         """Rebuild a report from :meth:`to_dict` output."""
-        return cls(
-            mode=data["mode"],
-            offered_rate=data["offered_rate"],
-            duration_s=data["duration_s"],
-            seed=data["seed"],
-            nodes=list(data["nodes"]),
-            ops_total=data["ops_total"],
-            ops_sent=data["ops_sent"],
-            ops_ok=data["ops_ok"],
-            hits=data["hits"],
-            misses=data["misses"],
-            stored=data["stored"],
-            transport_errors=data["transport_errors"],
-            wire_errors=data["wire_errors"],
-            late_sends=data["late_sends"],
-            achieved_rate=data["achieved_rate"],
-            wall_seconds=data["wall_seconds"],
-            response_ms=dict(data["response_ms"]),
-            service_ms=dict(data["service_ms"]),
-            lateness_ms=dict(data["lateness_ms"]),
-            tape_sha256=data["tape_sha256"],
-            trace=data.get("trace"),
-            migration=(
-                dict(data["migration"])
-                if data.get("migration") is not None
-                else None
-            ),
-            extras=dict(data.get("extras", {})),
-        )
+        return cls(**data)
 
 
 def quantiles_ms(histogram: Any) -> dict[str, float | None]:

@@ -1,10 +1,10 @@
 """End-to-end load runs: steady state, and scale-in under load.
 
 One spine, :func:`drive_load`, scripts every load-driven run: boot (or
-target) a cluster, seed the keyspace, replay an open-loop tape on a
-worker thread (its own asyncio loop), and -- while the tape replays --
-run an optional *action* on the calling thread.  The entry points that
-back the CLI and CI are that spine plus an action:
+target) a cluster, seed the keyspace, replay an open-loop tape on an
+:class:`~repro.net.runtime.EventLoopThread`, and -- while the tape
+replays -- run an optional *action* on the calling thread.  The entry
+points that back the CLI and CI are that spine plus an action:
 
 - :func:`run_load` -- no action: a steady-state run;
 - :func:`run_load_migration` -- the ElMem experiment: sleep, then the
@@ -25,25 +25,21 @@ error after it are behind us.
 
 from __future__ import annotations
 
-import asyncio
+import concurrent.futures
 import contextlib
-import threading
 import time
 from dataclasses import dataclass
 from typing import Any, Callable
 
 from repro.core.master import Master, MigrationReport
 from repro.errors import ConfigurationError
-from repro.loadgen.driver import (
-    DEFAULT_LATE_THRESHOLD_S,
-    DEFAULT_TICK_S,
-    LoadGenerator,
-)
+from repro.loadgen.driver import LoadGenerator
 from repro.loadgen.report import LoadReport
 from repro.loadgen.schedule import build_schedule, payload_for
 from repro.memcached.slab import PAGE_SIZE
 from repro.net.cluster import LiveCluster
 from repro.net.procs import ProcessClusterHarness
+from repro.net.runtime import EventLoopThread
 from repro.workloads.traces import make_trace
 
 SEED_BATCH = 2000
@@ -94,16 +90,16 @@ def drive_load(
     value_bytes: int = 64,
     trace: str | None = None,
     timeout_s: float = 5.0,
-    seed_data: bool = True,
     action: Callable[[LoadRun], None] | None = None,
-    **generator_options: Any,
+    key_observer: Callable[[list[str]], None] | None = None,
 ) -> LoadGenerator:
     """Replay one open-loop tape; returns the finished generator.
 
     With ``endpoints`` the run targets an externally managed cluster;
     otherwise it boots ``nodes`` node *processes* for the duration.
-    ``action`` runs on the calling thread once the tape is flowing;
-    ``generator_options`` go to :class:`LoadGenerator` verbatim.
+    ``action`` runs on the calling thread once the tape is flowing; if
+    it raises, the replay stops with the cluster.  ``key_observer``
+    goes to :class:`LoadGenerator`.
     """
     schedule = build_schedule(
         rate,
@@ -127,32 +123,27 @@ def drive_load(
         live = cleanup.enter_context(
             LiveCluster(endpoints, timeout_s=timeout_s)
         )
-        if seed_data:
-            seed_keys(live, [op.key for op in schedule], value_bytes)
+        seed_keys(live, [op.key for op in schedule], value_bytes)
         generator = LoadGenerator(
-            endpoints, schedule, timeout_s=timeout_s, **generator_options
+            endpoints,
+            schedule,
+            timeout_s=timeout_s,
+            key_observer=key_observer,
         )
-        failure: list[BaseException] = []
-
-        def _replay() -> None:
-            try:
-                asyncio.run(generator.run())
-            except BaseException as exc:  # re-raised on the caller thread
-                failure.append(exc)
-
-        thread = threading.Thread(
-            target=_replay, name="loadgen-driver", daemon=True
-        )
-        thread.start()
+        # Entered last, so it stops first: an action that raises cancels
+        # the replay before the cluster under it goes away.
+        loop = cleanup.enter_context(EventLoopThread(name="loadgen-driver"))
+        replay = loop.submit(generator.run())
         if action is not None:
             if not generator.started.wait(timeout=30.0):
                 raise ConfigurationError("load generator failed to start")
             action(LoadRun(generator, live, stop_node, cleanup))
-        thread.join(timeout=duration_s + 120.0)
-        if thread.is_alive():
-            raise ConfigurationError("load generator did not finish in time")
-        if failure:
-            raise failure[0]
+        try:
+            replay.result(timeout=duration_s + 120.0)
+        except concurrent.futures.TimeoutError:
+            raise ConfigurationError(
+                "load generator did not finish in time"
+            ) from None
     return generator
 
 
@@ -183,11 +174,7 @@ def run_load(
     set_fraction: float = 0.1,
     value_bytes: int = 64,
     trace: str | None = None,
-    tick_s: float = DEFAULT_TICK_S,
-    max_inflight: int = 32,
     timeout_s: float = 5.0,
-    late_threshold_s: float = DEFAULT_LATE_THRESHOLD_S,
-    seed_data: bool = True,
 ) -> LoadReport:
     """One steady-state open-loop run; returns its report.
 
@@ -206,10 +193,6 @@ def run_load(
         value_bytes=value_bytes,
         trace=trace,
         timeout_s=timeout_s,
-        seed_data=seed_data,
-        tick_s=tick_s,
-        max_inflight=max_inflight,
-        late_threshold_s=late_threshold_s,
     )
     return generator.report("steady", rate, duration_s, seed, trace=trace)
 
@@ -226,10 +209,7 @@ def run_load_migration(
     value_bytes: int = 64,
     trace: str | None = None,
     migrate_at_frac: float = 0.35,
-    tick_s: float = DEFAULT_TICK_S,
-    max_inflight: int = 32,
     timeout_s: float = 5.0,
-    late_threshold_s: float = DEFAULT_LATE_THRESHOLD_S,
 ) -> LoadReport:
     """Scale in ``retire`` of ``nodes`` node processes mid-load.
 
@@ -277,9 +257,6 @@ def run_load_migration(
         trace=trace,
         timeout_s=timeout_s,
         action=scale_in,
-        tick_s=tick_s,
-        max_inflight=max_inflight,
-        late_threshold_s=late_threshold_s,
     )
     moved, killed_at, executed_at = done[0]
     report = generator.report("migrate", rate, duration_s, seed, trace=trace)

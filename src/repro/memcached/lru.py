@@ -134,20 +134,6 @@ class MRUList:
         """Dump ``last_access`` for every item in MRU order."""
         return [item.last_access for item in self]
 
-    def is_sorted_desc(self) -> bool:
-        """True when ``last_access`` is non-increasing head to tail.
-
-        This is the precondition FuseCache's binary searches rely on; it
-        holds under ``merge``-mode batch imports and is deliberately
-        given up by ``prepend`` mode (the paper's implementation).
-        """
-        previous: float | None = None
-        for item in self:
-            if previous is not None and item.last_access > previous:
-                return False
-            previous = item.last_access
-        return True
-
     def check_invariants(self) -> None:
         """Validate pointer structure; used by tests and debug builds.
 

@@ -452,11 +452,6 @@ class LiveCluster(RoutedCluster[RemoteNode]):
             total.expired += stats.get("expired_unfetched", 0)
         return total
 
-    def refresh_all(self) -> None:
-        """Force a fresh metadata snapshot on every node."""
-        for node in self.nodes.values():
-            node.refresh()
-
     def close(self) -> None:
         """Close every client connection and the I/O loop; idempotent."""
         for node in self.nodes.values():

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Any
 
 from repro.core.master import Master, MigrationReport
@@ -69,26 +69,7 @@ class LiveMigrationResult:
 
     def to_dict(self) -> dict[str, Any]:
         """JSON-friendly summary (CLI / CI artifact)."""
-        return {
-            "node_names": self.node_names,
-            "retired": self.retired,
-            "membership_after": self.membership_after,
-            "outcome": self.outcome,
-            "items_seeded": self.items_seeded,
-            "items_exported": self.items_exported,
-            "items_imported": self.items_imported,
-            "completed_pairs": self.completed_pairs,
-            "failed_flows": self.failed_flows,
-            "wall_seconds": round(self.wall_seconds, 3),
-            "verified": self.verified,
-            "mismatched_nodes": self.mismatched_nodes,
-            "degradation_window_s": (
-                round(self.degradation_window_s, 3)
-                if self.degradation_window_s is not None
-                else None
-            ),
-            "trace_spans": self.trace_spans,
-        }
+        return asdict(self)
 
 
 def seed_records(
@@ -272,7 +253,9 @@ def run_live_migration(
             )
             execute_started = time.monotonic()
             report = _run_phase("execute", lambda: master.execute(plan))
-            degradation_window_s = time.monotonic() - execute_started
+            degradation_window_s = round(
+                time.monotonic() - execute_started, 3
+            )
 
             result = LiveMigrationResult(
                 node_names=names,
@@ -284,7 +267,7 @@ def run_live_migration(
                 items_imported=report.items_imported,
                 completed_pairs=report.completed_pairs,
                 failed_flows=len(report.failed_flows),
-                wall_seconds=time.monotonic() - started,
+                wall_seconds=round(time.monotonic() - started, 3),
                 degradation_window_s=degradation_window_s,
             )
             if verify:
@@ -300,13 +283,13 @@ def run_live_migration(
         live.sanitizer.check("live-cluster loop")
     root.set(
         outcome=result.outcome,
-        window_s=round(result.degradation_window_s or 0.0, 6),
+        window_s=result.degradation_window_s or 0.0,
     )
     root.end()
     result.trace_spans = len(tracer.spans)
     if telemetry is not None and trace_jsonl is not None:
         write_jsonl(trace_jsonl, tracer, telemetry.metrics)
-    result.wall_seconds = time.monotonic() - started
+    result.wall_seconds = round(time.monotonic() - started, 3)
     return result
 
 

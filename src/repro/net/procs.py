@@ -53,7 +53,9 @@ from typing import Any, Callable, Iterable
 from repro.errors import ConfigurationError
 
 STARTUP_TIMEOUT_S = 30.0
-"""Default wall-clock budget for every child to report readiness."""
+"""Wall-clock budget for the whole fleet to report ready.  A child
+imports only the node's modules (~0.1 s) and binds; the budget leaves
+room for a loaded machine."""
 
 KILL_GRACE_S = 5.0
 """Extra seconds past ``drain_grace_s`` before SIGTERM escalates."""
@@ -223,10 +225,6 @@ class ProcessClusterHarness:
         When nonzero, node ``i`` listens on ``port_base + i``; the
         default lets each child pick a free port, read back through the
         readiness handshake.
-    startup_timeout_s:
-        Wall-clock budget for the whole fleet to report ready.  A child
-        imports only the node's modules (~0.1 s) and binds; the default
-        leaves room for a loaded machine.
     restart_crashed:
         When True the watcher respawns a crashed node (cold, same port).
     on_crash:
@@ -244,7 +242,6 @@ class ProcessClusterHarness:
         host: str = "127.0.0.1",
         drain_grace_s: float = 2.0,
         port_base: int = 0,
-        startup_timeout_s: float = STARTUP_TIMEOUT_S,
         restart_crashed: bool = False,
         on_crash: Callable[[CrashEvent], None] | None = None,
         poll_interval_s: float = 0.2,
@@ -259,7 +256,6 @@ class ProcessClusterHarness:
         self.host = host
         self.drain_grace_s = drain_grace_s
         self.port_base = port_base
-        self.startup_timeout_s = startup_timeout_s
         self.restart_crashed = restart_crashed
         self.on_crash = on_crash
         self.poll_interval_s = poll_interval_s
@@ -310,7 +306,7 @@ class ProcessClusterHarness:
             for index, name in enumerate(self.node_names):
                 port = self.port_base + index if self.port_base else 0
                 handles[name] = self._spawn(self._spec(name, port))
-            deadline = time.monotonic() + self.startup_timeout_s
+            deadline = time.monotonic() + STARTUP_TIMEOUT_S
             for handle in handles.values():
                 handle.await_ready(deadline)
         except BaseException:
@@ -430,7 +426,7 @@ class ProcessClusterHarness:
             old.close()
             handle = self._spawn(self._spec(name, port))
             self._procs[name] = handle
-        deadline = time.monotonic() + self.startup_timeout_s
+        deadline = time.monotonic() + STARTUP_TIMEOUT_S
         handle.await_ready(deadline)
         assert handle.port is not None
         return self.host, handle.port

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from repro.errors import TransportError
 from repro.faults.sockets import SocketFaultPolicy
@@ -49,6 +49,9 @@ SCRAPE_EXPECTED_METRICS = (
     "net_client_roundtrip_seconds",
 )
 """Metric families the mid-chaos ``stats obs`` scrape must contain."""
+
+RECOVERY_TIMEOUT_S = 10.0
+"""Wall-clock budget for the restarted victim to serve a hit again."""
 
 
 def _quantile_ms(latencies: list[float], q: float) -> float | None:
@@ -132,28 +135,7 @@ class ProxyChaosResult:
 
     def to_dict(self) -> dict:
         """Flat JSON-friendly report (the CI artifact)."""
-        return {
-            "ok": self.ok,
-            "nodes": list(self.nodes),
-            "victim": self.victim,
-            "stalled": self.stalled,
-            "seed": self.seed,
-            "requests_total": self.requests_total,
-            "client_transport_errors": self.client_transport_errors,
-            "hits": self.hits,
-            "misses": self.misses,
-            "stored": self.stored,
-            "rejected_sets": self.rejected_sets,
-            "breaker_opened": self.breaker_opened,
-            "breaker_recovered": self.breaker_recovered,
-            "victim_served_after_restart": self.victim_served_after_restart,
-            "transitions": dict(self.transitions),
-            "proxy_stats": dict(self.proxy_stats),
-            "degradation": dict(self.degradation),
-            "obs_scrape": dict(self.obs_scrape),
-            "trace_spans": self.trace_spans,
-            "elapsed_s": round(self.elapsed_s, 3),
-        }
+        return {**asdict(self), "ok": self.ok}
 
 
 def run_proxy_chaos(
@@ -163,7 +145,6 @@ def run_proxy_chaos(
     healthy_ops: int = 200,
     dead_ops: int = 200,
     seed: int = 0,
-    recovery_timeout_s: float = 10.0,
     trace_sample: float = 0.05,
     trace_jsonl: str | None = None,
 ) -> ProxyChaosResult:
@@ -288,7 +269,7 @@ def run_proxy_chaos(
         victim_keys = [
             key for key in keyspace if router.primary_for(key) == victim
         ] or keyspace
-        deadline = time.monotonic() + recovery_timeout_s
+        deadline = time.monotonic() + RECOVERY_TIMEOUT_S
         recovery_latencies = phase_latencies.setdefault("recovery", [])
         recovery_hits = phase_hits.setdefault("recovery", [])
         while time.monotonic() < deadline:
@@ -337,7 +318,7 @@ def run_proxy_chaos(
                 pass
         client_loop.stop()
         harness.stop()
-    result.elapsed_s = time.monotonic() - started
+    result.elapsed_s = round(time.monotonic() - started, 3)
 
     # The degradation window: wall time between killing the victim's
     # listener and full recovery (breaker closed + victim-owned hit).

@@ -24,7 +24,6 @@ from repro.core.master import Master, MigrationReport
 from repro.core.policies import MigrationPolicy, make_policy
 from repro.core.retry import RetryPolicy
 from repro.database.latency import DatabaseTier
-from repro.errors import ConfigurationError
 from repro.faults.injector import FaultInjector
 from repro.faults.spec import FaultSchedule
 from repro.memcached.cluster import MemcachedCluster
@@ -382,16 +381,3 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         master=master,
         telemetry=telemetry,
     )
-
-
-def compare_policies(
-    base_config: ExperimentConfig, policies: list[str]
-) -> dict[str, ExperimentResult]:
-    """Run the same scenario under several policies (Fig. 6/8 harness)."""
-    results: dict[str, ExperimentResult] = {}
-    for name in policies:
-        if name not in ("baseline", "elmem", "naive", "cachescale"):
-            raise ConfigurationError(f"unknown policy {name!r}")
-        config = ExperimentConfig(**{**base_config.__dict__, "policy": name})
-        results[name] = run_experiment(config)
-    return results

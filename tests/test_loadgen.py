@@ -11,13 +11,17 @@ quietly moving their deadlines.
 
 import asyncio
 import json
+import threading
 
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.loadgen import driver
 from repro.loadgen.driver import LoadGenerator
 from repro.loadgen.report import LoadReport
+from repro.loadgen.runner import drive_load
 from repro.loadgen.schedule import (
+    ScheduledOp,
     build_schedule,
     payload_for,
     tape_rows,
@@ -159,13 +163,37 @@ class StallEveryChunk:
         return ("delay", self.delay_s)
 
 
+class ChunkRecorder:
+    """Fault stub that passes every chunk through, noting when it came.
+
+    ``disposition`` runs once per received request chunk, so the
+    arrival list shows how the generator's sends were batched.
+    """
+
+    def __init__(self) -> None:
+        self.clock = None
+        self.arrivals: list[float] = []
+
+    def disposition(self, node: str) -> tuple[str, float]:
+        self.arrivals.append(self.clock())
+        return ("pass", 0.0)
+
+
+def get_op(index: int, send_at_s: float) -> ScheduledOp:
+    return ScheduledOp(index, send_at_s, "get", f"key-{index}", 0)
+
+
 class TestOpenLoopRuns:
-    def run_generator(self, harness: LiveClusterHarness, **kwargs):
-        schedule = kwargs.pop("schedule")
-        generator = LoadGenerator(
-            harness.endpoints, schedule, **kwargs
-        )
+    def run_generator(self, harness: LiveClusterHarness, schedule):
+        generator = LoadGenerator(harness.endpoints, schedule)
         asyncio.run(generator.run())
+        # No op leaves before its deadline, so the response time (from
+        # the scheduled send) never undercuts the service time (from the
+        # actual send); bucket-interpolated quantiles keep that order.
+        for q in (0.5, 0.99):
+            assert generator.response_hist.quantile(
+                q
+            ) >= generator.service_hist.quantile(q)
         return generator
 
     def test_steady_run_completes_the_whole_tape(self):
@@ -173,9 +201,7 @@ class TestOpenLoopRuns:
             300.0, 0.4, seed=5, num_keys=200, set_fraction=0.25
         )
         with LiveClusterHarness(["s0", "s1"], MEMORY) as harness:
-            generator = self.run_generator(
-                harness, schedule=schedule, tick_s=0.01
-            )
+            generator = self.run_generator(harness, schedule)
         assert generator.ops_ok == generator.ops_total == len(schedule)
         assert generator.transport_errors == 0
         assert generator.wire_errors == 0
@@ -187,7 +213,9 @@ class TestOpenLoopRuns:
         assert report.tape_sha256 == tape_sha256(schedule)
         assert report.response_ms["p99"] is not None
 
-    def test_stalled_backend_records_lateness_not_omission(self):
+    def test_stalled_backend_records_lateness_not_omission(
+        self, monkeypatch
+    ):
         # 40 ops due inside 0.2 s against a backend that stalls every
         # chunk 50 ms, with one request slot: the tape falls behind by
         # design.  Open-loop discipline says the lateness is *recorded*
@@ -196,17 +224,12 @@ class TestOpenLoopRuns:
         schedule = build_schedule(
             200.0, 0.2, seed=6, num_keys=50, set_fraction=0.0
         )
+        monkeypatch.setattr(driver, "MAX_INFLIGHT", 1)
         stall = StallEveryChunk(0.05)
         with LiveClusterHarness(
             ["s0"], MEMORY, fault_policy=stall
         ) as harness:
-            generator = self.run_generator(
-                harness,
-                schedule=schedule,
-                tick_s=0.01,
-                max_inflight=1,
-                late_threshold_s=0.005,
-            )
+            generator = self.run_generator(harness, schedule)
         assert generator.ops_ok == len(schedule)  # nothing dropped
         assert generator.late_sends > 0
         # The run overran its offered window instead of thinning itself.
@@ -220,6 +243,44 @@ class TestOpenLoopRuns:
         assert report.tape_sha256 == tape_sha256(schedule)
         assert report.late_sends == generator.late_sends
         assert report.achieved_rate < 200.0
+
+    def test_no_op_leaves_before_its_deadline(self):
+        # Two gets for one node, due 9 ms apart: each leaves at its own
+        # deadline, so the node receives two chunks, the second no
+        # earlier than its deadline on the generator's clock.  (The gap
+        # between the arrivals is not the check: the first one also
+        # pays the connection setup, up to ~1 ms.)
+        recorder = ChunkRecorder()
+        schedule = [get_op(0, 0.0), get_op(1, 0.009)]
+        with LiveClusterHarness(
+            ["s0"], MEMORY, fault_policy=recorder
+        ) as harness:
+            generator = LoadGenerator(harness.endpoints, schedule)
+            recorder.clock = generator.now
+            asyncio.run(generator.run())
+        assert generator.ops_ok == 2
+        _, second = recorder.arrivals
+        assert second >= 0.009
+
+    def test_failing_action_stops_the_replay(self):
+        def fail(run):
+            raise RuntimeError("action failed")
+
+        with LiveClusterHarness(["s0", "s1"], MEMORY) as harness:
+            with pytest.raises(RuntimeError, match="action failed"):
+                drive_load(
+                    200.0,
+                    3.0,
+                    seed=1,
+                    endpoints=harness.endpoints,
+                    action=fail,
+                )
+            replaying = [
+                thread
+                for thread in threading.enumerate()
+                if thread.name == "loadgen-driver" and thread.is_alive()
+            ]
+            assert replaying == []
 
     def test_membership_swap_validates_and_rebinds(self):
         schedule = build_schedule(100.0, 0.1, seed=1, num_keys=20)
@@ -241,5 +302,9 @@ class TestOpenLoopRuns:
             LoadGenerator({}, schedule)
         with pytest.raises(ConfigurationError):
             LoadGenerator({"a": ("127.0.0.1", 1)}, [])
+
+    def test_decreasing_deadlines_are_rejected(self):
         with pytest.raises(ConfigurationError):
-            LoadGenerator({"a": ("127.0.0.1", 1)}, schedule, tick_s=0.0)
+            LoadGenerator(
+                {"a": ("127.0.0.1", 1)}, [get_op(0, 0.5), get_op(1, 0.2)]
+            )
