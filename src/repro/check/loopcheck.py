@@ -64,7 +64,7 @@ class SanitizerFinding:
 # ---------------------------------------------------------------------------
 
 _TRAP_LOCK = threading.Lock()
-#: Thread ident -> sanitizer for every installed, trap-enabled sanitizer.
+#: Thread ident -> sanitizer for every installed sanitizer.
 _LOOP_THREADS: dict[int, "LoopSanitizer"] = {}
 _ORIGINALS: dict[str, Callable[..., Any]] = {}
 
@@ -130,9 +130,6 @@ class LoopSanitizer:
     slow_callback_s:
         Threshold for the loop's own slow-callback report; anything
         hogging the loop longer becomes a ``slow-callback`` finding.
-    trap_blocking:
-        Install the process-wide blocking-call trap for threads running
-        a sanitized loop.
     raise_on_block:
         Make a trapped blocking call raise
         :class:`~repro.errors.BlockingCallError` at the call site
@@ -143,11 +140,9 @@ class LoopSanitizer:
     def __init__(
         self,
         slow_callback_s: float = DEFAULT_SLOW_CALLBACK_S,
-        trap_blocking: bool = True,
         raise_on_block: bool = True,
     ) -> None:
         self.slow_callback_s = slow_callback_s
-        self.trap_blocking = trap_blocking
         self.raise_on_block = raise_on_block
         self.findings: list[SanitizerFinding] = []
         self._lock = threading.Lock()
@@ -165,9 +160,8 @@ class LoopSanitizer:
         ident = threading.get_ident()
         with _TRAP_LOCK:
             self._installed_threads.add(ident)
-            if self.trap_blocking:
-                _LOOP_THREADS[ident] = self
-                _install_traps()
+            _LOOP_THREADS[ident] = self
+            _install_traps()
             if self._capture is None:
                 self._capture = _AsyncioLogCapture(self)
                 logging.getLogger("asyncio").addHandler(self._capture)

@@ -91,18 +91,6 @@ class TransportError(ReproError):
     """
 
 
-class CircuitOpenError(TransportError):
-    """A request was rejected locally because a backend's circuit is open.
-
-    Raised inside the proxy tier (:mod:`repro.proxy`) when a
-    :class:`~repro.proxy.breaker.CircuitBreaker` is refusing traffic to a
-    backend that has been failing.  It subclasses
-    :class:`TransportError` because callers must treat it exactly like an
-    exhausted transport retry -- degrade, never crash -- except that it
-    costs nothing: the failure is known before any socket is touched.
-    """
-
-
 class WireProtocolError(ReproError):
     """A live node answered a request with a protocol error line.
 

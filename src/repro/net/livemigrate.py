@@ -130,7 +130,6 @@ def run_live_migration(
     memory_per_node: int = 8 * PAGE_SIZE,
     verify: bool = True,
     fault_schedule: Any | None = None,
-    fault_base_delay_s: float = 0.05,
     timeout_s: float = 5.0,
     backoff_scale: float = 1.0,
     telemetry: Telemetry | None = None,
@@ -181,9 +180,7 @@ def run_live_migration(
 
     fault_policy = None
     if fault_schedule is not None:
-        fault_policy = SocketFaultPolicy(
-            fault_schedule, base_delay_s=fault_base_delay_s
-        )
+        fault_policy = SocketFaultPolicy(fault_schedule)
     tracer = (telemetry or NULL_TELEMETRY).tracer
     harness: Any
     if process_cluster:

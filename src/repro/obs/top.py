@@ -32,6 +32,9 @@ from repro.proxy.breaker import STATE_CODES
 
 _STATE_NAMES = {code: name for name, code in STATE_CODES.items()}
 
+HISTORY = 60
+"""Sparkline window length (polls retained)."""
+
 __all__ = ["FleetSample", "TopDashboard", "scrape_stats"]
 
 
@@ -70,8 +73,6 @@ class TopDashboard:
         Optional ``{name: (host, port)}`` of backends to scrape plain
         ``stats`` from directly (per-node hit rates).  ``repro serve``
         prints these endpoints on boot.
-    history:
-        Sparkline window length (polls retained).
     """
 
     def __init__(
@@ -79,12 +80,10 @@ class TopDashboard:
         proxy: tuple[str, int],
         nodes: Mapping[str, tuple[str, int]] | None = None,
         timeout_s: float = 5.0,
-        history: int = 60,
     ) -> None:
         self.proxy = proxy
         self.nodes = dict(nodes or {})
         self.timeout_s = timeout_s
-        self.history = max(2, history)
         self.ops_history: list[float] = []
         self.p99_history: list[float] = []
         self._previous: FleetSample | None = None
@@ -130,8 +129,8 @@ class TopDashboard:
         p99 = histogram_quantile(current.prom, "proxy_route_seconds", 0.99)
         if p99 is not None:
             self.p99_history.append(p99 * 1000.0)
-        del self.ops_history[: -self.history]
-        del self.p99_history[: -self.history]
+        del self.ops_history[:-HISTORY]
+        del self.p99_history[:-HISTORY]
 
     # -- rendering -----------------------------------------------------
 

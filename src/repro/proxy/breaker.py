@@ -15,9 +15,9 @@ classic three-state machine:
 
 The breaker never raises by itself: callers ask :meth:`allow` before a
 request and report the outcome with :meth:`record_success` /
-:meth:`record_failure`.  The proxy router turns a ``False`` verdict into
-:class:`~repro.errors.CircuitOpenError` internally and degrades the
-client-visible operation to a miss/no-op.
+:meth:`record_failure`.  The proxy router degrades a request its breaker
+rejects to a miss/no-op without touching a socket, and reports exactly
+one outcome for every request it admits.
 
 State is observable through :mod:`repro.obs`: a per-backend
 ``proxy_breaker_state`` gauge (0=closed, 1=open, 2=half-open) and a

@@ -176,7 +176,6 @@ def run_proxy_chaos(
     config = ProxyConfig(
         failure_threshold=3,
         open_duration_s=0.25,
-        close_after=1,
         timeout_s=1.0,
     )
     result = ProxyChaosResult(

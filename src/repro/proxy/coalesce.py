@@ -39,7 +39,6 @@ class GetCoalescer:
     def __init__(self, telemetry: Telemetry | None = None) -> None:
         self._inflight: dict[str, asyncio.Future] = {}
         metrics = (telemetry or NULL_TELEMETRY).metrics
-        self._obs = bool(metrics.enabled)
         self._m_leaders = metrics.counter(
             "proxy_coalesce_leaders_total",
             "Key fetches that actually went to a backend",
@@ -97,8 +96,6 @@ class GetCoalescer:
         """A follower's (timed) wait for the leader's outcome."""
         # shield(): a follower timing out / being cancelled must not
         # cancel the shared future out from under everyone else.
-        if not self._obs:
-            return await asyncio.shield(future)
         start = time.perf_counter()
         try:
             return await asyncio.shield(future)

@@ -6,11 +6,11 @@ rest of the fleet idles.  Production routers (mcrouter, Twemproxy
 deployments, SPORE) answer with *hot-key replication*: detect the top
 keys and serve their reads from R replicas instead of one primary.
 
-:class:`HotKeyDetector` is a sampled frequency counter: every
-``sample_every``-th observation is tallied, and the whole table decays
-(halves) every ``decay_every`` samples so yesterday's spike does not pin
-today's replica set.  Deliberately deterministic -- same observation
-stream, same verdicts -- so storm tests are exactly reproducible.
+:class:`HotKeyDetector` is a bounded frequency counter: every
+observation is tallied, and the whole table decays (halves) every
+:data:`DECAY_EVERY` tallies so yesterday's spike does not pin today's
+replica set.  Deliberately deterministic -- same observation stream,
+same verdicts -- so storm tests are exactly reproducible.
 
 :class:`ReplicaRegistry` tracks which keys are currently promoted and
 onto which backends.  Placement is the router's job (it walks the ring's
@@ -27,59 +27,40 @@ from repro.errors import ConfigurationError
 from repro.obs import NULL_TELEMETRY, Telemetry
 
 
+DECAY_EVERY = 10_000
+"""Tallies between two decay sweeps (every count halves)."""
+
+MAX_TRACKED = 4096
+"""Hard cap on tracked keys: when full, never-seen keys are not admitted
+until a decay sweep frees space (hot keys, by definition, are already
+in the table)."""
+
+
 class HotKeyDetector:
-    """Sampled, decaying per-key frequency counter.
+    """Decaying per-key frequency counter with a bounded table.
 
     Parameters
     ----------
     promote_threshold:
-        Sampled-count at which a key is reported hot.
-    sample_every:
-        Tally one observation in ``sample_every`` (1 = count them all).
-        Sampling is deterministic (a modulo, not a coin flip).
-    decay_every:
-        After this many *sampled* tallies, every count is halved and
-        zero counts are dropped -- a cheap sliding window.
-    max_tracked:
-        Hard cap on tracked keys; when full, never-seen keys are not
-        admitted until a decay sweep frees space (hot keys, by
-        definition, are already in the table).
+        Count at which a key is reported hot.
     """
 
-    def __init__(
-        self,
-        promote_threshold: int = 32,
-        sample_every: int = 1,
-        decay_every: int = 10_000,
-        max_tracked: int = 4096,
-    ) -> None:
+    def __init__(self, promote_threshold: int = 32) -> None:
         if promote_threshold < 1:
             raise ConfigurationError("promote_threshold must be >= 1")
-        if sample_every < 1:
-            raise ConfigurationError("sample_every must be >= 1")
-        if decay_every < 1:
-            raise ConfigurationError("decay_every must be >= 1")
-        if max_tracked < 1:
-            raise ConfigurationError("max_tracked must be >= 1")
         self.promote_threshold = promote_threshold
-        self.sample_every = sample_every
-        self.decay_every = decay_every
-        self.max_tracked = max_tracked
         self._counts: dict[str, int] = {}
-        self._observations = 0
         self._tallies = 0
 
     def observe(self, key: str) -> bool:
         """Record one access; returns True when ``key`` is currently hot."""
-        self._observations += 1
-        if self._observations % self.sample_every == 0:
-            if key in self._counts:
-                self._counts[key] += 1
-            elif len(self._counts) < self.max_tracked:
-                self._counts[key] = 1
-            self._tallies += 1
-            if self._tallies >= self.decay_every:
-                self.decay()
+        if key in self._counts:
+            self._counts[key] += 1
+        elif len(self._counts) < MAX_TRACKED:
+            self._counts[key] = 1
+        self._tallies += 1
+        if self._tallies >= DECAY_EVERY:
+            self.decay()
         return self.is_hot(key)
 
     def decay(self) -> None:
@@ -92,19 +73,12 @@ class HotKeyDetector:
         }
 
     def is_hot(self, key: str) -> bool:
-        """Whether ``key``'s sampled count has crossed the threshold."""
+        """Whether ``key``'s count has crossed the threshold."""
         return self._counts.get(key, 0) >= self.promote_threshold
 
     def count(self, key: str) -> int:
-        """Current sampled count for ``key``."""
+        """Current count for ``key``."""
         return self._counts.get(key, 0)
-
-    def top(self, n: int) -> list[str]:
-        """The ``n`` highest-count keys, hottest first (ties by key)."""
-        ranked = sorted(
-            self._counts.items(), key=lambda item: (-item[1], item[0])
-        )
-        return [key for key, _ in ranked[:n]]
 
 
 class ReplicaRegistry:

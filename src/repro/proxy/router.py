@@ -13,11 +13,15 @@ listener and the backend fleet:
   (``NOT_STORED``) instead of surfacing transport errors to clients;
 - a :class:`~repro.proxy.coalesce.GetCoalescer` collapsing concurrent
   same-key fetches behind a single backend round trip;
-- hot-key replication: a sampled detector promotes the top keys onto R
-  extra backends, reads fan out first-hit-wins across the copies (so a
-  dead primary is *invisible* for replicated keys), and writes
+- hot-key replication: a frequency detector promotes the top keys onto
+  R extra backends, reads fan out first-hit-wins across the copies (so
+  a dead primary is *invisible* for replicated keys), and writes
   invalidate every replica before acknowledging (write-through
   invalidation).
+
+Every backend request goes through :meth:`ProxyRouter._call` (or
+:meth:`ProxyRouter._guarded`, which asks the breaker first), so each
+admitted request reports exactly one outcome to its breaker.
 
 The router is also a membership-change consumer: hand
 :meth:`membership_listener` to
@@ -42,7 +46,7 @@ from repro.errors import (
     WireProtocolError,
 )
 from repro.hashing.hashutil import hash32
-from repro.hashing.ketama import DEFAULT_VNODES, ConsistentHashRing
+from repro.hashing.ketama import ConsistentHashRing
 from repro.net.client import NodeClient
 from repro.obs import Telemetry, create_telemetry, current_context
 from repro.obs.metrics import LATENCY_SECONDS_BUCKETS
@@ -61,6 +65,27 @@ DEFAULT_PROXY_RETRY = RetryPolicy(
 )
 """Short, jittered backend retry: fail over to degradation quickly."""
 
+BACKEND_POOL_SIZE = 4
+"""Pooled connections per backend client."""
+
+
+class _Degraded:
+    """What a request its breaker rejected or its transport lost returns.
+
+    Falsy, so a degraded ``set``/``delete`` reads as ``False``.
+    """
+
+    __slots__ = ()
+
+    def __bool__(self) -> bool:
+        return False
+
+    def __repr__(self) -> str:
+        return "DEGRADED"
+
+
+DEGRADED = _Degraded()
+
 
 @dataclass(frozen=True)
 class ProxyConfig:
@@ -72,33 +97,29 @@ class ProxyConfig:
         Extra copies per promoted hot key (0 disables replication).
     max_hot_keys:
         Bound on simultaneously promoted keys.
-    promote_threshold / sample_every / decay_every:
-        Hot-key detector knobs (see
-        :class:`~repro.proxy.hotkeys.HotKeyDetector`).
+    promote_threshold:
+        Count at which :class:`~repro.proxy.hotkeys.HotKeyDetector`
+        reports a key hot.
     failure_threshold / open_duration_s / close_after:
         Circuit-breaker knobs (see
         :class:`~repro.proxy.breaker.CircuitBreaker`).
-    timeout_s / retry / backoff_scale / pool_size:
+    timeout_s / retry / backoff_scale:
         Backend client transport settings; the retry policy defaults to
         a short decorrelated-jitter schedule, seeded per backend.
-    vnodes:
-        Ring geometry; must match the cluster facades' so the proxy and
-        the Master agree on key placement.
+
+    The ring takes the cluster facades' default vnodes, so the proxy and
+    the Master agree on key placement.
     """
 
     replication_factor: int = 1
     max_hot_keys: int = 8
     promote_threshold: int = 32
-    sample_every: int = 1
-    decay_every: int = 10_000
     failure_threshold: int = 3
     open_duration_s: float = 1.0
     close_after: int = 1
     timeout_s: float = 1.0
     retry: RetryPolicy | None = None
     backoff_scale: float = 1.0
-    pool_size: int = 4
-    vnodes: int = DEFAULT_VNODES
 
     def __post_init__(self) -> None:
         if self.replication_factor < 0:
@@ -157,9 +178,10 @@ class ProxyRouter:
         Robustness tunables (:class:`ProxyConfig`).
     telemetry:
         Metrics sink.  Unlike most components the default is an
-        *enabled* registry, because breaker states and coalesce counters
-        are the proxy's primary observable surface (the ``stats`` wire
-        command reads them back).
+        *enabled* registry, because breaker states, coalesce counters
+        and route timings are the proxy's primary observable surface
+        (the ``stats`` wire command reads them back); the router records
+        into it unconditionally.
     """
 
     def __init__(
@@ -178,17 +200,13 @@ class ProxyRouter:
         unknown = [name for name in names if name not in self._endpoints]
         if unknown:
             raise MembershipError(f"backends without endpoints: {unknown}")
-        self.ring = ConsistentHashRing(names, vnodes=self.config.vnodes)
+        self.ring = ConsistentHashRing(names)
         self.clients: dict[str, NodeClient] = {}
         self.breakers: dict[str, CircuitBreaker] = {
             name: self._make_breaker(name) for name in self._endpoints
         }
         self.coalescer = GetCoalescer(self.telemetry)
-        self.detector = HotKeyDetector(
-            promote_threshold=self.config.promote_threshold,
-            sample_every=self.config.sample_every,
-            decay_every=self.config.decay_every,
-        )
+        self.detector = HotKeyDetector(self.config.promote_threshold)
         self.replicas = ReplicaRegistry(
             max_hot_keys=self.config.max_hot_keys,
             telemetry=self.telemetry,
@@ -239,7 +257,6 @@ class ProxyRouter:
             "proxy_active_backends", "Backends currently on the proxy ring"
         )
         self._m_members.set(len(names))
-        self._obs = bool(metrics.enabled)
         self._m_route = {
             op: metrics.histogram(
                 "proxy_route_seconds",
@@ -282,7 +299,7 @@ class ProxyRouter:
                 name,
                 host,
                 port,
-                pool_size=self.config.pool_size,
+                pool_size=BACKEND_POOL_SIZE,
                 timeout_s=self.config.timeout_s,
                 retry=self.config.retry or DEFAULT_PROXY_RETRY,
                 backoff_scale=self.config.backoff_scale,
@@ -324,29 +341,47 @@ class ProxyRouter:
     # Breaker-guarded backend primitives
     # ------------------------------------------------------------------
 
+    async def _call(self, backend: str, op: str, *args: Any) -> Any:
+        """Run client method ``op`` on a backend its breaker admitted.
+
+        The breaker hears exactly one outcome.  A transport failure
+        records a failure and returns :data:`DEGRADED` -- the breaker,
+        not the client, decides when to stop trying.  Any reply records
+        a success, an error line included: its
+        :class:`~repro.errors.WireProtocolError` goes to the caller and
+        no half-open probe slot leaks.
+        """
+        breaker = self.breakers[backend]
+        try:
+            result = await getattr(self.client(backend), op)(*args)
+        except TransportError:
+            breaker.record_failure()
+            return DEGRADED
+        except WireProtocolError:
+            breaker.record_success()
+            raise
+        breaker.record_success()
+        return result
+
+    async def _guarded(self, backend: str, op: str, *args: Any) -> Any:
+        """:meth:`_call` if ``backend``'s breaker admits it, else DEGRADED."""
+        if not self.breakers[backend].allow():
+            return DEGRADED
+        return await self._call(backend, op, *args)
+
     async def _get_batch(
         self, backend: str, keys: list[str]
     ) -> list[Value | None]:
         """One ``get_many`` round trip to a backend its breaker admitted.
 
         The breaker hears one outcome per batch, however many keys it
-        carries.  A transport failure reads as a miss on every key --
-        the breaker, not the client, decides when to stop trying.
+        carries; a lost batch reads as a miss on every key.
         """
-        breaker = self.breakers[backend]
         try:
-            values = await self.client(backend).get_many(keys)
-        except TransportError:
-            breaker.record_failure()
-            return [None] * len(keys)
-        except WireProtocolError:
-            # The backend answered, if unintelligibly; no probe slot leaks.
-            breaker.record_success()
-            raise
+            values = await self._call(backend, "get_many", keys)
         finally:
             self._tag_rpc_span(len(keys))
-        breaker.record_success()
-        return values
+        return [None] * len(keys) if values is DEGRADED else values
 
     def _tag_rpc_span(self, keys: int) -> None:
         """Stamp ``keys`` on the ``client.rpc`` span a batch just ended.
@@ -359,45 +394,6 @@ class ProxyRouter:
         tracer = self.telemetry.tracer
         if tracer.sample_rate > 0 and current_context() is not None:
             tracer.spans[-1].set(keys=keys)
-
-    async def _guarded_set(
-        self,
-        backend: str,
-        key: str,
-        payload: bytes,
-        flags: int,
-        exptime: float,
-    ) -> bool | None:
-        """Breaker-guarded ``set``; None when rejected or failed."""
-        breaker = self.breakers[backend]
-        if not breaker.allow():
-            return None
-        try:
-            stored = await self.client(backend).set(
-                key, payload, flags=flags, exptime=exptime
-            )
-        except TransportError:
-            breaker.record_failure()
-            return None
-        except WireProtocolError:
-            # The backend answered; its rejection is the client's to see.
-            breaker.record_success()
-            raise
-        breaker.record_success()
-        return stored
-
-    async def _guarded_delete(self, backend: str, key: str) -> bool | None:
-        """Breaker-guarded ``delete``; None when rejected or failed."""
-        breaker = self.breakers[backend]
-        if not breaker.allow():
-            return None
-        try:
-            existed = await self.client(backend).delete(key)
-        except TransportError:
-            breaker.record_failure()
-            return None
-        breaker.record_success()
-        return existed
 
     # ------------------------------------------------------------------
     # Reads
@@ -422,8 +418,6 @@ class ProxyRouter:
         Never raises for backend trouble -- a dead or open backend reads
         as a miss (or is papered over by a replica for hot keys).
         """
-        if not self._obs:
-            return await self._get_many_inner(keys)
         start = time.perf_counter()
         try:
             return await self._get_many_inner(keys)
@@ -448,8 +442,7 @@ class ProxyRouter:
         # key this call leads is in some batch before anyone can follow it.
         claims = [self.coalescer.claim(key) for key in keys]
         fetch = _Fetch(
-            asyncio.get_running_loop().create_future(),
-            time.perf_counter() if self._obs else 0.0,
+            asyncio.get_running_loop().create_future(), time.perf_counter()
         )
         for key, (_, leads) in zip(keys, claims):
             if leads:
@@ -497,10 +490,9 @@ class ProxyRouter:
                 lead.waiting += 1
         if not lead.waiting:
             self._m_degraded["get"].inc()
-            if self._obs:
-                self._m_breaker_reject_seconds.observe(
-                    time.perf_counter() - fetch.start
-                )
+            self._m_breaker_reject_seconds.observe(
+                time.perf_counter() - fetch.start
+            )
             self.coalescer.settle(key, None)
             return
         lead.primary_admitted = admitted[primary]
@@ -545,7 +537,7 @@ class ProxyRouter:
         self, key: str, lead: _Lead, value: Value | None, start: float
     ) -> None:
         """Per-key epilogue: fan-out and stale accounting, read repair."""
-        if self._obs and lead.fanned:
+        if lead.fanned:
             self._m_fanout_seconds.observe(time.perf_counter() - start)
         if value is None:
             return
@@ -576,11 +568,11 @@ class ProxyRouter:
         for backend in backends:
             if self._write_stamp.get(key) != stamp:
                 return
-            stored = await self._guarded_set(
-                backend, key, payload, flags, 0.0
+            stored = await self._guarded(
+                backend, "set", key, payload, flags, 0.0
             )
             if self._write_stamp.get(key) != stamp:
-                await self._drop_void_copy(key, backend)
+                await self._drop_copy(key, backend)
                 return
             if stored:
                 self._m_repairs.inc()
@@ -626,7 +618,7 @@ class ProxyRouter:
                 return
             flags, payload = value
             for backend in targets:
-                if await self._guarded_set(backend, key, payload, flags, 0.0):
+                if await self._guarded(backend, "set", key, payload, flags, 0.0):
                     copied.append(backend)
             if self._write_stamp.get(key) == stamp:
                 self.replicas.promote(key, copied)
@@ -637,11 +629,20 @@ class ProxyRouter:
                 if key not in self.replicas:
                     self._write_stamp.pop(key, None)
                 for backend in copied:
-                    await self._drop_void_copy(key, backend)
+                    await self._drop_copy(key, backend)
 
-    async def _drop_void_copy(self, key: str, backend: str) -> None:
-        """Delete a copy a routed write overtook; demote if it will not go."""
-        if await self._guarded_delete(backend, key) is None:
+    async def _drop_copy(self, key: str, backend: str) -> None:
+        """Delete ``key``'s copy on ``backend``; demote if it will not go.
+
+        A delete that was rejected, lost or answered with an error line
+        leaves the copy in doubt, so the key stops being served from
+        replicas rather than risk serving it stale.
+        """
+        try:
+            gone = await self._guarded(backend, "delete", key) is not DEGRADED
+        except WireProtocolError:
+            gone = False
+        if not gone:
             self._demote(key)
 
     def _demote(self, key: str) -> None:
@@ -660,64 +661,42 @@ class ProxyRouter:
         flags: int = 0,
         exptime: float = 0.0,
     ) -> bool:
-        """Routed ``set``; False (a no-op) when the owner is unreachable.
-
-        Registered replicas are invalidated *before* the call returns,
-        so a read that follows a write can never be served a stale
-        replica copy.  A replica that cannot be invalidated is demoted
-        instead -- correctness over availability for that key.
-        """
-        if not self._obs:
-            return await self._set_inner(key, payload, flags, exptime)
-        start = time.perf_counter()
-        try:
-            return await self._set_inner(key, payload, flags, exptime)
-        finally:
-            self._m_route["set"].observe(time.perf_counter() - start)
-
-    async def _set_inner(
-        self,
-        key: str,
-        payload: bytes,
-        flags: int = 0,
-        exptime: float = 0.0,
-    ) -> bool:
-        self._m_ops["set"].inc()
-        if not self.ring.members:
-            self._m_degraded["set"].inc()
-            return False
-        primary = self.ring.node_for_key(key)
-        stored = await self._guarded_set(
-            primary, key, payload, flags, exptime
-        )
-        if stored is None:
-            self._m_degraded["set"].inc()
-            stored = False
-        await self._invalidate_replicas(key)
-        return bool(stored)
+        """Routed ``set``; False (a no-op) when the owner is unreachable."""
+        return bool(await self._write("set", key, payload, flags, exptime))
 
     async def delete(self, key: str) -> bool:
         """Routed ``delete``; False when degraded or absent."""
-        if not self._obs:
-            return await self._delete_inner(key)
-        start = time.perf_counter()
-        try:
-            return await self._delete_inner(key)
-        finally:
-            self._m_route["delete"].observe(time.perf_counter() - start)
+        return bool(await self._write("delete", key))
 
-    async def _delete_inner(self, key: str) -> bool:
-        self._m_ops["delete"].inc()
-        if not self.ring.members:
-            self._m_degraded["delete"].inc()
-            return False
-        primary = self.ring.node_for_key(key)
-        existed = await self._guarded_delete(primary, key)
-        if existed is None:
-            self._m_degraded["delete"].inc()
-            existed = False
-        await self._invalidate_replicas(key)
-        return bool(existed)
+    async def incr(self, key: str, delta: int = 1) -> int | None:
+        """Routed ``incr``; None when absent or degraded."""
+        return await self._write("incr", key, delta)
+
+    async def _write(self, op: str, key: str, *args: Any) -> Any:
+        """Route write ``op`` to ``key``'s primary, then invalidate.
+
+        Returns the client's answer, or None when the request was
+        degraded (no ring, a rejecting breaker, a lost reply).  The
+        key's replicas are invalidated *before* the call returns,
+        whatever the primary's outcome -- a lost reply may still have
+        been applied, and an error line says nothing about the copies
+        -- so a read that follows a write is never served a stale
+        replica copy.
+        """
+        start = time.perf_counter()
+        self._m_ops[op].inc()
+        try:
+            outcome: Any = DEGRADED
+            if self.ring.members:
+                primary = self.ring.node_for_key(key)
+                outcome = await self._guarded(primary, op, key, *args)
+            if outcome is DEGRADED:
+                self._m_degraded[op].inc()
+                return None
+            return outcome
+        finally:
+            await self._invalidate_replicas(key)
+            self._m_route[op].observe(time.perf_counter() - start)
 
     async def _invalidate_replicas(self, key: str) -> None:
         """Write-through invalidation: drop every replica copy of ``key``.
@@ -726,62 +705,21 @@ class ProxyRouter:
         stamp in the same step as reading the replica set also voids
         copies a promotion or read repair is still making from a value
         read earlier -- they are not registered yet, so not listed here.
+        A copy that cannot be removed demotes the key.
         """
         if key in self._write_stamp:
             self._write_stamp[key] = next(self._stamps)
         for backend in self.replicas.replicas_for(key):
-            removed = await self._guarded_delete(backend, key)
-            if removed is None:
-                # The copy could not be removed; stop serving from it.
-                self._demote(key)
-
-    async def incr(self, key: str, delta: int = 1) -> int | None:
-        """Routed ``incr``; None when absent or degraded."""
-        if not self._obs:
-            return await self._incr_inner(key, delta)
-        start = time.perf_counter()
-        try:
-            return await self._incr_inner(key, delta)
-        finally:
-            self._m_route["incr"].observe(time.perf_counter() - start)
-
-    async def _incr_inner(self, key: str, delta: int = 1) -> int | None:
-        self._m_ops["incr"].inc()
-        if not self.ring.members:
-            self._m_degraded["incr"].inc()
-            return None
-        primary = self.ring.node_for_key(key)
-        breaker = self.breakers[primary]
-        if not breaker.allow():
-            self._m_degraded["incr"].inc()
-            return None
-        try:
-            value = await self.client(primary).incr(key, delta)
-        except TransportError:
-            breaker.record_failure()
-            self._m_degraded["incr"].inc()
-            return None
-        except WireProtocolError:
-            breaker.record_success()
-            raise
-        breaker.record_success()
-        await self._invalidate_replicas(key)
-        return value
+            await self._drop_copy(key, backend)
 
     async def flush_all(self) -> None:
         """Best-effort ``flush_all`` on every active backend."""
-        for backend in sorted(self.ring.members):
-            breaker = self.breakers[backend]
-            if not breaker.allow():
-                continue
-            try:
-                await self.client(backend).flush_all()
-            except TransportError:
-                breaker.record_failure()
-            else:
-                breaker.record_success()
-        self.replicas.clear()
-        self._write_stamp.clear()
+        try:
+            for backend in sorted(self.ring.members):
+                await self._guarded(backend, "flush_all")
+        finally:
+            self.replicas.clear()
+            self._write_stamp.clear()
 
     # ------------------------------------------------------------------
     # Membership (the Master's post-switch ring lands here)

@@ -395,20 +395,6 @@ class ProxyHarness:
         """Bring a killed backend's listener back on the same port."""
         return self.backends.start_node(name)
 
-    def set_membership(self, members: Iterable[str]) -> None:
-        """Switch the proxy ring synchronously (testing convenience)."""
-        if self.router is None:
-            raise ConfigurationError("proxy harness is not started")
-        self.loop.call(
-            self.router.update_membership(list(members)), timeout=10.0
-        )
-
-    def breaker_state(self, backend: str) -> str:
-        """Current breaker state for ``backend`` (reads the gauge side)."""
-        if self.router is None:
-            raise ConfigurationError("proxy harness is not started")
-        return self.router.breakers[backend].state
-
     # -- context manager -------------------------------------------------
 
     def __enter__(self) -> "ProxyHarness":

@@ -219,7 +219,6 @@ def hot_key_storm(
     cold_keys: int = 256,
     hot_fraction: float = 0.9,
     seed: int = 0,
-    key_prefix: str = "storm",
 ) -> HotKeyStorm:
     """A Zipf-like spike concentrating traffic onto ``hot_keys`` keys.
 
@@ -246,8 +245,8 @@ def hot_key_storm(
     if not 0.0 <= hot_fraction <= 1.0:
         raise ConfigurationError("hot_fraction must be in [0, 1]")
     rng = random.Random(seed)
-    hot = tuple(f"{key_prefix}:hot:{i:02d}" for i in range(hot_keys))
-    cold = tuple(f"{key_prefix}:cold:{i:05d}" for i in range(cold_keys))
+    hot = tuple(f"storm:hot:{i:02d}" for i in range(hot_keys))
+    cold = tuple(f"storm:cold:{i:05d}" for i in range(cold_keys))
     weights = [1.0 / rank for rank in range(1, hot_keys + 1)]
     sequence = tuple(
         rng.choices(hot, weights=weights)[0]

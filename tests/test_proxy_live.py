@@ -334,11 +334,11 @@ class TestFailoverChaos:
             harness.kill_backend(victim)
             for _ in range(10):
                 assert multiget() == [None] * 3
-            assert harness.breaker_state(victim) != CLOSED
+            assert router.breakers[victim].state != CLOSED
             harness.restart_backend(victim)
             for _ in range(100):
                 served = multiget()
-                if harness.breaker_state(victim) == CLOSED and all(served):
+                if router.breakers[victim].state == CLOSED and all(served):
                     break
                 time.sleep(0.05)
             assert served == [(0, key.encode()) for key in cold]
@@ -353,7 +353,7 @@ class TestFailoverChaos:
                     >= 1
                 ), state
             assert metrics.counter("proxy_stale_serves_total").value >= 1
-            assert harness.breaker_state(survivor) == CLOSED
+            assert router.breakers[survivor].state == CLOSED
             loop.call(client.close())
 
     def test_degraded_ops_fail_fast_once_breaker_open(self, loop):
@@ -455,5 +455,7 @@ class TestMembershipIntegration:
             from repro.errors import MembershipError
 
             with pytest.raises(MembershipError):
-                harness.set_membership(["n0", "ghost"])
+                harness.loop.call(
+                    harness.router.update_membership(["n0", "ghost"])
+                )
             assert sorted(harness.router.active_members) == ["n0", "n1"]

@@ -20,6 +20,7 @@ from repro.net.server import NodeServer
 from repro.obs import CURRENT_CONTEXT, create_telemetry
 from repro.obs.metrics import LATENCY_SECONDS_BUCKETS
 from repro.proxy.breaker import CLOSED, HALF_OPEN, OPEN, CircuitBreaker
+from repro.proxy import hotkeys
 from repro.proxy.coalesce import GetCoalescer
 from repro.proxy.hotkeys import HotKeyDetector, ReplicaRegistry
 from repro.proxy.router import ProxyConfig, ProxyRouter
@@ -255,14 +256,6 @@ class TestHotKeyDetector:
         assert detector.is_hot("k")
         assert not detector.is_hot("other")
 
-    def test_sampling_is_deterministic_modulo(self):
-        detector = HotKeyDetector(promote_threshold=2, sample_every=2)
-        # Only every second observation is tallied.
-        for _ in range(4):
-            detector.observe("k")
-        assert detector.count("k") == 2
-        assert detector.is_hot("k")
-
     def test_decay_halves_and_drops_zeros(self):
         detector = HotKeyDetector(promote_threshold=10)
         for _ in range(8):
@@ -273,33 +266,26 @@ class TestHotKeyDetector:
         assert detector.count("cold") == 0
         assert not detector.is_hot("hot")
 
-    def test_automatic_decay_cadence(self):
-        detector = HotKeyDetector(promote_threshold=100, decay_every=10)
+    def test_automatic_decay_cadence(self, monkeypatch):
+        monkeypatch.setattr(hotkeys, "DECAY_EVERY", 10)
+        detector = HotKeyDetector(promote_threshold=100)
         for _ in range(10):
             detector.observe("k")
         # The tenth tally triggered a decay sweep: 10 // 2 = 5.
         assert detector.count("k") == 5
 
-    def test_max_tracked_admission_cap(self):
-        detector = HotKeyDetector(promote_threshold=2, max_tracked=2)
+    def test_max_tracked_admission_cap(self, monkeypatch):
+        monkeypatch.setattr(hotkeys, "MAX_TRACKED", 2)
+        detector = HotKeyDetector(promote_threshold=2)
         detector.observe("a")
         detector.observe("b")
         detector.observe("c")  # table full; not admitted
         assert detector.count("c") == 0
         assert detector.observe("a")  # existing keys still tallied
 
-    def test_top_orders_hottest_first(self):
-        detector = HotKeyDetector(promote_threshold=100)
-        for key, count in (("a", 3), ("b", 5), ("c", 1)):
-            for _ in range(count):
-                detector.observe(key)
-        assert detector.top(2) == ["b", "a"]
-
     def test_validation(self):
         with pytest.raises(ConfigurationError):
             HotKeyDetector(promote_threshold=0)
-        with pytest.raises(ConfigurationError):
-            HotKeyDetector(sample_every=0)
 
 
 class TestReplicaRegistry:
@@ -813,5 +799,110 @@ class TestStaleReplicaRace:
                 release.set()
                 await settle_background(router)
                 await self.assert_no_stale_copy(router, key, (0, b"new"))
+
+        asyncio.run(scenario())
+
+    def test_replica_error_line_demotes_the_key(self):
+        async def scenario():
+            async with live_router(
+                ["n0", "n1"], promote_threshold=3
+            ) as (router, servers):
+                (key,) = keys_owned_by(router, "n0", 1, prefix="hot")
+                assert await router.set(key, b"old")
+                assert await promote(router, key) == ("n1",)
+                replica = router.client("n1")
+                replica.delete = refuse
+                # The primary stored the write; the replica's refusal
+                # is the proxy's to absorb, not the client's.
+                assert await router.set(key, b"new") is True
+                del replica.delete
+                assert key not in router.replicas
+                # A slow primary would let a stale replica win the race.
+                servers["n0"].fault_policy = SlowReplies(0.05)
+                for _ in range(5):
+                    assert await router.get(key) == (0, b"new")
+                    await settle_background(router)
+
+        asyncio.run(scenario())
+
+    def test_lost_incr_reply_still_invalidates(self):
+        async def scenario():
+            async with live_router(
+                ["n0", "n1"], promote_threshold=3
+            ) as (router, servers):
+                (key,) = keys_owned_by(router, "n0", 1, prefix="hot")
+                assert await router.set(key, b"1")
+                assert await promote(router, key) == ("n1",)
+                servers["n0"].fault_policy = SlowReplies(0.6)
+                assert await router.incr(key, 1) is None
+                servers["n0"].fault_policy = None
+                # The primary applies the increment after the proxy
+                # gave up on its reply.
+                primary = router.client("n0")
+                for _ in range(100):
+                    value = await primary.get(key)
+                    if value == (0, b"2"):
+                        break
+                    await asyncio.sleep(0.02)
+                assert value == (0, b"2")
+                assert await router.client("n1").get(key) in (None, value)
+
+        asyncio.run(scenario())
+
+
+async def refuse(*args):
+    """A client method whose backend answers with an error line."""
+    raise WireProtocolError("SERVER_ERROR busy")
+
+
+class TestOneOutcomePerRequest:
+    """Every request a breaker admits reports exactly one outcome, and
+    every routed write invalidates whatever the primary's outcome."""
+
+    @pytest.mark.parametrize("op", ["delete", "flush_all"])
+    def test_error_line_releases_the_half_open_probe(self, op):
+        async def scenario():
+            async with live_router(["n0"]) as (router, _):
+                breaker = router.breakers["n0"]
+                breaker.record_failure()
+                breaker.record_failure()
+                breaker._opened_at -= breaker.open_duration_s
+                assert breaker.state == HALF_OPEN
+                setattr(router.client("n0"), op, refuse)
+                call = (
+                    router.delete("k") if op == "delete" else router.flush_all()
+                )
+                with pytest.raises(WireProtocolError, match="busy"):
+                    await call
+                assert breaker.state == CLOSED
+                assert breaker.allow()
+
+        asyncio.run(scenario())
+
+    @pytest.mark.parametrize(
+        "op, args, degraded",
+        [("set", (b"2",), False), ("delete", (), False), ("incr", (1,), None)],
+    )
+    def test_degraded_write_still_invalidates_replicas(
+        self, op, args, degraded
+    ):
+        async def scenario():
+            async with live_router(
+                ["n0", "n1"], promote_threshold=3
+            ) as (router, _):
+                (key,) = keys_owned_by(router, "n0", 1, prefix="hot")
+                assert await router.set(key, b"1")
+                assert await promote(router, key) == ("n1",)
+                breaker = router.breakers["n0"]
+                breaker.record_failure()
+                breaker.record_failure()
+                assert breaker.state == OPEN
+                before = counter(router, "proxy_degraded_total", op=op)
+                assert await getattr(router, op)(key, *args) is degraded
+                assert (
+                    counter(router, "proxy_degraded_total", op=op)
+                    == before + 1
+                )
+                assert await router.client("n1").get(key) is None
 
         asyncio.run(scenario())
