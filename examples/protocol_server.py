@@ -58,10 +58,11 @@ def main() -> None:
             )
             print(f"<< STORED x{stored}")
 
-            print(">> ts_dump 0 (migration metadata, excerpt)")
+            print(">> ts_dump 0 (migration metadata, decoded excerpt)")
             rows = loop.call(client.ts_dump(0), timeout=TIMEOUT_S)
+            print(f"<< TS {len(rows)} rows, one packed block")
             for key, last_access, size in rows[:3]:
-                print(f"<< TS {key} {last_access} {size}")
+                print(f"<<   {key} last_access={last_access} size={size}")
 
             print(">> stats (excerpt)")
             stats = raw("stats").decode()

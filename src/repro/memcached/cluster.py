@@ -304,4 +304,5 @@ class MemcachedCluster(RoutedCluster[MemcachedNode]):
             total.expired += stats.expired
             total.too_large += stats.too_large
             total.imported += stats.imported
+            total.import_merge_fallbacks += stats.import_merge_fallbacks
         return total

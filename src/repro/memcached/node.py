@@ -34,6 +34,14 @@ def drain(steps: Generator[None, None, _T]) -> _T:
             return done.value
 
 
+def _first_not_hotter(item: Item | None, stamp: float) -> Item | None:
+    """The first item from ``item`` on (along ``next``) whose stamp is at
+    most ``stamp``; ``None`` past the tail."""
+    while item is not None and item.last_access > stamp:
+        item = item.next
+    return item
+
+
 @dataclass
 class NodeStats:
     """Operation counters, mirroring the interesting parts of ``stats``."""
@@ -46,6 +54,9 @@ class NodeStats:
     expired: int = 0
     too_large: int = 0
     imported: int = 0
+    # Merge-import records hotter than the one before them in their
+    # class, placed by a walk from the MRU head (see _insert_sorted).
+    import_merge_fallbacks: int = 0
 
     @property
     def gets(self) -> int:
@@ -105,6 +116,11 @@ class MemcachedNode:
         self.stats = NodeStats()
         self._table: dict[str, Item] = {}
         self._cas_counter = 0
+        # Merge import (_insert_sorted): per slab class, the record the
+        # last merge insert placed, and the classes a prepend import has
+        # left unsorted.
+        self._merge_cursors: dict[int, Item] = {}
+        self._unsorted_classes: set[int] = set()
         metrics = metrics or NULL_METRICS
         self._m_gets = metrics.counter(
             "node_commands_total", "Cache commands served", op="get"
@@ -556,6 +572,8 @@ class MemcachedNode:
                     inserted = self._insert_sorted(item)
                 else:
                     inserted = self._insert(item)
+                    if inserted and mode == "prepend":
+                        self._unsorted_classes.add(item.slab_class_id)
                 if inserted:
                     count += 1
                     self.stats.imported += 1
@@ -643,18 +661,43 @@ class MemcachedNode:
         return True
 
     def _insert_sorted(self, item: Item) -> bool:
-        """Link ``item`` at its timestamp position in the MRU list."""
+        """Link ``item`` at its timestamp position in the MRU list: before
+        the first item, counting from the head, that is no hotter.
+
+        A merge import sends each class's records hottest first, so the
+        walk resumes where the last merge insert into the class left off
+        (its cursor).  Only client hits and sets, stamped later, can have
+        been linked ahead of the cursor since.  A record hotter than the
+        cursor is out of order and walks from the head
+        (``import_merge_fallbacks``).  With no live cursor -- none yet,
+        or it was evicted, deleted or re-set -- the walk resumes from
+        the tail, so a record colder than every item appends in O(1).
+        Both land exactly where the walk from the head does while the
+        list is sorted by stamp.  A prepend import unsorts it, so a class
+        one has touched always walks from the head.
+        """
         slab_class = self._make_room(item)
         if slab_class is None:
             return False
-        anchor = None
-        for candidate in slab_class.mru:
-            if candidate.last_access <= item.last_access:
-                anchor = candidate
-                break
-        item.slab_class_id = slab_class.class_id
-        slab_class.mru.insert_before(anchor, item)
+        class_id = slab_class.class_id
+        mru = slab_class.mru
+        stamp = item.last_access
+        cursor = self._merge_cursors.get(class_id)
+        if class_id in self._unsorted_classes:
+            anchor = _first_not_hotter(mru.head, stamp)
+        elif cursor is None or self._table.get(cursor.key) is not cursor:
+            hotter = (old for old in mru.iter_lru() if old.last_access > stamp)
+            before = next(hotter, None)
+            anchor = mru.head if before is None else before.next
+        elif stamp <= cursor.last_access:
+            anchor = _first_not_hotter(cursor, stamp)
+        else:
+            self.stats.import_merge_fallbacks += 1
+            anchor = _first_not_hotter(mru.head, stamp)
+        item.slab_class_id = class_id
+        mru.insert_before(anchor, item)
         self._table[item.key] = item
+        self._merge_cursors[class_id] = item
         return True
 
     def _make_room(self, item: Item) -> SlabClass | None:

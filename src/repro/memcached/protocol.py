@@ -13,10 +13,11 @@ Supported commands: ``get``/``gets`` (multi-key), ``set``/``add``/
 ``version``, ``quit`` -- the rows of :data:`repro.wire.COMMANDS` -- among
 them the paper's custom migration commands (Section V-A1):
 
-- ``ts_dump <class_id>`` -- the *timestamp dump*: streams
-  ``TS <key> <last_access> <size>`` for every item of one slab class in
-  MRU order, terminated by ``END`` (the trailing value size lets a
-  remote planner price data flows without fetching values);
+- ``ts_dump <class_id>`` -- the *timestamp dump*: one
+  ``TS <rows> <bytes>`` block packing ``(key, last_access, size)`` for
+  every item of one slab class in MRU order (:func:`repro.wire.ts_reply`),
+  terminated by ``END`` (the value size lets a remote planner price
+  data flows without fetching values);
 - ``batch_import <mode> <count>`` -- the *batch import*: expects
   ``count`` item blocks, each a ``<key> <last_access> <size> [flags]``
   header line followed by ``size`` payload bytes, and installs them via
@@ -378,6 +379,7 @@ class TextProtocolServer:
                 ("delete_hits", stats.deletes),
                 ("evictions", stats.evictions),
                 ("expired_unfetched", stats.expired),
+                ("import_merge_fallbacks", stats.import_merge_fallbacks),
             ]
         )
 
@@ -413,12 +415,12 @@ class TextProtocolServer:
             return BAD_FORMAT
         if not 0 <= class_id < len(self.node.slabs.classes):
             return b"CLIENT_ERROR unknown slab class" + CRLF
-        chunks = [
-            wire.ts_line(item.key, item.last_access, item.value_size)
-            for item in self.node.items_in_mru_order(class_id)
-        ]
-        chunks.append(wire.END)
-        return b"".join(chunks)
+        items = self.node.items_in_mru_order(class_id)
+        return wire.ts_reply(
+            [item.key for item in items],
+            [item.last_access for item in items],
+            [item.value_size for item in items],
+        )
 
     def _cmd_batch_import(
         self, verb: str, args: list[str], records: list[MigratedItem]

@@ -111,6 +111,15 @@ def node_signature(node: Any) -> ContentSignature:
     return signature
 
 
+def mru_order(node: Any) -> dict[int, list[str]]:
+    """Each slab class's keys, hottest first, via the public dump API;
+    :func:`node_signature` sorts this order away."""
+    return {
+        class_id: [key for key, _ in rows]
+        for class_id, rows in node.dump_metadata().items()
+    }
+
+
 def _seed_cluster(
     groups: dict[str, list[MigratedItem]], nodes: dict[str, Any]
 ) -> int:
@@ -297,7 +306,8 @@ def _verify_against_twin(
     retiring: list[str],
     memory_per_node: int,
 ) -> None:
-    """Replay the migration in-process and compare final contents."""
+    """Replay the migration in-process and compare final contents and
+    each retained node's MRU order."""
     twin = MemcachedCluster(result.node_names, memory_per_node)
     _seed_cluster(groups, twin.nodes)
     twin_master = Master(twin)
@@ -312,7 +322,8 @@ def _verify_against_twin(
             mismatched.append(name)
             continue
         live_node.refresh()
-        if node_signature(live_node) != node_signature(twin_node):
+        same_items = node_signature(live_node) == node_signature(twin_node)
+        if not same_items or mru_order(live_node) != mru_order(twin_node):
             mismatched.append(name)
     if sorted(result.membership_after) != sorted(
         twin_report.membership_after

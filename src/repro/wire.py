@@ -28,6 +28,7 @@ every deviation from memcached's documented protocol.
 
 from __future__ import annotations
 
+import struct
 from typing import Any, Callable, Generator, Iterable, Mapping, NamedTuple, Sequence
 
 from repro.errors import WireProtocolError
@@ -143,7 +144,7 @@ class Block(NamedTuple):
 
 BLOCKS: dict[str, Block] = {
     VALUES: Block(b"VALUE", 4, 3),  # VALUE <key> <flags> <bytes> [<cas>]
-    TS: Block(b"TS", 4, None),  # TS <key> <last_access> <bytes>
+    TS: Block(b"TS", 3, 2),  # TS <rows> <bytes>, one packed payload
     ITEMS: Block(b"ITEM", 5, 4),  # ITEM <key> <flags> <last_access> <bytes>
     STATS: Block(b"STAT", 3, None),  # STAT <name> <value>
 }
@@ -235,9 +236,19 @@ def item_block(record: MigratedItem) -> bytes:
     )
 
 
-def ts_line(key: str, last_access: float, size: int) -> bytes:
-    """One ``TS`` row of a ``ts_dump`` reply."""
-    return f"TS {key} {last_access} {size}".encode("utf-8") + CRLF
+def ts_reply(
+    keys: Sequence[str], stamps: Sequence[float], sizes: Sequence[int]
+) -> bytes:
+    """A whole ``ts_dump`` reply: one ``TS <rows> <bytes>`` block, then
+    ``END``.  The payload packs the rows column by column: ``rows``
+    little-endian float64 stamps, ``rows`` little-endian int64 sizes,
+    then the keys in UTF-8 joined by single spaces (a wire key holds
+    none)."""
+    rows = len(keys)
+    payload = struct.pack(f"<{rows}d{rows}q", *stamps, *sizes) + " ".join(
+        keys
+    ).encode("utf-8")
+    return b"TS %d %d\r\n%b\r\n" % (rows, len(payload), payload) + END
 
 
 def stats_reply(rows: Iterable[tuple[str, object]]) -> bytes:
@@ -514,19 +525,31 @@ def _parse_values() -> ReplyParser:
 
 
 def _parse_ts() -> ReplyParser:
-    """Timestamp rows until ``END`` -> ``[(key, last_access, size)]``."""
-    token, width, _ = BLOCKS[TS]
-    rows: list[tuple[str, float, int]] = []
-    while True:
-        line = yield _LINE
-        if line == b"END":
-            return rows
-        parts = line.split()
-        if len(parts) != width or parts[0] != token:
-            raise _unexpected(line, "ts_dump line")
-        rows.append(
-            (parts[1].decode("utf-8"), float(parts[2]), int(parts[3]))
+    """One packed ``TS`` block and ``END`` ->
+    ``[(key, last_access, size)]`` (see :func:`ts_reply`)."""
+    token, width, size_at = BLOCKS[TS]
+    line = yield _LINE
+    parts = line.split()
+    if len(parts) != width or parts[0] != token:
+        raise _unexpected(line, "ts_dump header")
+    rows = int(parts[1])
+    payload = yield int(parts[size_at])
+    line = yield _LINE
+    if line != b"END":
+        raise _unexpected(line, "line after the ts_dump block")
+    fixed = 16 * rows
+    keys: list[str] = []
+    if rows > 0 and len(payload) > fixed:
+        try:
+            keys = payload[fixed:].decode("utf-8").split(" ")
+        except UnicodeDecodeError as exc:
+            raise WireProtocolError(f"ts_dump keys are not UTF-8: {exc}") from exc
+    if len(keys) != rows or "" in keys or (rows == 0 and payload):
+        raise WireProtocolError(
+            f"ts_dump block of {len(payload)} bytes does not hold {rows} rows"
         )
+    columns = struct.unpack_from(f"<{rows}d{rows}q", payload)
+    return list(zip(keys, columns[:rows], columns[rows:]))
 
 
 def _parse_items() -> ReplyParser:
@@ -617,6 +640,7 @@ class ReplyFramer:
 
     __slots__ = (
         "results", "unread", "_framings", "_parser", "_need", "_searched",
+        "_pieces", "_short",
     )
 
     def __init__(self) -> None:
@@ -628,6 +652,10 @@ class ReplyFramer:
         self._parser: ReplyParser | None = None
         self._need: int | None = _LINE  # what the running parser asked for
         self._searched = 0  # leading bytes of `unread` known to hold no CRLF
+        # Chunks fed since `unread` while the awaited payload is still
+        # `_short` bytes short: joined once it is complete, not per chunk.
+        self._pieces: list[bytes] = []
+        self._short = 0
 
     def expect(self, framings: Sequence[str]) -> None:
         """Start a round trip whose replies arrive framed as ``framings``."""
@@ -650,6 +678,13 @@ class ReplyFramer:
         Only meaningful while a round trip is outstanding: fed after its
         last reply, bytes just pile up in :attr:`unread`.
         """
+        if self._short > 0:
+            self._pieces.append(data)
+            self._short -= len(data)
+            if self._short > 0:
+                return None
+            data = b"".join(self._pieces)
+            self._pieces = []
         buf = self.unread + data if self.unread else data
         parser, need = self._parser, self._need
         pos, search = 0, self._searched
@@ -681,4 +716,6 @@ class ReplyFramer:
             raise WireProtocolError(f"malformed reply: {exc}") from exc
         self.unread = buf[pos:]
         self._parser, self._need, self._searched = parser, need, search - pos
+        if parser is not None and need is not None:
+            self._short = need + 2 - len(self.unread)
         return self.results if parser is None else None

@@ -23,6 +23,7 @@ from repro.memcached.slab import PAGE_SIZE
 from repro.net.client import NodeClient
 from repro.net.cluster import LiveCluster
 from repro.net.server import LiveClusterHarness
+from repro.net import livemigrate
 from repro.net.livemigrate import (
     node_signature,
     run_live_migration,
@@ -583,6 +584,55 @@ class TestSocketEquivalence:
         payload = result.to_dict()
         assert payload["outcome"] == "warm"
         assert payload["verified"] is True
+
+    def test_a_swapped_pair_of_mru_neighbours_fails_verification(
+        self, monkeypatch
+    ):
+        """Same items and stamps, two MRU neighbours on one live node in
+        the wrong order: the sorted content signatures still agree, the
+        order comparison does not."""
+        harnesses: list[LiveClusterHarness] = []
+        swapped: list[str] = []
+
+        class Recording(LiveClusterHarness):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                harnesses.append(self)
+
+        class Swapping(Master):
+            def execute(self, plan, *args, **kwargs):
+                report = super().execute(plan, *args, **kwargs)
+                if not swapped:  # the live run; the twin runs after it
+                    name = sorted(report.membership_after)[0]
+                    swapped.append(name)
+                    harness = harnesses[0]
+
+                    async def swap_head_pair():
+                        node = harness.nodes[name]
+                        class_id = node.active_class_ids()[0]
+                        mru = node.slabs.classes[class_id].mru
+                        first = mru.head
+                        mru.remove(first)
+                        mru.insert_before(mru.head.next, first)
+
+                    harness.loop.call(swap_head_pair())
+                return report
+
+        monkeypatch.setattr(livemigrate, "LiveClusterHarness", Recording)
+        monkeypatch.setattr(livemigrate, "Master", Swapping)
+        result = run_live_migration(
+            nodes=3,
+            retire=1,
+            items=250,
+            value_bytes=32,
+            seed=11,
+            verify=True,
+            backoff_scale=0.1,
+        )
+        assert result.warm
+        assert result.items_exported == result.items_imported
+        assert result.verified is False
+        assert result.mismatched_nodes == swapped
 
     def test_trace_jsonl_holds_the_master_tree_and_the_wire_spans(
         self, tmp_path, capsys

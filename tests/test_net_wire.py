@@ -31,6 +31,7 @@ from repro.net.client import NodeClient
 from repro.net.server import LiveClusterHarness
 from repro.net.runtime import EventLoopThread
 from repro.obs import create_telemetry
+from repro.wire import TS, ReplyFramer
 
 
 class Clock:
@@ -146,10 +147,15 @@ class TestMigrationFraming:
     def test_ts_dump_fragmented(self, server, clock):
         self.seed(server, clock)
         out = feed_in_chunks(server, b"ts_dump 0\r\n", 1)
-        lines = out.splitlines()
-        assert lines[-1] == b"END"
-        keys = [line.split()[1] for line in lines[:-1]]
-        assert keys == [b"key-3", b"key-2", b"key-1", b"key-0"]
+        assert out == server.feed(b"ts_dump 0\r\n")
+        assert out.startswith(b"TS 4 ") and out.endswith(b"\r\nEND\r\n")
+        framer = ReplyFramer()
+        framer.expect([TS])
+        [rows] = framer.feed(out)
+        assert rows == [
+            ("key-3", 3.0, 16), ("key-2", 2.0, 16),
+            ("key-1", 1.0, 16), ("key-0", 0.0, 16),
+        ]
 
     def test_mig_export_fragmented_keys(self, server, clock):
         """Key lines of an in-flight mig_export may arrive split."""
@@ -211,8 +217,12 @@ class TestMigrationFraming:
         server.feed(
             b"batch_import merge 1\r\nold 12.25 3 0\r\nabc\r\n"
         )
+        # One row: float64 12.25, int64 3, then the key, little-endian.
         assert server.feed(b"ts_dump 0\r\n") == (
-            b"TS old 12.25 3\r\nEND\r\n"
+            b"TS 1 19\r\n"
+            b"\x00\x00\x00\x00\x00\x80\x28\x40"
+            b"\x03\x00\x00\x00\x00\x00\x00\x00"
+            b"old\r\nEND\r\n"
         )
 
     def test_duplicate_import_keys_rejected(self, server):

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from repro.memcached.node import MemcachedNode
 from repro.memcached.protocol import TextProtocolServer
 from repro.memcached.slab import PAGE_SIZE
+from repro.wire import TS, ReplyFramer
 
 KNOWN_REPLIES = (
     b"STORED",
@@ -214,14 +215,18 @@ def test_ts_dump_reflects_stored_items(pairs):
     server = make_server()
     for key, payload in dict(pairs).items():
         server.execute(f"set {key} 0 0 {len(payload)}", payload)
-    seen = set()
+    seen = {}
     for class_id in range(len(server.node.slabs.classes)):
         out = server.execute(f"ts_dump {class_id}")
-        assert out.endswith(b"END\r\n")
-        for line in out.splitlines():
-            if line.startswith(b"TS "):
-                seen.add(line.split()[1].decode())
-    assert seen == set(dict(pairs))
+        assert out.startswith(b"TS ") and out.endswith(b"END\r\n")
+        framer = ReplyFramer()
+        framer.expect([TS])
+        [rows] = framer.feed(out)
+        assert not framer.unread
+        for key, last_access, size in rows:
+            assert key not in seen and last_access == 1.0
+            seen[key] = size
+    assert seen == {key: len(payload) for key, payload in dict(pairs).items()}
 
 
 def test_ts_dump_rejects_bad_class():

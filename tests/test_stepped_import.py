@@ -1,9 +1,12 @@
 """Stepped ``batch_import``: a node keeps serving while it imports.
 
-A merge import walks its slab class's MRU list from the head for every
-record, so a batch colder than every local item, each record colder
-than the last, is the worst case: one long walk per record.  The node
-applies a batch one record per step
+A merge record resumes its walk where the record before it landed, so
+a batch sent hottest first costs a few microseconds a record.  A record
+hotter than the one before it still walks its class's MRU list from the
+head, so a batch colder than every local item, each record hotter than
+the last, is the worst case: one walk past every local item per record
+(``RECORDS`` of them take 0.26-0.29 s after the first step on a 2-vCPU
+box).  The node applies a batch one record per step
 (:meth:`~repro.memcached.node.MemcachedNode.import_steps`), the protocol
 yields through it
 (:meth:`~repro.memcached.protocol.TextProtocolServer.feed_stepwise`) and
@@ -43,6 +46,7 @@ from repro.net import server as server_module
 from repro.net.runtime import EventLoopThread
 from repro.net.server import NodeServer, run_steps
 from repro.obs import Telemetry, create_telemetry
+from tests.test_merge_import import HeadWalkNode
 from tests.test_protocol_fuzz import command_lines, import_records, import_wire
 
 LOCAL = 3000
@@ -51,9 +55,13 @@ PAYLOAD = b"v" * 64
 CLOCK_BASE = 1.0e6  # server time starts after every planted timestamp
 
 
-def planted_node(name: str = "n", metrics: object = None) -> MemcachedNode:
+def planted_node(
+    name: str = "n",
+    metrics: object = None,
+    node_type: type[MemcachedNode] = MemcachedNode,
+) -> MemcachedNode:
     """One slab class holding ``LOCAL`` items, stamped 1000.0 onward."""
-    node = MemcachedNode(name, 16 * PAGE_SIZE, metrics=metrics)
+    node = node_type(name, 16 * PAGE_SIZE, metrics=metrics)
     for i in range(LOCAL):
         assert node.set(local_key(i), (0, PAYLOAD), len(PAYLOAD), 1000.0 + i)
     return node
@@ -64,10 +72,11 @@ def local_key(i: int) -> str:
 
 
 def cold_records() -> list[MigratedItem]:
-    """``RECORDS`` records colder than every local item, each colder
-    than the one before: every merge insert walks the whole list."""
+    """``RECORDS`` records colder than every local item, each hotter than
+    the one before: every merge insert after the first walks past all
+    ``LOCAL`` items from the head (``import_merge_fallbacks``)."""
     return [
-        MigratedItem(f"mig:{i:05d}", (0, PAYLOAD), len(PAYLOAD), 999.0 - i * 0.01)
+        MigratedItem(f"mig:{i:05d}", (0, PAYLOAD), len(PAYLOAD), 1.0 + i * 0.01)
         for i in range(RECORDS)
     ]
 
@@ -158,6 +167,7 @@ def test_gets_are_answered_before_a_long_import_replies():
             + wire.END
         )
     assert node.stats.imported == RECORDS
+    assert node.stats.import_merge_fallbacks == RECORDS - 1
     assert check_lru(node, require_sorted_timestamps=True) == LOCAL + RECORDS
 
 
@@ -249,6 +259,44 @@ def test_draining_the_steps_matches_the_one_piece_import(local, records, mode):
     )
     assert node_state(stepped) == node_state(reference)
     check_lru(stepped, require_sorted_timestamps=False)
+
+
+def test_client_ops_on_the_cursor_item_between_steps_keep_the_head_walk_order():
+    """While a stepped merge import runs, a second connection gets, sets
+    and deletes the record the import placed last (its cursor): the node
+    ends where a node placing every record by a walk from the head does."""
+    now = [CLOCK_BASE]
+    records = [
+        MigratedItem(f"m{i}", (0, PAYLOAD), len(PAYLOAD), 1500.0 - i * 7.5)
+        for i in range(60)
+    ]
+    nodes = [planted_node(), planted_node(node_type=HeadWalkNode)]
+    replies = []
+    for node in nodes:
+        importer = TextProtocolServer(node, lambda: now[0])
+        other = TextProtocolServer(node, lambda: now[0])
+        steps = importer.feed_stepwise(import_bytes(records) + b"get m0\r\n")
+        assert not isinstance(steps, bytes)
+        out = []
+        for applied in range(1, len(records) + 1):
+            next(steps)
+            cursor = records[applied - 1].key
+            now[0] += 1.0
+            if applied % 10 == 3:
+                out.append(other.execute(f"get {cursor}"))
+            elif applied % 10 == 6:
+                out.append(other.execute(f"set {cursor} 0 0 2", b"cl"))
+            elif applied % 10 == 9:
+                out.append(other.execute(f"delete {cursor}"))
+        with pytest.raises(StopIteration) as done:
+            next(steps)
+        out.append(done.value.value)
+        replies.append(out)
+        now[0] = CLOCK_BASE
+    assert replies[0] == replies[1]
+    assert replies[0][-1].startswith(b"IMPORTED 60\r\nVALUE m0 0 64\r\n")
+    assert node_state(nodes[0]) == node_state(nodes[1])
+    assert check_lru(nodes[0], require_sorted_timestamps=True) == LOCAL + 60 - 6
 
 
 def server_driven(chunks: list[bytes]) -> tuple[bytes, TextProtocolServer]:

@@ -13,6 +13,7 @@ import asyncio
 import random
 import re
 import socket
+import struct
 import time
 from collections import Counter
 from pathlib import Path
@@ -337,7 +338,8 @@ def test_execute_sniffs_every_reply_framing(loop):
             rb"ITEM k 7 [\d.]+ 5\r\nhello\r\nEND\r\n",
             execute("mig_export 1", b"k"),
         )
-        assert re.fullmatch(rb"TS k [\d.]+ 5\r\nEND\r\n", execute("ts_dump 0"))
+        dump = execute("ts_dump 0")
+        assert re.fullmatch(rb"TS 1 17\r\n.{8}\x05\x00{7}k\r\nEND\r\n", dump, re.S)
         stats = execute("stats")
         assert stats.startswith(b"STAT curr_items 1\r\n")
         assert stats.endswith(wire.END)
@@ -474,16 +476,29 @@ async def _read_values(reader):
 
 
 async def _read_ts(reader):
-    token, width, _ = wire.BLOCKS[wire.TS]
-    rows = []
-    while True:
-        line = _ref_raise_on_error(await _ref_line(reader))
-        if line == b"END":
-            return rows
-        parts = line.split()
-        if len(parts) != width or parts[0] != token:
-            raise WireProtocolError(f"unexpected ts_dump line: {line!r}")
-        rows.append((parts[1].decode("utf-8"), float(parts[2]), int(parts[3])))
+    token, width, size_at = wire.BLOCKS[wire.TS]
+    line = _ref_raise_on_error(await _ref_line(reader))
+    parts = line.split()
+    if len(parts) != width or parts[0] != token:
+        raise WireProtocolError(f"unexpected ts_dump header: {line!r}")
+    rows = int(parts[1])
+    payload = await _ref_payload(reader, int(parts[size_at]))
+    if await _ref_line(reader) != b"END":
+        raise WireProtocolError("ts_dump block without END")
+    keys = payload[16 * rows :].decode("utf-8").split(" ") if rows else []
+    if (
+        rows < 0 or len(payload) < 16 * rows or len(keys) != rows
+        or "" in keys or (rows == 0 and payload)
+    ):
+        raise WireProtocolError(f"{len(payload)} bytes for {rows} ts_dump rows")
+    return [
+        (
+            key,
+            struct.unpack_from("<d", payload, 8 * i)[0],
+            struct.unpack_from("<q", payload, 8 * (rows + i))[0],
+        )
+        for i, key in enumerate(keys)
+    ]
 
 
 async def _read_items(reader):
@@ -623,9 +638,8 @@ def random_reply(rng: random.Random) -> tuple[str, bytes]:
             for _ in range(rows)
         ) + wire.END
     if kind == wire.TS:
-        return kind, b"".join(
-            wire.ts_line(key(), stamp(), rng.randrange(2000)) for _ in range(rows)
-        ) + wire.END
+        dumped = [(key(), stamp(), rng.randrange(2000)) for _ in range(rows)]
+        return kind, wire.ts_reply(*([row[i] for row in dumped] for i in range(3)))
     if kind == wire.ITEMS:
         return kind, b"".join(
             wire.item_block(MigratedItem(key(), (rng.randrange(9), payload()), 0, stamp()))
@@ -747,11 +761,12 @@ class CountedBytes(bytes):
 
 
 def test_a_long_reply_in_small_chunks_is_scanned_once():
-    """10 000 ``TS`` rows, 64 bytes at a time: the framer keeps its
-    place between feeds, so its work grows with the reply, not with
-    reply x chunks (re-scanning from the top would cost ~2 000x)."""
+    """A 10 000-row ``ts_dump`` block, 64 bytes at a time: the framer
+    keeps its place between feeds and joins the payload's pieces once,
+    so its work grows with the reply, not with reply x chunks
+    (re-scanning or re-copying from the top would cost ~2 000x)."""
     rows = [(f"key-{i:05d}", i / 8, i % 997) for i in range(10_000)]
-    reply = b"".join(wire.ts_line(*row) for row in rows) + wire.END
+    reply = wire.ts_reply(*([row[i] for row in rows] for i in range(3)))
     framer = wire.ReplyFramer()
     framer.expect([wire.TS])
     CountedBytes.work = 0
@@ -761,6 +776,37 @@ def test_a_long_reply_in_small_chunks_is_scanned_once():
         results = framer.feed(CountedBytes(reply[start : start + 64]))
     assert results == [rows]
     assert len(reply) < CountedBytes.work < 6 * len(reply)
+
+
+def _packed(rows: int, payload: bytes) -> bytes:
+    return b"TS %d %d\r\n%b\r\nEND\r\n" % (rows, len(payload), payload)
+
+
+TWO_ROWS = struct.pack("<2d2q", 1.5, 2.5, 3, 4)
+
+
+@pytest.mark.parametrize(
+    "reply",
+    [
+        pytest.param(_packed(3, TWO_ROWS + b"a b"), id="more-rows-than-bytes"),
+        pytest.param(_packed(1, TWO_ROWS + b"a b"), id="fewer-rows-than-keys"),
+        pytest.param(_packed(0, TWO_ROWS + b"a b"), id="zero-rows-with-bytes"),
+        pytest.param(_packed(-1, b""), id="negative-rows"),
+        pytest.param(_packed(2, TWO_ROWS + b"a "), id="empty-key"),
+        pytest.param(_packed(2, TWO_ROWS + b"a \xff"), id="key-not-utf8"),
+        pytest.param(
+            wire.ts_reply(["a"], [1.5], [3])[: -len(wire.END)] + b"STORED\r\n",
+            id="missing-end",
+        ),
+        pytest.param(b"TS 1\r\n" + TWO_ROWS[:16] + b"a\r\nEND\r\n", id="short-header"),
+    ],
+)
+def test_a_malformed_ts_block_is_rejected(reply):
+    assert wire.ts_reply(["a", "b"], [1.5, 2.5], [3, 4]) == _packed(2, TWO_ROWS + b"a b")
+    framer = wire.ReplyFramer()
+    framer.expect([wire.TS])
+    with pytest.raises(WireProtocolError):
+        framer.feed(reply)
 
 
 def test_negative_payload_size_is_rejected_not_read_backwards():
