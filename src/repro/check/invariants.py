@@ -23,7 +23,7 @@ from __future__ import annotations
 from typing import Iterable, Mapping
 
 from repro.errors import CapacityError, InvariantViolation
-from repro.hashing.ketama import DEFAULT_VNODES, ConsistentHashRing
+from repro.hashing.ketama import ConsistentHashRing
 from repro.memcached.items import Item
 from repro.memcached.node import MemcachedNode
 
@@ -265,8 +265,7 @@ def check_ring(
     subset of it -- a ring pointing at a destroyed node is the
     misrouting bug this check exists for.  Up to ``cache_audit_limit``
     entries of the ring's lookup cache are additionally audited against
-    the cold path (a stale entry means the per-membership cache missed an
-    invalidation).
+    the cold path (a stale entry would misroute every request for its key).
     """
     members = ring.members
     if not members:
@@ -315,10 +314,9 @@ def check_ring(
                 "ring",
                 f"probe key routed to non-member {owner!r}",
             )
-    # The lookup cache must agree with the cold path under the current
-    # membership: a stale entry (cache not invalidated on add/remove)
+    # The lookup cache must agree with the cold path: a stale entry
     # silently misroutes every request for that key, which is exactly the
-    # bug class the per-membership cache design must never admit.
+    # bug class a lookup cache must never admit.
     info = ring.cache_info()
     if info["max_size"] and info["size"] > info["max_size"]:
         raise InvariantViolation(
@@ -355,7 +353,6 @@ def check_ring_remap(
     remove: str | None = None,
     samples: int = 4000,
     tolerance: float = 0.5,
-    vnodes: int = DEFAULT_VNODES,
 ) -> float:
     """Verify the consistent-hashing remap contract for one change.
 
@@ -376,10 +373,9 @@ def check_ring_remap(
             "remap",
             "exactly one of add/remove must be given",
         )
-    before = ConsistentHashRing(names, vnodes=vnodes)
-    after = ConsistentHashRing(names, vnodes=vnodes)
+    before = ConsistentHashRing(names)
     if add is not None:
-        after.add_node(add)
+        after = ConsistentHashRing([*names, add])
         expected = 1.0 / (len(names) + 1)
         change = f"+{add}"
     else:
@@ -387,7 +383,7 @@ def check_ring_remap(
             raise InvariantViolation(
                 "ring", "remap", f"{remove!r} is not a member"
             )
-        after.remove_node(remove)
+        after = ConsistentHashRing([name for name in names if name != remove])
         expected = 1.0 / len(names)
         change = f"-{remove}"
     moved = 0

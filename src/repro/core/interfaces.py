@@ -125,9 +125,6 @@ class CacheCluster(Protocol):
     """
 
     @property
-    def vnodes(self) -> int: ...
-
-    @property
     def nodes(self) -> Mapping[str, CacheNode]: ...
 
     @property
@@ -150,8 +147,6 @@ class CacheCluster(Protocol):
     def destroy(self, name: str) -> None: ...
 
     def set_membership(self, names: Iterable[str]) -> None: ...
-
-    def ring_for(self, members: Iterable[str]) -> ConsistentHashRing: ...
 
     # -- routing + client operations -------------------------------------
 

@@ -38,6 +38,7 @@ from repro.errors import (
     MigrationError,
     TransportError,
 )
+from repro.hashing.ketama import ConsistentHashRing
 from repro.memcached.cluster import MemcachedCluster
 from repro.netsim.transfer import Flow, NetworkModel
 from repro.obs import NULL_SPAN, NULL_TELEMETRY, Telemetry
@@ -45,7 +46,6 @@ from repro.wire import EXPORT_BATCH_KEYS
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.faults.injector import FaultInjector
-    from repro.hashing.ketama import ConsistentHashRing
 
 IMPORT_RATE_ITEMS_S = 500_000.0
 """Modeled throughput of the batch-import command (local CPU/disk cost)."""
@@ -463,7 +463,7 @@ class Master:
             plan = MigrationPlan(kind, [], sources, sorted(targets), {}, PhaseTimings())
             moving = {"new_nodes": plan.new_nodes}
         plan_span = self._open_trace(plan, now, **moving, retained=plan.retained)
-        target_ring = self.cluster.ring_for(plan.retained + plan.new_nodes)
+        target_ring = ConsistentHashRing(plan.retained + plan.new_nodes)
         timings = plan.timings
         cursor = now
         if scoring_s is not None:
@@ -566,7 +566,7 @@ class Master:
                 f"keep_fraction must be in [0, 1], got {keep_fraction}"
             )
         retained = self._retained_after(retiring)
-        target_ring = self.cluster.ring_for(retained)
+        target_ring = ConsistentHashRing(retained)
         plan = MigrationPlan(
             "scale_in", sorted(retiring), retained, [], {}, PhaseTimings()
         )
@@ -618,7 +618,7 @@ class Master:
     def _finish_plan(
         self,
         plan: MigrationPlan,
-        target_ring: "ConsistentHashRing",
+        target_ring: ConsistentHashRing,
         plan_span: Any,
         cursor: float,
     ) -> MigrationPlan:

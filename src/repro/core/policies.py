@@ -387,7 +387,8 @@ class CacheScalePolicy(MigrationPolicy):
         delta = self._split_decision(target_nodes)
         if delta == 0:
             return
-        old_members = sorted(self.cluster.active_members)
+        old_ring = self.cluster.ring
+        old_members = sorted(old_ring.members)
         if delta < 0:
             retiring = self.master.choose_retiring(-delta)
             retained = sorted(set(old_members) - set(retiring))
@@ -405,7 +406,7 @@ class CacheScalePolicy(MigrationPolicy):
             self._log(
                 now, "scale_out", f"added {names}; old ring is secondary"
             )
-        self._secondary_ring = self.cluster.ring_for(old_members)
+        self._secondary_ring = old_ring
         self._discard_at = now + self.discard_after_s
 
     def tick(self, now: float) -> None:

@@ -14,18 +14,8 @@ class CapacityError(ReproError):
 
 
 class MembershipError(ReproError):
-    """A cluster-membership operation referenced an unknown or duplicate node."""
-
-
-class RingMutationError(MembershipError):
-    """Ring membership changed while a batched lookup or iteration was
-    in flight.
-
-    Raised by :meth:`~repro.hashing.ketama.ConsistentHashRing.lookup_many`
-    (and the rendezvous equivalent) when ``add_node``/``remove_node`` is
-    called mid-stream -- e.g. from a key-producing generator -- because the
-    routes computed so far would mix memberships and silently misroute.
-    """
+    """A membership named an unknown or duplicate node, or a lookup found
+    an empty ring."""
 
 
 class MigrationError(ReproError):

@@ -6,13 +6,14 @@ a key is owned by the first point clockwise from its hash.  Removing one of
 ``k+1`` nodes remaps roughly ``1/(k+1)`` of the keys, and only to surviving
 nodes -- the property ElMem's scale-out path relies on (Section III-D4).
 
+A ring is a value: it is built once from its members and never changes.
+A membership change builds a new ring and the holder rebinds to it, so a
+batch of lookups that started on one ring finishes on that ring.
+
 Lookups are the hottest operation in the whole simulator (every simulated
-request routes each of its keys), so the ring keeps a **per-membership
-lookup cache**: a keyed LRU mapping key -> owner that turns the md5 +
-binary-search lookup into a single dict probe.  The cache is invalidated
-wholesale on any membership change, and a monotonically increasing
-*generation* counter lets batched lookups detect mid-flight mutation and
-fail loudly instead of returning routes computed on mixed memberships.
+request routes each of its keys), so each ring keeps a bounded **lookup
+cache**: a key -> owner dict that turns the md5 + binary-search lookup into
+a single dict probe.  The cache belongs to one membership by construction.
 """
 
 from __future__ import annotations
@@ -20,69 +21,52 @@ from __future__ import annotations
 import bisect
 from collections.abc import Iterable, Iterator
 
-from repro.errors import ConfigurationError, MembershipError, RingMutationError
+from repro.errors import MembershipError
 from repro.hashing.hashutil import hash32, points_for_vnode
 
-DEFAULT_VNODES = 160
+VNODES = 160
+"""Virtual points per node."""
 
 # Key populations in the simulator are a few hundred thousand; a cache of
 # 2^17 entries holds the hot working set while bounding worst-case memory.
-DEFAULT_LOOKUP_CACHE = 1 << 17
+LOOKUP_CACHE = 1 << 17
+
+
+def distinct_members(nodes: Iterable[str]) -> frozenset[str]:
+    """``nodes`` as a set; raises :class:`MembershipError` on a repeat."""
+    names = list(nodes)
+    members = frozenset(names)
+    if len(members) != len(names):
+        repeated = sorted({name for name in names if names.count(name) > 1})
+        raise MembershipError(f"nodes named more than once: {repeated}")
+    return members
 
 
 class ConsistentHashRing:
-    """A consistent-hash ring over a set of named nodes.
+    """An immutable consistent-hash ring over a set of named nodes.
 
-    Parameters
-    ----------
-    nodes:
-        Initial node names.
-    vnodes:
-        Virtual points per node (per unit weight).  More points give better
-        balance at the cost of a larger ring.
-    weights:
-        Optional per-node weight multipliers for heterogeneous nodes.
-    lookup_cache_size:
-        Maximum entries in the key -> owner lookup cache (0 disables
-        caching entirely; useful for benchmarking the cold path).
+    ``VNODES`` points per node, sorted once; a tied point goes to the
+    lesser name.
     """
 
-    def __init__(
-        self,
-        nodes: Iterable[str] = (),
-        vnodes: int = DEFAULT_VNODES,
-        weights: dict[str, float] | None = None,
-        lookup_cache_size: int = DEFAULT_LOOKUP_CACHE,
-    ) -> None:
-        if vnodes < 1:
-            raise ConfigurationError(f"vnodes must be >= 1, got {vnodes}")
-        if lookup_cache_size < 0:
-            raise ConfigurationError(
-                f"lookup_cache_size must be >= 0, got {lookup_cache_size}"
-            )
-        self._vnodes = vnodes
-        self._weights = dict(weights or {})
-        self._points: list[int] = []
-        self._owners: list[str] = []
-        self._members: set[str] = set()
-        # Lookup cache: key -> owner under the *current* membership only.
+    def __init__(self, nodes: Iterable[str]) -> None:
+        self._members = distinct_members(nodes)
+        ring = sorted(
+            (point, name)
+            for name in self._members
+            for point in points_for_vnode(name, VNODES)
+        )
+        self._points = [point for point, _ in ring]
+        self._owners = [name for _, name in ring]
         self._cache: dict[str, str] = {}
-        self._cache_max = lookup_cache_size
-        self._generation = 0
+        self._cache_max = LOOKUP_CACHE
         self.cache_hits = 0
         self.cache_misses = 0
-        for node in nodes:
-            self.add_node(node)
 
     @property
     def members(self) -> frozenset[str]:
-        """The current set of node names on the ring."""
-        return frozenset(self._members)
-
-    @property
-    def generation(self) -> int:
-        """Membership-change counter; bumps on every add/remove."""
-        return self._generation
+        """The node names on the ring."""
+        return self._members
 
     def __len__(self) -> int:
         return len(self._members)
@@ -90,67 +74,21 @@ class ConsistentHashRing:
     def __contains__(self, node: str) -> bool:
         return node in self._members
 
-    def _invalidate(self) -> None:
-        """Drop the lookup cache and mark a new membership generation."""
-        self._generation += 1
-        if self._cache:
-            self._cache.clear()
-
-    def add_node(self, node: str, weight: float | None = None) -> None:
-        """Add ``node`` to the ring; raises if it is already a member."""
-        if node in self._members:
-            raise MembershipError(f"node {node!r} already on the ring")
-        if weight is not None:
-            self._weights[node] = weight
-        self._invalidate()
-        self._members.add(node)
-        count = max(1, round(self._vnodes * self._weights.get(node, 1.0)))
-        for point in points_for_vnode(node, count):
-            index = bisect.bisect(self._points, point)
-            self._points.insert(index, point)
-            self._owners.insert(index, node)
-
-    def remove_node(self, node: str) -> None:
-        """Remove ``node`` from the ring; raises if it is not a member."""
-        if node not in self._members:
-            raise MembershipError(f"node {node!r} not on the ring")
-        self._invalidate()
-        self._members.remove(node)
-        keep = [i for i, owner in enumerate(self._owners) if owner != node]
-        self._points = [self._points[i] for i in keep]
-        self._owners = [self._owners[i] for i in keep]
-
-    def set_members(self, nodes: Iterable[str]) -> None:
-        """Reset ring membership to exactly ``nodes``."""
-        target = set(nodes)
-        for node in list(self._members - target):
-            self.remove_node(node)
-        for node in sorted(target - self._members):
-            self.add_node(node)
-
     def iter_points(self) -> Iterator[tuple[int, str]]:
         """Yield ``(point, owner)`` pairs in ring order.
 
         Read-only introspection for balance analysis and the
         :func:`repro.check.invariants.check_ring` validator; the pairs
-        are yielded ascending by point.  Mutating the ring while the
-        iterator is live raises :class:`RingMutationError` -- a point
-        list belonging to a dead membership must not be walked further.
+        are yielded ascending by point.
         """
-        generation = self._generation
-        for pair in zip(self._points, self._owners):
-            if self._generation != generation:
-                raise RingMutationError(
-                    "ring membership changed during iter_points()"
-                )
-            yield pair
+        return zip(self._points, self._owners)
 
     def uncached_lookup(self, key: str) -> str:
         """Owner of ``key`` computed from scratch (cache bypassed).
 
         The reference slow path: one 32-bit hash plus a binary search over
         the virtual points.  Used by the invariant checker to audit cache
-        entries and by the benchmark gate to measure the cold path.
+        entries and by the hashing ablation to time the cold path.
         """
         if not self._points:
             raise MembershipError("hash ring is empty")
@@ -163,8 +101,8 @@ class ConsistentHashRing:
     def node_for_key(self, key: str) -> str:
         """Return the node owning ``key``; raises if the ring is empty.
 
-        Served from the keyed-LRU lookup cache when possible; a miss
-        falls back to :meth:`uncached_lookup` and populates the cache.
+        Served from the lookup cache when possible; a miss falls back to
+        :meth:`uncached_lookup` and populates the cache.
         """
         cache = self._cache
         owner = cache.get(key)
@@ -182,32 +120,22 @@ class ConsistentHashRing:
         if self._cache_max:
             if len(cache) >= self._cache_max:
                 # Evict the least recently inserted entry (insertion order
-                # approximates recency: hot keys are re-inserted after
-                # every invalidation and the population is bounded).
+                # approximates recency: the key population is bounded).
                 del cache[next(iter(cache))]
             cache[key] = owner
         return owner
-
-    # ``lookup``/``lookup_many`` are the batched-routing surface the
-    # cluster's multi-get path uses; ``node_for_key`` remains the
-    # historical per-key name.
-    lookup = node_for_key
 
     def lookup_many(self, keys: Iterable[str]) -> list[str]:
         """Owners for ``keys``, one per key, in order.
 
         One cache probe per key with a single shared fallback to the
-        cold path.  ``keys`` may be a lazy iterable; if consuming it
-        mutates the ring (membership change mid-stream), the batch is
-        abandoned with :class:`RingMutationError` rather than returning
-        routes computed on a mix of memberships.
+        cold path.  ``keys`` may be a lazy iterable.
         """
         if not self._points:
             raise MembershipError("hash ring is empty")
         cache = self._cache
         if type(keys) is list:
-            # Warm-cache fast path: a pure dict-read comprehension (no
-            # side effects, so the ring cannot mutate mid-batch).
+            # Warm-cache fast path: a pure dict-read comprehension.
             try:
                 owners = [cache[key] for key in keys]
             except KeyError:
@@ -215,7 +143,6 @@ class ConsistentHashRing:
             else:
                 self.cache_hits += len(owners)
                 return owners
-        generation = self._generation
         cache_get = cache.get
         points = self._points
         owners_list = self._owners
@@ -228,16 +155,6 @@ class ConsistentHashRing:
         for key in keys:
             owner = cache_get(key)
             if owner is None:
-                # A membership change (even one triggered by consuming a
-                # lazy ``keys`` iterable) clears the cache, so the first
-                # post-mutation key always lands here -- checking the
-                # generation only on misses still catches every torn
-                # batch before a stale route can escape.
-                if self._generation != generation:
-                    raise RingMutationError(
-                        "ring membership changed during an in-flight "
-                        "lookup_many()"
-                    )
                 misses += 1
                 point = hash32(key)
                 index = bisect.bisect(points, point)
@@ -251,10 +168,6 @@ class ConsistentHashRing:
             else:
                 hits += 1
             append(owner)
-        if self._generation != generation:
-            raise RingMutationError(
-                "ring membership changed during an in-flight lookup_many()"
-            )
         self.cache_hits += hits
         self.cache_misses += misses
         return owners
@@ -274,7 +187,6 @@ class ConsistentHashRing:
             "max_size": self._cache_max,
             "hits": self.cache_hits,
             "misses": self.cache_misses,
-            "generation": self._generation,
         }
 
     def cached_routes(self) -> dict[str, str]:

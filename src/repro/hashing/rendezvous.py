@@ -4,83 +4,42 @@ An alternative placement function used in the ablation benchmarks: it gives
 perfectly minimal remapping on membership change at the cost of O(k) lookup
 per key, versus the ring's O(log k·vnodes).
 
-Mirrors the ketama ring's hot-path surface: a per-membership keyed lookup
-cache over :meth:`RendezvousHash.node_for_key` (the O(k) scan is even more
-expensive than the ring's binary search, so caching pays off sooner), a
-batched :meth:`RendezvousHash.lookup_many`, and a generation counter that
-turns mid-flight membership mutation into a loud
-:class:`~repro.errors.RingMutationError`.
+Like the ketama ring it is a value built once from its members, and it
+mirrors the ring's hot-path surface: a bounded lookup cache over
+:meth:`RendezvousHash.node_for_key` (the O(k) scan is even more expensive
+than the ring's binary search, so caching pays off sooner) and a batched
+:meth:`RendezvousHash.lookup_many`.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable
 
-from repro.errors import ConfigurationError, MembershipError, RingMutationError
+from repro.errors import MembershipError
 from repro.hashing.hashutil import hash64
-from repro.hashing.ketama import DEFAULT_LOOKUP_CACHE
+from repro.hashing.ketama import LOOKUP_CACHE, distinct_members
 
 
 class RendezvousHash:
     """Highest-random-weight key-to-node mapping over named nodes."""
 
-    def __init__(
-        self,
-        nodes: Iterable[str] = (),
-        lookup_cache_size: int = DEFAULT_LOOKUP_CACHE,
-    ) -> None:
-        if lookup_cache_size < 0:
-            raise ConfigurationError(
-                f"lookup_cache_size must be >= 0, got {lookup_cache_size}"
-            )
-        self._members: set[str] = set()
+    def __init__(self, nodes: Iterable[str]) -> None:
+        self._members = distinct_members(nodes)
         self._cache: dict[str, str] = {}
-        self._cache_max = lookup_cache_size
-        self._generation = 0
+        self._cache_max = LOOKUP_CACHE
         self.cache_hits = 0
         self.cache_misses = 0
-        for node in nodes:
-            self.add_node(node)
 
     @property
     def members(self) -> frozenset[str]:
-        """The current set of node names."""
-        return frozenset(self._members)
-
-    @property
-    def generation(self) -> int:
-        """Membership-change counter; bumps on every add/remove."""
-        return self._generation
+        """The node names."""
+        return self._members
 
     def __len__(self) -> int:
         return len(self._members)
 
     def __contains__(self, node: str) -> bool:
         return node in self._members
-
-    def _invalidate(self) -> None:
-        self._generation += 1
-        if self._cache:
-            self._cache.clear()
-
-    def add_node(self, node: str) -> None:
-        """Add ``node``; raises if already present."""
-        if node in self._members:
-            raise MembershipError(f"node {node!r} already a member")
-        self._invalidate()
-        self._members.add(node)
-
-    def remove_node(self, node: str) -> None:
-        """Remove ``node``; raises if absent."""
-        if node not in self._members:
-            raise MembershipError(f"node {node!r} not a member")
-        self._invalidate()
-        self._members.remove(node)
-
-    def set_members(self, nodes: Iterable[str]) -> None:
-        """Reset membership to exactly ``nodes``."""
-        self._invalidate()
-        self._members = set(nodes)
 
     def uncached_lookup(self, key: str) -> str:
         """Owner of ``key`` computed from scratch (cache bypassed)."""
@@ -103,40 +62,11 @@ class RendezvousHash:
             cache[key] = owner
         return owner
 
-    lookup = node_for_key
-
     def lookup_many(self, keys: Iterable[str]) -> list[str]:
-        """Owners for ``keys`` in order; raises
-        :class:`RingMutationError` if membership changes mid-stream."""
+        """Owners for ``keys`` in order."""
         if not self._members:
             raise MembershipError("no members")
-        cache = self._cache
-        if type(keys) is list:
-            # Warm-cache fast path: pure dict reads cannot mutate the
-            # membership, so no generation checks are needed.
-            try:
-                owners = [cache[key] for key in keys]
-            except KeyError:
-                pass
-            else:
-                self.cache_hits += len(owners)
-                return owners
-        generation = self._generation
-        owners = []
-        for key in keys:
-            if self._generation != generation:
-                # Mutation clears the cache, so the first post-mutation
-                # key is a cache miss; node_for_key would recompute it
-                # under the new membership -- refuse instead.
-                raise RingMutationError(
-                    "membership changed during an in-flight lookup_many()"
-                )
-            owners.append(self.node_for_key(key))
-        if self._generation != generation:
-            raise RingMutationError(
-                "membership changed during an in-flight lookup_many()"
-            )
-        return owners
+        return [self.node_for_key(key) for key in keys]
 
     def nodes_for_keys(self, keys: Iterable[str]) -> dict[str, list[str]]:
         """Group ``keys`` by owning node."""
@@ -153,7 +83,6 @@ class RendezvousHash:
             "max_size": self._cache_max,
             "hits": self.cache_hits,
             "misses": self.cache_misses,
-            "generation": self._generation,
         }
 
     def cached_routes(self) -> dict[str, str]:

@@ -22,7 +22,7 @@ from collections.abc import Iterable
 from typing import Any, Generic, Protocol, TypeVar
 
 from repro.errors import MembershipError
-from repro.hashing.ketama import DEFAULT_VNODES, ConsistentHashRing
+from repro.hashing.ketama import ConsistentHashRing
 from repro.memcached.node import MemcachedNode, NodeStats
 
 
@@ -52,16 +52,14 @@ class RoutedCluster(Generic[NodeT]):
     names in ``active`` on the ring.
     """
 
-    def __init__(
-        self, vnodes: int, pool: Iterable[str], active: Iterable[str]
-    ) -> None:
-        self.vnodes = vnodes
+    ring: ConsistentHashRing
+    """The active membership's ring: replaced on a change, never mutated."""
+
+    def __init__(self, pool: Iterable[str], active: Iterable[str]) -> None:
         self.nodes: dict[str, NodeT] = {}
-        self.ring = ConsistentHashRing(vnodes=vnodes)
         for name in pool:
             self.provision(name)
-        for name in active:
-            self.activate(name)
+        self.set_membership(active)
 
     def _build_node(self, name: str) -> NodeT:
         """A cold node for ``name`` (not yet in the pool or on the ring)."""
@@ -96,11 +94,15 @@ class RoutedCluster(Generic[NodeT]):
         """Put a provisioned node onto the hash ring."""
         if name not in self.nodes:
             raise MembershipError(f"node {name!r} not provisioned")
-        self.ring.add_node(name)
+        if name in self.ring:
+            raise MembershipError(f"node {name!r} already on the ring")
+        self._rebind(self.ring.members | {name})
 
     def deactivate(self, name: str) -> None:
         """Take a node off the ring; its data stays until :meth:`destroy`."""
-        self.ring.remove_node(name)
+        if name not in self.ring:
+            raise MembershipError(f"node {name!r} not on the ring")
+        self._rebind(self.ring.members - {name})
 
     def destroy(self, name: str) -> None:
         """Flush and delete a node from the pool (the VM is turned off)."""
@@ -108,7 +110,7 @@ class RoutedCluster(Generic[NodeT]):
         if node is None:
             raise MembershipError(f"node {name!r} not provisioned")
         if name in self.ring:
-            self.ring.remove_node(name)
+            self._rebind(self.ring.members - {name})
         self._release_node(node)
 
     def set_membership(self, names: Iterable[str]) -> None:
@@ -117,15 +119,12 @@ class RoutedCluster(Generic[NodeT]):
         missing = [name for name in names if name not in self.nodes]
         if missing:
             raise MembershipError(f"nodes not provisioned: {missing}")
-        self.ring.set_members(names)
+        self._rebind(names)
 
-    def ring_for(self, members: Iterable[str]) -> ConsistentHashRing:
-        """A hypothetical ring over ``members`` with this cluster's vnodes.
-
-        Used during migration planning, where retiring-node Agents hash
-        their keys against the *retained* membership (Section III-D1).
-        """
-        return ConsistentHashRing(members, vnodes=self.vnodes)
+    def _rebind(self, names: Iterable[str]) -> None:
+        """Route on a new ring over ``names``; a batch already routing
+        finishes on the ring it started on."""
+        self.ring = ConsistentHashRing(names)
 
     # ------------------------------------------------------------------
     # Client operations
@@ -135,8 +134,12 @@ class RoutedCluster(Generic[NodeT]):
         """Name of the active node responsible for ``key``."""
         return self.ring.node_for_key(key)
 
-    def route_many(self, keys: list[str]) -> list[str]:
-        """Owning node per key, in order (the ring's cached batch lookup)."""
+    def route_many(self, keys: Iterable[str]) -> list[str]:
+        """Owning node per key, in order (the ring's cached batch lookup).
+
+        Every key is routed on the ring in place when the call starts,
+        even if consuming a lazy ``keys`` changes the membership.
+        """
         return self.ring.lookup_many(keys)
 
     def get(self, key: str, now: float = 0.0) -> Any | None:
@@ -247,8 +250,6 @@ class MemcachedCluster(RoutedCluster[MemcachedNode]):
     memory_per_node:
         Cache bytes per node (the paper uses 4 GB VMs; simulations scale
         this down).
-    vnodes:
-        Virtual points per node on the hash ring.
     metrics:
         Optional :class:`~repro.obs.metrics.MetricsRegistry` handed to
         every node this cluster provisions, so command/eviction counters
@@ -259,7 +260,6 @@ class MemcachedCluster(RoutedCluster[MemcachedNode]):
         self,
         node_names: Iterable[str],
         memory_per_node: int,
-        vnodes: int = DEFAULT_VNODES,
         min_chunk: int = 96,
         growth_factor: float = 1.25,
         metrics: Any | None = None,
@@ -269,7 +269,7 @@ class MemcachedCluster(RoutedCluster[MemcachedNode]):
         self._growth_factor = growth_factor
         self._metrics = metrics
         names = list(node_names)
-        super().__init__(vnodes, names, names)
+        super().__init__(names, names)
 
     def _build_node(self, name: str) -> MemcachedNode:
         return MemcachedNode(

@@ -32,7 +32,6 @@ from typing import Any, Coroutine
 from repro.check.loopcheck import create_sanitizer
 from repro.core.retry import RetryPolicy
 from repro.errors import ConfigurationError, MembershipError, TransportError
-from repro.hashing.ketama import DEFAULT_VNODES
 from repro.memcached.cluster import RoutedCluster
 from repro.memcached.node import MigratedItem, NodeStats
 from repro.memcached.slab import PAGE_SIZE, size_class_table
@@ -375,8 +374,6 @@ class LiveCluster(RoutedCluster[RemoteNode]):
         a client cannot boot a remote VM.
     active:
         Names initially on the hash ring; defaults to every endpoint.
-    vnodes:
-        Virtual points per node on the hash ring.
     timeout_s / retry / backoff_scale / pool_size:
         Per-node client transport settings
         (see :class:`~repro.net.client.NodeClient`).
@@ -386,7 +383,6 @@ class LiveCluster(RoutedCluster[RemoteNode]):
         self,
         endpoints: dict[str, tuple[str, int]],
         active: Iterable[str] | None = None,
-        vnodes: int = DEFAULT_VNODES,
         pool_size: int = 2,
         timeout_s: float = 5.0,
         retry: RetryPolicy | None = None,
@@ -407,7 +403,7 @@ class LiveCluster(RoutedCluster[RemoteNode]):
             name="live-cluster", sanitizer=self.sanitizer
         ).start()
         names = list(active) if active is not None else sorted(endpoints)
-        super().__init__(vnodes, self._endpoints, names)
+        super().__init__(self._endpoints, names)
 
     def _build_node(self, name: str) -> RemoteNode:
         """Connect a registered endpoint (a client cannot boot a server)."""

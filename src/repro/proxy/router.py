@@ -107,8 +107,8 @@ class ProxyConfig:
         Backend client transport settings; the retry policy defaults to
         a short decorrelated-jitter schedule, seeded per backend.
 
-    The ring takes the cluster facades' default vnodes, so the proxy and
-    the Master agree on key placement.
+    The proxy builds its ring from the member names alone, as the cluster
+    facades do, so the proxy and the Master agree on key placement.
     """
 
     replication_factor: int = 1
@@ -735,16 +735,18 @@ class ProxyRouter:
             raise MembershipError(
                 f"membership names unknown to the proxy: {unknown}"
             )
-        self.ring.set_members(names)
+        rejoining = [name for name in names if name not in self.ring]
+        self.ring = ConsistentHashRing(names)
         self.replicas.retain_backends(names)
         self._write_stamp = {
             key: stamp
             for key, stamp in self._write_stamp.items()
             if key in self.replicas
         }
-        for name in names:
+        for name in rejoining:
             # A backend rejoining the ring deserves a fresh breaker
-            # verdict rather than a stale open state.
+            # verdict rather than a stale open state; a retained one
+            # keeps its verdict, open or closed.
             self.breakers[name].reset()
         self._m_switches.inc()
         self._m_members.set(len(names))

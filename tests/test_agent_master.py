@@ -5,6 +5,7 @@ import pytest
 from repro.core.agent import TIMESTAMP_BYTES, Agent
 from repro.core.master import Master
 from repro.errors import MigrationError
+from repro.hashing.ketama import ConsistentHashRing
 from repro.memcached.cluster import MemcachedCluster
 from repro.memcached.slab import PAGE_SIZE
 from repro.net.livemigrate import node_signature
@@ -57,7 +58,7 @@ class TestAgent:
     def test_dump_and_hash_targets_retained_only(self):
         cluster = warmed_cluster()
         retained = sorted(cluster.active_members)[:-1]
-        ring = cluster.ring_for(retained)
+        ring = ConsistentHashRing(retained)
         retiring = sorted(cluster.active_members)[-1]
         agent = Agent(cluster.nodes[retiring])
         grouped = agent.dump_and_hash(ring)
@@ -72,7 +73,7 @@ class TestAgent:
     def test_dump_lists_sorted_hottest_first(self):
         cluster = warmed_cluster()
         retained = sorted(cluster.active_members)[:-1]
-        ring = cluster.ring_for(retained)
+        ring = ConsistentHashRing(retained)
         retiring = sorted(cluster.active_members)[-1]
         grouped = Agent(cluster.nodes[retiring]).dump_and_hash(ring)
         for per_class in grouped.values():
@@ -139,7 +140,7 @@ class TestScaleInPlanning:
         master = make_master(cluster)
         retiring = master.choose_retiring(1)
         plan = master.plan_scale_in(retiring)
-        ring = cluster.ring_for(plan.retained)
+        ring = ConsistentHashRing(plan.retained)
         for (src, dst), keys in plan.transfers.items():
             for key in keys:
                 assert ring.node_for_key(key) == dst

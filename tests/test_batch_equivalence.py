@@ -1,7 +1,7 @@
 """Batched fast paths must be bit-identical to the per-op paths.
 
 The hot-path engine (PR 4) added ``get_many``/``set_many``/``delete_many``
-to nodes and the cluster, a per-membership routing cache with
+to nodes and the cluster, a per-ring routing cache with
 ``lookup_many`` on both hash functions, and a ``batched_ops`` switch in the
 simulator.  None of that is allowed to change *behavior*: same seed, same
 ops, same interleaving must produce the same cache contents, the same
@@ -14,8 +14,7 @@ import random
 
 import pytest
 
-from repro.errors import MembershipError, ReproError, RingMutationError
-from repro.hashing.ketama import ConsistentHashRing
+from repro.hashing.ketama import VNODES, ConsistentHashRing
 from repro.hashing.rendezvous import RendezvousHash
 from repro.memcached.cluster import MemcachedCluster
 from repro.memcached.node import MemcachedNode
@@ -220,24 +219,30 @@ class TestRingCacheAgreement:
 
     @pytest.mark.parametrize("factory", [ConsistentHashRing, RendezvousHash])
     def test_cached_matches_uncached_across_churn(self, factory):
-        ring = factory([f"node-{i:02d}" for i in range(8)])
-        base_generation = ring.generation
+        members = {f"node-{i:02d}" for i in range(8)}
         rng = random.Random(42)
         keys = [f"obj:{rng.getrandbits(48):012x}" for _ in range(10_000)]
+        previous = None
         for step, (action, node) in enumerate((("noop", ""),) + self.CHURN):
             if action == "add":
-                ring.add_node(node)
+                members = members | {node}
             elif action == "remove":
-                ring.remove_node(node)
+                members = members - {node}
+            ring = factory(members)
             owners = ring.lookup_many(keys)
             # Second pass is served from the warm cache; both passes must
             # match the from-scratch route for every key.
             assert ring.lookup_many(keys) == owners, f"step {step}"
             cold = [ring.uncached_lookup(key) for key in keys]
             assert owners == cold, f"step {step}"
-        info = ring.cache_info()
-        assert info["hits"] > len(keys)  # warm pass actually used the cache
-        assert info["generation"] == base_generation + len(self.CHURN)
+            info = ring.cache_info()
+            assert info["hits"] == len(keys)  # warm pass used the cache
+            if previous is not None:
+                # One node in or out moves only the keys it owns.
+                for key, before, after in zip(keys, previous, owners):
+                    if before != after:
+                        assert node in (before, after), f"step {step}"
+            previous = owners
 
     @pytest.mark.parametrize("factory", [ConsistentHashRing, RendezvousHash])
     def test_lookup_many_matches_per_key(self, factory):
@@ -246,44 +251,66 @@ class TestRingCacheAgreement:
         assert ring.lookup_many(keys) == [ring.node_for_key(k) for k in keys]
 
 
-class TestRingMutationDetection:
-    """Membership changes mid-batch must fail loudly, not mix routes."""
+class TestRingSwap:
+    """A membership change mid-batch builds a new ring; the batch in
+    flight finishes on the ring it started on, so no batch mixes routes."""
+
+    def test_route_many_over_a_lazy_iterable_stays_on_its_ring(self):
+        cluster = MemcachedCluster([f"n{i}" for i in range(4)], 64 * PAGE_SIZE)
+        before = cluster.ring
+        keys = [f"key-{i}" for i in range(2_000)]
+
+        def rebinding():
+            for index, key in enumerate(keys):
+                if index == 1_000:
+                    cluster.set_membership(["n0", "n1"])
+                yield key
+
+        routes = cluster.route_many(rebinding())
+        assert cluster.active_members == {"n0", "n1"}
+        assert routes == [before.uncached_lookup(key) for key in keys]
+        assert set(routes) == {"n0", "n1", "n2", "n3"}
+        after = ConsistentHashRing(["n0", "n1"])
+        assert cluster.route_many(keys) == [
+            after.uncached_lookup(key) for key in keys
+        ]
+
+    @staticmethod
+    def check_rebind_keeps_its_ring(factory, rebind_at: int):
+        holder = {"ring": factory(["a", "b", "c"])}
+        ring = holder["ring"]
+        keys = [f"key-{i}" for i in range(300)]
+
+        def rebinding():
+            for index, key in enumerate(keys):
+                if index == rebind_at % len(keys):
+                    holder["ring"] = factory(["a", "d"])
+                yield key
+
+        owners = ring.lookup_many(rebinding())
+        assert owners == [ring.uncached_lookup(key) for key in keys]
+        assert set(owners) == {"a", "b", "c"}
+        assert ring.members == {"a", "b", "c"}
+        assert set(holder["ring"].lookup_many(keys)) == {"a", "d"}
 
     @pytest.mark.parametrize("factory", [ConsistentHashRing, RendezvousHash])
-    def test_generator_mutation_raises(self, factory):
-        ring = factory(["a", "b", "c"])
-
-        def poisoned():
-            yield "key-1"
-            yield "key-2"
-            ring.remove_node("c")
-            yield "key-3"
-
-        with pytest.raises(RingMutationError):
-            ring.lookup_many(poisoned())
+    def test_rebind_mid_batch_keeps_its_ring(self, factory):
+        self.check_rebind_keeps_its_ring(factory, rebind_at=1)
 
     @pytest.mark.parametrize("factory", [ConsistentHashRing, RendezvousHash])
-    def test_mutation_on_final_key_raises(self, factory):
-        ring = factory(["a", "b", "c"])
+    def test_last_key_rebind_keeps_its_ring(self, factory):
+        self.check_rebind_keeps_its_ring(factory, rebind_at=-1)
 
-        def poisoned():
-            yield "key-1"
-            ring.add_node("d")
-
-        with pytest.raises(RingMutationError):
-            ring.lookup_many(poisoned())
-
-    def test_mutation_error_is_a_repro_error(self):
-        assert issubclass(RingMutationError, ReproError)
-        assert issubclass(RingMutationError, MembershipError)
-
-    def test_iter_points_guards_against_mutation(self):
-        ring = ConsistentHashRing(["a", "b"])
-        iterator = ring.iter_points()
-        next(iterator)
-        ring.add_node("c")
-        with pytest.raises(RingMutationError):
-            next(iterator)
+    def test_iter_points_walks_the_ring_it_was_taken_from(self):
+        cluster = MemcachedCluster(["a", "b"], 64 * PAGE_SIZE)
+        iterator = cluster.ring.iter_points()
+        first = next(iterator)
+        cluster.provision("c")
+        cluster.activate("c")
+        points = [first, *iterator]
+        assert len(points) == 2 * VNODES
+        assert {owner for _, owner in points} == {"a", "b"}
+        assert points == sorted(points)
 
     @pytest.mark.parametrize("factory", [ConsistentHashRing, RendezvousHash])
     def test_clean_batches_unaffected(self, factory):

@@ -58,11 +58,13 @@ class TestMembership:
         small_cluster.set_membership(["node-000", "node-002"])
         assert small_cluster.active_members == {"node-000", "node-002"}
 
-    def test_ring_for_hypothetical_membership(self, small_cluster):
-        ring = small_cluster.ring_for(["node-000", "node-001"])
-        assert ring.members == {"node-000", "node-001"}
-        # Building a hypothetical ring must not disturb the live one.
-        assert len(small_cluster.active_members) == 4
+    def test_a_membership_change_swaps_in_a_new_ring(self, small_cluster):
+        before = small_cluster.ring
+        small_cluster.set_membership(["node-000", "node-001"])
+        assert small_cluster.ring is not before
+        assert small_cluster.ring.members == {"node-000", "node-001"}
+        # The ring routed on before the change is left as it was.
+        assert len(before.members) == 4
 
 
 class TestRouting:

@@ -1,4 +1,10 @@
-"""Tests for consistent and rendezvous hashing."""
+"""Tests for consistent and rendezvous hashing.
+
+A ring is a value built once from its members, so a membership change is
+two rings compared key by key.
+"""
+
+import hashlib
 
 import pytest
 from hypothesis import given, settings
@@ -38,7 +44,7 @@ class TestHashUtil:
 
 class TestConsistentHashRing:
     def test_empty_ring_rejects_lookup(self):
-        ring = ConsistentHashRing()
+        ring = ConsistentHashRing([])
         with pytest.raises(MembershipError):
             ring.node_for_key("k")
 
@@ -48,28 +54,17 @@ class TestConsistentHashRing:
             assert ring.node_for_key(f"key{i}") == "only"
 
     def test_duplicate_add_rejected(self):
-        ring = ConsistentHashRing(["a"])
         with pytest.raises(MembershipError):
-            ring.add_node("a")
-
-    def test_remove_unknown_rejected(self):
-        ring = ConsistentHashRing(["a"])
-        with pytest.raises(MembershipError):
-            ring.remove_node("b")
+            ConsistentHashRing(["a", "b", "a"])
 
     def test_members_tracking(self):
         ring = ConsistentHashRing(["a", "b"])
         assert ring.members == {"a", "b"}
-        ring.remove_node("a")
-        assert ring.members == {"b"}
-        assert len(ring) == 1
-        assert "b" in ring and "a" not in ring
-
-    def test_vnodes_must_be_positive(self):
-        from repro.errors import ConfigurationError
-
-        with pytest.raises(ConfigurationError):
-            ConsistentHashRing(vnodes=0)
+        smaller = ConsistentHashRing(ring.members - {"a"})
+        assert smaller.members == {"b"}
+        assert len(smaller) == 1
+        assert "b" in smaller and "a" not in smaller
+        assert ring.members == {"a", "b"}
 
     def test_routing_deterministic(self):
         ring1 = ConsistentHashRing(["a", "b", "c"])
@@ -91,7 +86,7 @@ class TestConsistentHashRing:
         nodes = [f"n{i}" for i in range(10)]
         ring = ConsistentHashRing(nodes)
         before = {f"key{i}": ring.node_for_key(f"key{i}") for i in range(3000)}
-        ring.remove_node("n3")
+        ring = ConsistentHashRing([name for name in nodes if name != "n3"])
         moved = 0
         for key, owner in before.items():
             after = ring.node_for_key(key)
@@ -106,7 +101,7 @@ class TestConsistentHashRing:
         nodes = [f"n{i}" for i in range(9)]
         ring = ConsistentHashRing(nodes)
         before = {f"key{i}": ring.node_for_key(f"key{i}") for i in range(3000)}
-        ring.add_node("new")
+        ring = ConsistentHashRing([*nodes, "new"])
         stolen = 0
         for key, owner in before.items():
             after = ring.node_for_key(key)
@@ -117,9 +112,11 @@ class TestConsistentHashRing:
         assert 0.03 * len(before) < stolen < 0.25 * len(before)
 
     def test_set_members_converges(self):
-        ring = ConsistentHashRing(["a", "b", "c"])
-        ring.set_members(["b", "c", "d", "e"])
+        ring = ConsistentHashRing(["b", "c", "d", "e"])
         assert ring.members == {"b", "c", "d", "e"}
+        # The ring depends on its members only, never on their order.
+        reordered = ConsistentHashRing(["e", "d", "c", "b"])
+        assert list(ring.iter_points()) == list(reordered.iter_points())
 
     def test_nodes_for_keys_partition(self):
         ring = ConsistentHashRing(["a", "b"])
@@ -131,13 +128,6 @@ class TestConsistentHashRing:
             for key in bucket:
                 assert ring.node_for_key(key) == node
 
-    def test_weighted_node_gets_more_keys(self):
-        ring = ConsistentHashRing(["a", "b"], weights={"a": 3.0})
-        counts = {"a": 0, "b": 0}
-        for i in range(4000):
-            counts[ring.node_for_key(f"key{i}")] += 1
-        assert counts["a"] > counts["b"]
-
     @given(st.integers(min_value=2, max_value=8), st.integers(0, 1000))
     @settings(max_examples=25, deadline=None)
     def test_lookup_always_returns_member(self, node_count, key_seed):
@@ -148,33 +138,36 @@ class TestConsistentHashRing:
 class TestRendezvousHash:
     def test_empty_rejects_lookup(self):
         with pytest.raises(MembershipError):
-            RendezvousHash().node_for_key("k")
+            RendezvousHash([]).node_for_key("k")
 
     def test_duplicate_add_rejected(self):
-        hrw = RendezvousHash(["a"])
         with pytest.raises(MembershipError):
-            hrw.add_node("a")
+            RendezvousHash(["a", "a"])
 
     def test_minimal_remap_on_removal(self):
-        hrw = RendezvousHash([f"n{i}" for i in range(6)])
+        nodes = [f"n{i}" for i in range(6)]
+        hrw = RendezvousHash(nodes)
         before = {f"key{i}": hrw.node_for_key(f"key{i}") for i in range(2000)}
-        hrw.remove_node("n2")
+        hrw = RendezvousHash([name for name in nodes if name != "n2"])
         for key, owner in before.items():
             if owner != "n2":
                 assert hrw.node_for_key(key) == owner
 
     def test_minimal_remap_on_addition(self):
-        hrw = RendezvousHash([f"n{i}" for i in range(5)])
+        nodes = [f"n{i}" for i in range(5)]
+        hrw = RendezvousHash(nodes)
         before = {f"key{i}": hrw.node_for_key(f"key{i}") for i in range(2000)}
-        hrw.add_node("new")
+        hrw = RendezvousHash([*nodes, "new"])
         for key, owner in before.items():
             after = hrw.node_for_key(key)
             assert after in (owner, "new")
 
     def test_set_members(self):
-        hrw = RendezvousHash(["a"])
-        hrw.set_members(["x", "y"])
+        hrw = RendezvousHash(["x", "y"])
         assert hrw.members == {"x", "y"}
+        reordered = RendezvousHash(["y", "x"])
+        keys = [f"key{i}" for i in range(500)]
+        assert hrw.lookup_many(keys) == reordered.lookup_many(keys)
 
     def test_balance(self):
         hrw = RendezvousHash([f"n{i}" for i in range(4)])
@@ -184,3 +177,42 @@ class TestRendezvousHash:
             counts[hrw.node_for_key(f"key{i}")] += 1
         for count in counts.values():
             assert 0.6 * total / 4 < count < 1.5 * total / 4
+
+
+# SHA-256 of the owners of ``key-000000`` .. ``key-019999``, one per line,
+# recorded from the rings built by inserting one node at a time.  A ring
+# built in one sort must route every key the same way.
+GOLDEN_ROUTES = [
+    pytest.param(
+        ConsistentHashRing,
+        [f"node-{i:03d}" for i in range(10)],
+        "66148eaca339afadbc4e5091a00207c0f8555854190b1e646b23a416a7319197",
+        id="ketama-node",
+    ),
+    pytest.param(
+        ConsistentHashRing,
+        [f"proc-{i:02d}" for i in range(3)],
+        "9ff9f4d96474f96d69efe7b4b0d90677431fb9225c79f49ce011af444d46e035",
+        id="ketama-proc",
+    ),
+    pytest.param(
+        RendezvousHash,
+        [f"node-{i:03d}" for i in range(10)],
+        "ea87dbe9a8d9343968b8c4ca2982789292e2b64b289db6a72379bbf62e06e7eb",
+        id="rendezvous-node",
+    ),
+    pytest.param(
+        RendezvousHash,
+        [f"proc-{i:02d}" for i in range(3)],
+        "b96ab5f2578740e14cc8f0dc341025ec409621879cfff569fee4440d5b4a2ac6",
+        id="rendezvous-proc",
+    ),
+]
+
+
+@pytest.mark.parametrize(("factory", "members", "digest"), GOLDEN_ROUTES)
+def test_golden_routes(factory, members, digest):
+    keys = [f"key-{i:06d}" for i in range(20000)]
+    for order in (members, members[::-1]):
+        routes = "\n".join(factory(order).lookup_many(keys))
+        assert hashlib.sha256(routes.encode()).hexdigest() == digest

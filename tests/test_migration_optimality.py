@@ -10,6 +10,7 @@ import pytest
 
 from repro.core.agent import Agent
 from repro.core.master import Master
+from repro.hashing.ketama import ConsistentHashRing
 from repro.memcached.cluster import MemcachedCluster
 from repro.memcached.slab import PAGE_SIZE
 
@@ -35,7 +36,7 @@ class TestSelectionOptimality:
         cluster = warmed_cluster(seed_offset)
         master = Master(cluster)
         retiring = master.choose_retiring(1)
-        target_ring = cluster.ring_for(
+        target_ring = ConsistentHashRing(
             sorted(set(cluster.active_members) - set(retiring))
         )
         agent = Agent(cluster.nodes[retiring[0]])

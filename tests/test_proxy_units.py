@@ -14,6 +14,7 @@ import pytest
 
 from repro.core.retry import RetryPolicy
 from repro.errors import ConfigurationError, WireProtocolError
+from repro.hashing.ketama import ConsistentHashRing
 from repro.memcached.node import MemcachedNode
 from repro.memcached.slab import PAGE_SIZE
 from repro.net.server import NodeServer
@@ -362,6 +363,36 @@ class TestProxyConfig:
         assert router._replica_targets("n0") == ()
 
 
+class TestMembershipUpdate:
+    """``update_membership`` swaps in a new ring; only a backend that
+    (re)joins it gets a fresh breaker verdict."""
+
+    def make_router(self):
+        endpoints = {f"n{i}": ("127.0.0.1", 1000 + i) for i in range(3)}
+        return ProxyRouter(
+            endpoints, config=ProxyConfig(failure_threshold=1)
+        )
+
+    def test_a_retained_open_breaker_stays_open(self):
+        router = self.make_router()
+        old_ring = router.ring
+        router.breakers["n1"].record_failure()
+        assert router.breakers["n1"].state == OPEN
+        asyncio.run(router.update_membership(["n0", "n1"]))
+        assert router.breakers["n1"].state == OPEN
+        assert router.ring.members == {"n0", "n1"}
+        assert old_ring.members == {"n0", "n1", "n2"}
+
+    def test_a_rejoining_backend_gets_a_fresh_breaker(self):
+        router = self.make_router()
+        asyncio.run(router.update_membership(["n0", "n1"]))
+        router.breakers["n1"].record_failure()
+        router.breakers["n2"].record_failure()
+        asyncio.run(router.update_membership(["n0", "n1", "n2"]))
+        assert router.breakers["n2"].state == CLOSED
+        assert router.breakers["n1"].state == OPEN
+
+
 # ----------------------------------------------------------------------
 # Router read path: one loop, real node servers, real round trips
 # ----------------------------------------------------------------------
@@ -623,7 +654,7 @@ class TestRouterMultiget:
                         == 1
                     )
                 assert router.coalescer.inflight == 0
-                router.ring.set_members([])
+                router.ring = ConsistentHashRing([])
                 assert await router.get_many(keys) == [None] * 5
                 assert counter(router, "proxy_degraded_total", op="get") == 10
                 assert counter(router, "proxy_requests_total", op="get") == 10

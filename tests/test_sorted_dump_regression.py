@@ -14,6 +14,7 @@ from repro.core.agent import Agent
 from repro.core.fusecache import fuse_cache
 from repro.core.master import Master
 from repro.errors import ConfigurationError
+from repro.hashing.ketama import ConsistentHashRing
 from repro.memcached.cluster import MemcachedCluster
 from repro.memcached.node import MemcachedNode, MigratedItem
 from repro.memcached.slab import PAGE_SIZE
@@ -49,7 +50,7 @@ class TestAgentSortsDumps:
             ],
             mode="prepend",
         )
-        ring = cluster.ring_for(["b", "c"])
+        ring = ConsistentHashRing(["b", "c"])
         grouped = Agent(node).dump_and_hash(ring)
         for per_class in grouped.values():
             for entries in per_class.values():
