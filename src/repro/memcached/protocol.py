@@ -18,20 +18,21 @@ them the paper's custom migration commands (Section V-A1):
   every item of one slab class in MRU order (:func:`repro.wire.ts_reply`),
   terminated by ``END`` (the value size lets a remote planner price
   data flows without fetching values);
-- ``batch_import <mode> <count>`` -- the *batch import*: expects
-  ``count`` item blocks, each a ``<key> <last_access> <size> [flags]``
-  header line followed by ``size`` payload bytes, and installs them via
-  :meth:`~repro.memcached.node.MemcachedNode.batch_import`, answering
-  ``IMPORTED <n>``.  A malformed header or data chunk aborts the whole
-  batch with ``CLIENT_ERROR`` (nothing is imported);
-- ``mig_export <count>`` -- the *data export* that feeds a remote batch
-  import: expects ``count`` key lines, then streams one
-  ``ITEM <key> <flags> <last_access> <size>`` header plus ``size``
-  payload bytes per key still cached (evicted keys are silently
-  skipped, mirroring
-  :meth:`~repro.memcached.node.MemcachedNode.export_items`), terminated
-  by ``END``.  Unlike ``get``, the export does not touch MRU positions
-  or timestamps, so hotness metadata survives the move.
+- ``batch_import <mode> <rows> <bytes>`` -- the *batch import*: its
+  body is one packed key-value block of ``rows`` records
+  (:func:`repro.wire.pack_block`), installed via
+  :meth:`~repro.memcached.node.MemcachedNode.import_steps`, answering
+  ``IMPORTED <n>``.  A malformed block, a bad data trailer or a
+  duplicate key aborts the whole batch with ``CLIENT_ERROR`` (nothing is
+  imported);
+- ``mig_export <bytes>`` -- the *data export* that feeds a remote batch
+  import: its body is the keys joined by spaces; the reply is one
+  ``ITEMS <rows> <bytes>`` block of the same layout as a
+  ``batch_import`` body, holding every key still cached (evicted keys
+  are silently skipped, mirroring
+  :meth:`~repro.memcached.node.MemcachedNode.export_items`), then
+  ``END``.  Unlike ``get``, the export does not touch MRU positions or
+  timestamps, so hotness metadata survives the move.
 
 Framing is :mod:`repro.wire`'s: :meth:`TextProtocolServer.feed` pushes
 arbitrary byte chunks through a :class:`~repro.wire.RequestFramer` and
@@ -39,10 +40,11 @@ runs the ``_cmd_<verb>`` handler of every request they complete, so
 arity, sizes and data trailers are already checked when a handler
 runs.  :meth:`TextProtocolServer.feed_stepwise` is the same dispatch for
 a live server: a chunk that completes a ``batch_import`` comes back as a
-generator applying one record per step, which the server runs a slice
-at a time between other connections' requests; :meth:`feed` drains it
-in one go.  ``exptime`` is interpreted as relative seconds (simulation
-time); Memcached's 30-day absolute-timestamp rule is not modeled.
+generator that checks the block, then decodes and applies one record
+per step, which the server runs a slice at a time between other
+connections' requests; :meth:`feed` drains it in one go.  ``exptime``
+is interpreted as relative seconds (simulation time); Memcached's
+30-day absolute-timestamp rule is not modeled.
 """
 
 from __future__ import annotations
@@ -51,7 +53,8 @@ import time
 from typing import Any, Callable, Generator
 
 from repro import wire
-from repro.memcached.node import MemcachedNode, MigratedItem, drain
+from repro.errors import WireProtocolError
+from repro.memcached.node import MemcachedNode, drain
 from repro.obs import NULL_TELEMETRY, Telemetry
 from repro.obs.export import to_prometheus
 from repro.obs.metrics import LATENCY_SECONDS_BUCKETS
@@ -128,8 +131,8 @@ class TextProtocolServer:
         """:meth:`feed` for a server that keeps serving while it imports.
 
         Returns what :meth:`feed` returns, unless ``data`` completes a
-        ``batch_import`` with records: then a generator that applies
-        them one record per step (see
+        ``batch_import`` with a non-empty block: then a generator that
+        decodes and applies its records one per step (see
         :meth:`~repro.memcached.node.MemcachedNode.import_steps`),
         answers the requests behind it, and returns the responses.  A
         chunk without an import takes no generator.
@@ -243,11 +246,10 @@ class TextProtocolServer:
 
     def _cmd_set(self, verb: str, args: list[str], payload: bytes) -> bytes:
         key = args[0]
-        try:
-            flags = int(args[1])
-            exptime = float(args[2])
-        except ValueError:
+        fields = wire.storage_fields(args)
+        if fields is None:
             return BAD_FORMAT
+        flags, exptime = fields
         now = self.clock()
         value = (flags, payload)
         size = len(payload)
@@ -423,32 +425,33 @@ class TextProtocolServer:
         )
 
     def _cmd_batch_import(
-        self, verb: str, args: list[str], records: list[MigratedItem]
+        self, verb: str, args: list[str], block: bytes
     ) -> bytes:
-        return drain(self._batch_import_steps(args, records))
+        return drain(self._batch_import_steps(args, block))
 
-    def _batch_import_steps(
-        self, args: list[str], records: list[MigratedItem]
-    ) -> Steps:
-        """The ``batch_import`` reply, one record applied per step; a
-        batch with a duplicate key is refused before any record is."""
+    def _batch_import_steps(self, args: list[str], block: bytes) -> Steps:
+        """The ``batch_import`` reply, one record decoded and applied per
+        step; a bad block or a duplicate key is refused before any record
+        is applied."""
+        if args[0] not in wire.IMPORT_MODES:
+            return wire.UNKNOWN_MODE
+        try:
+            columns = wire.read_block(int(args[1]), block, values=True)
+        except (ValueError, WireProtocolError):
+            return wire.BAD_BLOCK
         seen: set[str] = set()
-        for record in records:
-            if record.key in seen:
-                return (
-                    f"CLIENT_ERROR duplicate key in batch: {record.key}"
-                ).encode("utf-8") + CRLF
-            seen.add(record.key)
+        for key in columns.keys:
+            if key in seen:
+                return f"CLIENT_ERROR duplicate key in batch: {key}".encode() + CRLF
+            seen.add(key)
         imported = yield from self.node.import_steps(
-            records, mode=args[0], now=self.clock()
+            columns.items(), mode=args[0], now=self.clock()
         )
         return f"IMPORTED {imported}".encode("utf-8") + CRLF
 
-    def _cmd_mig_export(
-        self, verb: str, args: list[str], keys: list[str]
-    ) -> bytes:
-        chunks = [
-            wire.item_block(record) for record in self.node.export_items(keys)
-        ]
-        chunks.append(wire.END)
-        return b"".join(chunks)
+    def _cmd_mig_export(self, verb: str, args: list[str], body: bytes) -> bytes:
+        try:
+            keys = wire.read_keys(body)
+        except WireProtocolError:
+            return wire.BAD_BLOCK
+        return wire.items_reply(self.node.export_items(keys))

@@ -20,7 +20,8 @@ raise :class:`~repro.errors.WireProtocolError` immediately instead.
 
 All ElMem migration commands are supported: ``ts_dump`` (timestamp
 metadata + sizes), ``mig_export`` (full KV pairs without touching MRU
-state), and ``batch_import`` (install with hotness metadata).
+state), and ``batch_import`` (install with hotness metadata); each
+carries its rows in one packed block (:func:`repro.wire.pack_block`).
 """
 
 from __future__ import annotations
@@ -181,7 +182,7 @@ class _Request(NamedTuple):
     reply: str
 
 
-def _call(verb: str, *args: str, body: Any = None) -> _Request:
+def _call(verb: str, *args: str, body: bytes = b"") -> _Request:
     """One request of the command table: its bytes and its reply framing."""
     return _Request(
         wire.encode_request(verb, args, body),
@@ -465,7 +466,7 @@ class NodeClient:
     # Client operations
     # ------------------------------------------------------------------
 
-    async def _one(self, verb: str, *args: str, body: Any = None) -> Any:
+    async def _one(self, verb: str, *args: str, body: bytes = b"") -> Any:
         """Ship one request of the command table; its decoded reply."""
         return (await self._request([_call(verb, *args, body=body)]))[0]
 
@@ -579,7 +580,7 @@ class NodeClient:
         """
         keys = list(keys)
         requests = [
-            _call("mig_export", body=keys[i : i + EXPORT_BATCH_KEYS])
+            _call("mig_export", body=" ".join(keys[i : i + EXPORT_BATCH_KEYS]).encode())
             for i in range(0, len(keys), EXPORT_BATCH_KEYS)
         ]
         exported: list[MigratedItem] = []
@@ -592,9 +593,13 @@ class NodeClient:
     ) -> int:
         """Install migrated pairs via ``batch_import``; count imported."""
         records = list(records)
-        requests = [
-            _call("batch_import", mode, body=records[i : i + IMPORT_BATCH_RECORDS])
+        batches = [
+            records[i : i + IMPORT_BATCH_RECORDS]
             for i in range(0, len(records), IMPORT_BATCH_RECORDS)
+        ]
+        requests = [
+            _call("batch_import", mode, f"{len(batch)}", body=wire.items_payload(batch))
+            for batch in batches
         ]
         imported = 0
         for response in await self._request(requests):

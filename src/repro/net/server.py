@@ -366,8 +366,8 @@ class NodeServer(StreamListener):
         return reply if isinstance(reply, bytes) else await reply
 
     def _execute(self, protocol: TextProtocolServer, chunk: bytes) -> Reply:
-        # Parsing is all done inside feed_stepwise: a stepped import's
-        # records are framed before its first step runs.
+        # Framing is all done inside feed_stepwise; a stepped import's
+        # records are decoded in its steps, timed as execution.
         if self._obs:
             execute_before = protocol.execute_seconds
             feed_start = time.perf_counter()

@@ -220,12 +220,11 @@ class ProxyServer(StreamListener):
     async def _cmd_set(
         self, verb: str, args: list[str], payload: bytes
     ) -> bytes:
-        try:
-            flags = int(args[1])
-            exptime = float(args[2])
-        except ValueError:
+        fields = wire.storage_fields(args)
+        if fields is None:
             self._m_protocol_errors.inc()
             return BAD_FORMAT
+        flags, exptime = fields
         stored = await self.router.set(
             args[0], payload, flags=flags, exptime=exptime
         )

@@ -11,11 +11,15 @@ This module is the single place the dialect is written down, sans-IO:
   its header token and the index of its payload-size token;
 - :class:`RequestFramer` -- the incremental request parser both
   listeners feed socket chunks into.  It owns line splitting, arity,
-  key- and line-length checks, storage payloads, the ``batch_import`` /
-  ``mig_export`` continuation state machines and the one-shot ``trace``
-  frame, and hands back complete requests or the error line to answer;
+  key- and line-length checks, the one sized body every body-carrying
+  command has (a ``set`` value, a ``batch_import`` block, the keys of a
+  ``mig_export``) and the one-shot ``trace`` frame, and hands back
+  complete requests or the error line to answer;
 - the encoders -- :func:`encode_request` for the client (validated
   against the table) and the reply blocks for the servers;
+- the packed block -- :func:`pack_block` and :func:`read_block`: the
+  one column layout of all migration data (a ``ts_dump`` reply, a
+  ``batch_import`` body, a ``mig_export`` reply);
 - :class:`ReplyFramer` -- the incremental reply parser the client feeds
   socket chunks into: one resumable parser per reply framing
   (:data:`REPLY_PARSERS`), run in order over the replies of a pipelined
@@ -28,6 +32,7 @@ every deviation from memcached's documented protocol.
 
 from __future__ import annotations
 
+import re
 import struct
 from typing import Any, Callable, Generator, Iterable, Mapping, NamedTuple, Sequence
 
@@ -60,8 +65,7 @@ BAD_FORMAT = b"CLIENT_ERROR bad command line format" + CRLF
 BAD_CHUNK = b"CLIENT_ERROR bad data chunk" + CRLF
 BAD_DELTA = b"CLIENT_ERROR invalid numeric delta argument" + CRLF
 BAD_TRACE = b"CLIENT_ERROR bad trace frame" + CRLF
-BAD_ITEM_HEADER = b"CLIENT_ERROR bad item header" + CRLF
-BAD_EXPORT_KEY = b"CLIENT_ERROR bad export key" + CRLF
+BAD_BLOCK = b"CLIENT_ERROR bad data block" + CRLF
 UNKNOWN_MODE = b"CLIENT_ERROR unknown import mode" + CRLF
 KEY_TOO_LONG = b"CLIENT_ERROR key too long" + CRLF
 LINE_TOO_LONG = b"CLIENT_ERROR line too long" + CRLF
@@ -69,10 +73,8 @@ LINE_TOO_LONG = b"CLIENT_ERROR line too long" + CRLF
 ERROR_PREFIXES = (b"ERROR", b"CLIENT_ERROR", b"SERVER_ERROR")
 """What a reply line starts with when the server rejected the request."""
 
-# Request body rules.
+# The one request body rule.
 PAYLOAD = "payload"  # <size> bytes + CRLF after the command line
-ITEM_BLOCKS = "item blocks"  # <count> x (header line, sized payload)
-KEY_LINES = "key lines"  # <count> key lines
 
 # Reply framings.
 LINE = "line"
@@ -93,7 +95,7 @@ class Command(NamedTuple):
     min_args: int
     max_args: int
     body: str = ""
-    body_at: int = 0  # index of the size (PAYLOAD) or count argument
+    body_at: int = 0  # index of the payload-size argument
     reply: str = LINE
     proxied: bool = False  # ProxyServer routes it to a backend
     arity_error: bytes = BAD_FORMAT
@@ -127,8 +129,8 @@ COMMANDS: dict[str, Command] = {
     "version": _ANY_ARGS,
     "stats": Command(0, ANY, reply=STATS, reply_by_arg={"obs": VALUES}),
     "ts_dump": Command(1, 1, reply=TS),
-    "batch_import": Command(2, 2, ITEM_BLOCKS, 1),  # <mode> <count>
-    "mig_export": Command(1, 1, KEY_LINES, 0, reply=ITEMS),  # <count>
+    "batch_import": Command(3, 3, PAYLOAD, 2),  # <mode> <rows> <bytes>
+    "mig_export": Command(1, 1, PAYLOAD, 0, reply=ITEMS),  # <bytes>
     "trace": Command(2, 2, reply=NONE, arity_error=BAD_TRACE),
     "quit": Command(0, ANY, reply=NONE),
 }
@@ -144,8 +146,8 @@ class Block(NamedTuple):
 
 BLOCKS: dict[str, Block] = {
     VALUES: Block(b"VALUE", 4, 3),  # VALUE <key> <flags> <bytes> [<cas>]
-    TS: Block(b"TS", 3, 2),  # TS <rows> <bytes>, one packed payload
-    ITEMS: Block(b"ITEM", 5, 4),  # ITEM <key> <flags> <last_access> <bytes>
+    TS: Block(b"TS", 3, 2),  # TS <rows> <bytes>, one packed block
+    ITEMS: Block(b"ITEMS", 3, 2),  # ITEMS <rows> <bytes>, one packed block
     STATS: Block(b"STAT", 3, None),  # STAT <name> <value>
 }
 
@@ -181,16 +183,26 @@ def encode_line(text: str, payload: bytes | None = None) -> bytes:
     return text.encode("utf-8") + CRLF + payload + CRLF
 
 
-def encode_request(verb: str, args: Sequence[str], body: Any = None) -> bytes:
+def storage_fields(args: Sequence[str]) -> tuple[int, float] | None:
+    """``(flags, exptime)`` of a storage command's arguments, or ``None``
+    when memcached answers :data:`BAD_FORMAT`: flags are a 32-bit
+    unsigned integer, ``exptime`` a number."""
+    try:
+        flags, exptime = int(args[1]), float(args[2])
+    except ValueError:
+        return None
+    return (flags, exptime) if 0 <= flags < 1 << 32 else None
+
+
+def encode_request(verb: str, args: Sequence[str], body: bytes = b"") -> bytes:
     """The bytes of one request, validated against :data:`COMMANDS`.
 
-    ``args`` are the already-spelled arguments, without the size/count
-    argument of a command with a body: that one is derived from ``body``
-    (payload bytes, key list or record list) so the two cannot disagree.
+    ``args`` are the already-spelled arguments, without the payload
+    size of a command with a body: that one is derived from ``body`` so
+    the two cannot disagree.
     """
     command = COMMANDS[verb]
-    kind = command.body
-    if kind:
+    if command.body:
         at = command.body_at
         args = (*args[:at], str(len(body)), *args[at:])
     if not command.min_args <= len(args) <= command.max_args:
@@ -198,20 +210,7 @@ def encode_request(verb: str, args: Sequence[str], body: Any = None) -> bytes:
             f"{verb}: cannot take {len(args)} argument(s)"
         )
     line = " ".join((verb, *args)).encode("utf-8") + CRLF
-    if not kind:
-        return line
-    if kind == PAYLOAD:
-        return line + body + CRLF
-    if kind == KEY_LINES:
-        return line + b"".join(key.encode("utf-8") + CRLF for key in body)
-    return line + b"".join(map(_import_record, body))
-
-
-def _import_record(record: MigratedItem) -> bytes:
-    flags, payload = flags_and_payload(record.value)
-    return encode_line(
-        f"{record.key} {record.last_access} {len(payload)} {flags}", payload
-    )
+    return line + body + CRLF if command.body else line
 
 
 def value_block(
@@ -227,28 +226,55 @@ def value_block(
     )
 
 
-def item_block(record: MigratedItem) -> bytes:
-    """One ``ITEM`` header plus payload of a ``mig_export`` reply."""
-    flags, payload = flags_and_payload(record.value)
-    return encode_line(
-        f"ITEM {record.key} {flags} {record.last_access} {len(payload)}",
-        payload,
+def pack_block(
+    keys: Sequence[str],
+    stamps: Sequence[float],
+    sizes: Sequence[int],
+    flags: Sequence[int] = (),
+    values: Iterable[bytes] = (),
+) -> bytes:
+    """One packed block of migration data, column by column: ``rows``
+    little-endian float64 stamps, ``rows`` int64 sizes, then -- in a
+    key-value block only -- ``rows`` uint32 flags and the values
+    concatenated, then the keys in UTF-8 joined by single spaces (a wire
+    key holds none).  :func:`read_block` is its reader."""
+    rows = len(keys)
+    return (
+        struct.pack(f"<{rows}d{rows}q{len(flags)}I", *stamps, *sizes, *flags)
+        + b"".join(values)
+        + " ".join(keys).encode("utf-8")
     )
+
+
+def items_payload(records: Sequence[MigratedItem]) -> bytes:
+    """The key-value block of ``records``: a ``batch_import`` body and a
+    ``mig_export`` reply's payload alike, byte for byte."""
+    pairs = [flags_and_payload(record.value) for record in records]
+    return pack_block(
+        [record.key for record in records],
+        [record.last_access for record in records],
+        [len(value) for _, value in pairs],
+        [flags for flags, _ in pairs],
+        [value for _, value in pairs],
+    )
+
+
+def _block_reply(token: bytes, rows: int, payload: bytes) -> bytes:
+    return b"%b %d %d\r\n%b\r\n" % (token, rows, len(payload), payload) + END
 
 
 def ts_reply(
     keys: Sequence[str], stamps: Sequence[float], sizes: Sequence[int]
 ) -> bytes:
-    """A whole ``ts_dump`` reply: one ``TS <rows> <bytes>`` block, then
-    ``END``.  The payload packs the rows column by column: ``rows``
-    little-endian float64 stamps, ``rows`` little-endian int64 sizes,
-    then the keys in UTF-8 joined by single spaces (a wire key holds
-    none)."""
-    rows = len(keys)
-    payload = struct.pack(f"<{rows}d{rows}q", *stamps, *sizes) + " ".join(
-        keys
-    ).encode("utf-8")
-    return b"TS %d %d\r\n%b\r\n" % (rows, len(payload), payload) + END
+    """A whole ``ts_dump`` reply: one ``TS <rows> <bytes>`` block of
+    stamps, sizes and keys (:func:`pack_block`), then ``END``."""
+    return _block_reply(b"TS", len(keys), pack_block(keys, stamps, sizes))
+
+
+def items_reply(records: Sequence[MigratedItem]) -> bytes:
+    """A whole ``mig_export`` reply: one ``ITEMS <rows> <bytes>``
+    key-value block (:func:`items_payload`), then ``END``."""
+    return _block_reply(b"ITEMS", len(records), items_payload(records))
 
 
 def stats_reply(rows: Iterable[tuple[str, object]]) -> bytes:
@@ -284,63 +310,90 @@ def _reject(line: bytes) -> Request:
     return None, [], line, None
 
 
-class RequestFramer:
+class _Unread:
+    """The unconsumed bytes an incremental framer keeps between feeds.
+    While an awaited payload is short, chunks are collected and joined
+    once it is complete: a payload fed in *n* chunks is not copied *n*
+    times."""
+
+    __slots__ = ("unread", "_need", "_pieces", "_short")
+
+    def __init__(self) -> None:
+        # Bytes received but not consumed: the tail of a partial
+        # request or reply, or -- after the last reply -- bytes nobody
+        # asked for.
+        self.unread = b""
+        self._need: int | None = None  # payload bytes awaited; None: a line
+        self._pieces: list[bytes] = []  # chunks fed since `unread`
+        self._short = 0  # bytes the awaited payload and its CRLF still lack
+
+    def _gather(self, data: bytes) -> bytes | None:
+        """The unconsumed bytes followed by ``data``; ``None`` while the
+        awaited payload is still short."""
+        if self._short > 0:
+            self._pieces.append(data)
+            self._short -= len(data)
+            if self._short > 0:
+                return None
+            data = b"".join(self._pieces)
+            self._pieces = []
+        return self.unread + data if self.unread else data
+
+    def _hold(self, buf: bytes, pos: int, need: int | None) -> None:
+        """Keep ``buf[pos:]``; from ``pos`` on a payload of ``need``
+        bytes is awaited, or a line when ``need`` is ``None``."""
+        self.unread = buf[pos:]
+        self._need = need
+        if need is not None:
+            self._short = need + 2 - len(self.unread)
+
+
+class RequestFramer(_Unread):
     """Incremental request parser shared by both listeners.
 
     :meth:`feed` accepts arbitrary byte chunks and returns the requests
     they complete, holding partial lines and partial bodies until more
-    bytes arrive.  ``body`` is ``None``, the payload bytes, the list of
-    :class:`~repro.memcached.node.MigratedItem` records of a
-    ``batch_import`` or the key list of a ``mig_export``.  A ``trace``
-    frame attaches its context to the next request only.  After an
-    over-long line or ``quit`` the framer is :attr:`closed`: the
-    listener answers what was returned and drops the connection.
+    bytes arrive.  Every body is one sized payload: ``body`` is ``None``
+    or the payload bytes -- a stored value, a ``batch_import`` block
+    (:func:`read_block` decodes it) or the space-joined keys of a
+    ``mig_export``.  A ``trace`` frame attaches its context to the next
+    request only.  After an over-long line or ``quit`` the framer is
+    :attr:`closed`: the listener answers what was returned and drops the
+    connection.
     """
 
-    __slots__ = (
-        "closed", "_buf", "_trace", "_head", "_kind", "_need", "_left",
-        "_rows", "_item",
-    )
+    __slots__ = ("closed", "_trace", "_head")
 
     def __init__(self) -> None:
+        super().__init__()
         self.closed = False
-        self._buf = b""
         # Context announced by a `trace` frame, consumed by the next line.
         self._trace: TraceContext | None = None
-        # (verb, args, ctx) and body rule of the command whose body is
-        # being read; the rule is "" between commands.
+        # (verb, args, ctx) of the command whose payload is being read.
         self._head: tuple[str, list[str], TraceContext | None] = ("", [], None)
-        self._kind = ""
-        self._need = -1  # payload bytes awaited; -1 when reading a line
-        self._left = 0  # key lines / item blocks still to start
-        self._rows: list[Any] = []  # keys or records read so far
-        # (key, last_access, flags) of the item whose payload is awaited.
-        self._item: tuple[str, float, int] = ("", 0.0, 0)
 
     def feed(self, data: bytes) -> list[Request]:
         """Consume ``data``; return the requests it completes, in order."""
         out: list[Request] = []
         if self.closed:
             return out
-        buf = self._buf + data if self._buf else data
-        pos = 0
+        buf = self._gather(data) if self.unread or self._short > 0 else data
+        if buf is None:
+            return out
+        pos, need = 0, self._need
         while True:
-            if self._need >= 0:
-                end = pos + self._need
+            if need is not None:
+                end = pos + need
                 if len(buf) < end + 2:
                     break
                 payload = buf[pos:end]
                 pos = end + 2
-                self._need = -1
+                need = None
                 if buf[end:pos] != CRLF:
-                    self._kind = ""
                     out.append(_reject(BAD_CHUNK))
-                elif self._kind == PAYLOAD:
-                    self._kind = ""
+                else:
                     verb, args, ctx = self._head
                     out.append((verb, args, payload, ctx))
-                else:
-                    self._item_payload(payload, out)
                 continue
             end = buf.find(CRLF, pos)
             if end < 0:
@@ -353,12 +406,6 @@ class RequestFramer:
                 break
             line = buf[pos:end].decode("utf-8", "replace")
             pos = end + 2
-            if self._kind:
-                if self._kind == KEY_LINES:
-                    self._key_line(line, out)
-                else:
-                    self._item_header(line, out)
-                continue
             args = line.split()
             # The context announced by a preceding `trace` frame applies
             # to exactly one line, whatever that line turns out to be.
@@ -373,7 +420,7 @@ class RequestFramer:
             elif not command.min_args <= len(args) <= command.max_args:
                 out.append(_reject(command.arity_error))
             elif command.body:
-                self._open_body(verb, args, ctx, command, out)
+                need = self._open_body(verb, args, ctx, command, out)
             elif command.reply != NONE:
                 out.append((verb, args, None, ctx))
             elif verb == "quit":
@@ -383,18 +430,12 @@ class RequestFramer:
                 self._trace = parse_trace_args(args)
                 if self._trace is None:
                     out.append(_reject(BAD_TRACE))
-        self._buf = b"" if self.closed else buf[pos:]
+        self._hold(buf, len(buf) if self.closed else pos, need)
         return out
 
     def _too_long(self, out: list[Request]) -> None:
         out.append(_reject(LINE_TOO_LONG))
         self.closed = True
-
-    def _finish_rows(self, out: list[Request]) -> None:
-        verb, args, ctx = self._head
-        rows, self._rows = self._rows, []  # an idle connection keeps no batch
-        self._kind = ""
-        out.append((verb, args, rows, ctx))
 
     def _open_body(
         self,
@@ -403,80 +444,23 @@ class RequestFramer:
         ctx: TraceContext | None,
         command: Command,
         out: list[Request],
-    ) -> None:
-        """Start reading the body a storage/import/export line announces."""
-        kind = command.body
-        if kind == ITEM_BLOCKS and args[0] not in IMPORT_MODES:
-            out.append(_reject(UNKNOWN_MODE))
-            return
+    ) -> int | None:
+        """The payload size a command line announces, or ``None`` (and
+        the error line) when the line is refused before its payload."""
         try:
             size = int(args[command.body_at])
         except ValueError:
             out.append(_reject(BAD_FORMAT))
-            return
-        if kind == PAYLOAD:
-            if size < 0:
-                out.append(_reject(BAD_CHUNK))
-                return
-            if len(args[0]) > MAX_KEY_LENGTH:
-                out.append(_reject(KEY_TOO_LONG))
-                return
-            self._need = size
-        elif size < 0:
-            out.append(_reject(BAD_FORMAT))
-            return
-        elif size == 0:
-            out.append((verb, args, [], ctx))
-            return
-        else:
-            self._left = size
-            self._rows = []
+            return None
+        if size < 0:
+            out.append(_reject(BAD_CHUNK))
+            return None
+        # A storage command's key; an import mode or a size is shorter.
+        if len(args[0]) > MAX_KEY_LENGTH:
+            out.append(_reject(KEY_TOO_LONG))
+            return None
         self._head = (verb, args, ctx)
-        self._kind = kind
-
-    def _item_payload(self, payload: bytes, out: list[Request]) -> None:
-        key, last_access, flags = self._item
-        self._rows.append(
-            MigratedItem(
-                key=key,
-                value=(flags, payload),
-                value_size=len(payload),
-                last_access=last_access,
-            )
-        )
-        if self._left == 0:
-            self._finish_rows(out)
-
-    def _item_header(self, line: str, out: list[Request]) -> None:
-        """One ``<key> <last_access> <size> [flags]`` import header."""
-        parts = line.split()
-        try:
-            if len(parts) not in (3, 4) or len(parts[0]) > MAX_KEY_LENGTH:
-                raise ValueError(line)
-            last_access = float(parts[1])
-            size = int(parts[2])
-            flags = int(parts[3]) if len(parts) == 4 else 0
-            if size < 0:
-                raise ValueError(line)
-        except ValueError:
-            self._kind = ""
-            out.append(_reject(BAD_ITEM_HEADER))
-            return
-        self._left -= 1
-        self._item = (parts[0], last_access, flags)
-        self._need = size
-
-    def _key_line(self, line: str, out: list[Request]) -> None:
-        """One requested key of an in-flight ``mig_export``."""
-        key = line.strip()
-        if not key or " " in key or len(key) > MAX_KEY_LENGTH:
-            self._kind = ""
-            out.append(_reject(BAD_EXPORT_KEY))
-            return
-        self._rows.append(key)
-        self._left -= 1
-        if self._left == 0:
-            self._finish_rows(out)
+        return size
 
 
 # ---------------------------------------------------------------------------
@@ -524,55 +508,94 @@ def _parse_values() -> ReplyParser:
         values[key] = (flags, (yield int(parts[size_at])))
 
 
-def _parse_ts() -> ReplyParser:
-    """One packed ``TS`` block and ``END`` ->
-    ``[(key, last_access, size)]`` (see :func:`ts_reply`)."""
-    token, width, size_at = BLOCKS[TS]
+class Columns(NamedTuple):
+    """One packed block (:func:`pack_block`), validated and split."""
+
+    keys: list[str]
+    stamps: tuple[float, ...]
+    sizes: tuple[int, ...]
+    flags: tuple[int, ...]  # empty in a ``ts_dump`` block
+    payload: bytes
+    values_at: int  # offset of the first value in ``payload``
+
+    def items(self) -> Iterable[MigratedItem]:
+        """The records of a key-value block, each built -- its value
+        copied out of the payload -- only when it is asked for."""
+        at = self.values_at
+        for key, stamp, size, flags in zip(
+            self.keys, self.stamps, self.sizes, self.flags
+        ):
+            yield MigratedItem(key, (flags, self.payload[at : at + size]), size, stamp)
+            at += size
+
+
+_INNER_SPACE = re.compile(r"[^\S ]")  # whitespace other than the separator
+
+
+def read_keys(data: bytes) -> list[str]:
+    """Keys joined by single spaces: a ``mig_export`` body, or the last
+    column of a packed block.  A key that is empty, over-long, not UTF-8
+    or holds whitespace (no command line could name it) raises
+    :class:`~repro.errors.WireProtocolError`."""
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise WireProtocolError(f"keys are not UTF-8: {exc}") from exc
+    keys = text.split(" ") if text else []
+    if keys and (
+        "" in keys
+        or max(map(len, keys)) > MAX_KEY_LENGTH
+        or _INNER_SPACE.search(text)
+    ):
+        raise WireProtocolError("an empty, over-long or whitespace-holding key")
+    return keys
+
+
+def read_block(rows: int, payload: bytes, values: bool = False) -> Columns:
+    """The one reader of a packed block: ``payload`` holding ``rows``
+    rows, with flags and values when ``values`` is set.  A row count
+    that disagrees with the byte length (values included), a negative
+    size and a bad key (:func:`read_keys`) raise
+    :class:`~repro.errors.WireProtocolError`."""
+    flagged = rows if values else 0
+    fixed = 16 * rows + 4 * flagged
+    if rows < 0 or len(payload) < fixed:
+        raise WireProtocolError(f"{len(payload)} bytes cannot hold {rows} rows")
+    columns = struct.unpack_from(f"<{rows}d{rows}q{flagged}I", payload)
+    sizes = columns[rows : 2 * rows]
+    if rows and min(sizes) < 0:
+        raise WireProtocolError("a negative size")
+    keys = read_keys(payload[fixed + sum(sizes) if values else fixed :])
+    if len(keys) != rows:
+        raise WireProtocolError(f"{len(keys)} keys in a block of {rows} rows")
+    return Columns(keys, columns[:rows], sizes, columns[2 * rows :], payload, fixed)
+
+
+def _parse_block(framing: str) -> Generator[int | None, bytes, Columns]:
+    """One packed block and ``END`` -> its columns."""
+    token, width, size_at = BLOCKS[framing]
     line = yield _LINE
     parts = line.split()
     if len(parts) != width or parts[0] != token:
-        raise _unexpected(line, "ts_dump header")
+        raise _unexpected(line, f"{framing} header")
     rows = int(parts[1])
     payload = yield int(parts[size_at])
     line = yield _LINE
     if line != b"END":
-        raise _unexpected(line, "line after the ts_dump block")
-    fixed = 16 * rows
-    keys: list[str] = []
-    if rows > 0 and len(payload) > fixed:
-        try:
-            keys = payload[fixed:].decode("utf-8").split(" ")
-        except UnicodeDecodeError as exc:
-            raise WireProtocolError(f"ts_dump keys are not UTF-8: {exc}") from exc
-    if len(keys) != rows or "" in keys or (rows == 0 and payload):
-        raise WireProtocolError(
-            f"ts_dump block of {len(payload)} bytes does not hold {rows} rows"
-        )
-    columns = struct.unpack_from(f"<{rows}d{rows}q", payload)
-    return list(zip(keys, columns[:rows], columns[rows:]))
+        raise _unexpected(line, f"line after the {framing} block")
+    return read_block(rows, payload, values=framing == ITEMS)
 
 
-def _parse_items() -> ReplyParser:
-    """Item blocks until ``END`` -> migrated KV records."""
-    token, width, size_at = BLOCKS[ITEMS]
-    records: list[MigratedItem] = []
-    while True:
-        line = yield _LINE
-        if line == b"END":
-            return records
-        parts = line.split()
-        if len(parts) != width or parts[0] != token:
-            raise _unexpected(line, "export line")
-        key, flags = parts[1].decode("utf-8"), int(parts[2])
-        last_access, size = float(parts[3]), int(parts[size_at])
-        records.append(
-            MigratedItem(
-                key=key,
-                value=(flags, (yield size)),
-                value_size=size,
-                last_access=last_access,
-            )
-        )
+def _parse_ts() -> ReplyParser:
+    """A ``ts_dump`` block -> ``[(key, last_access, size)]``."""
+    block = yield from _parse_block(TS)
+    return list(zip(block.keys, block.stamps, block.sizes))
+
+
+def _parse_export() -> ReplyParser:
+    """A ``mig_export`` block -> migrated KV records."""
+    block = yield from _parse_block(ITEMS)
+    return list(block.items())
 
 
 def _parse_stats() -> ReplyParser:
@@ -615,7 +638,7 @@ REPLY_PARSERS: dict[str, Callable[[], ReplyParser]] = {
     LINE: _parse_line,
     VALUES: _parse_values,
     TS: _parse_ts,
-    ITEMS: _parse_items,
+    ITEMS: _parse_export,
     STATS: _parse_stats,
     SNIFFED: _parse_sniffed,
 }
@@ -623,7 +646,7 @@ REPLY_PARSERS: dict[str, Callable[[], ReplyParser]] = {
 :data:`SNIFFED` for commands sent outside the table."""
 
 
-class ReplyFramer:
+class ReplyFramer(_Unread):
     """Incremental reply parser: the client-side mirror of
     :class:`RequestFramer`.
 
@@ -638,24 +661,14 @@ class ReplyFramer:
     again.
     """
 
-    __slots__ = (
-        "results", "unread", "_framings", "_parser", "_need", "_searched",
-        "_pieces", "_short",
-    )
+    __slots__ = ("results", "_framings", "_parser", "_searched")
 
     def __init__(self) -> None:
+        super().__init__()
         self.results: list[Any] = []
-        # Bytes received but not consumed: the tail of a partial reply,
-        # or -- after the last reply -- bytes nobody asked for.
-        self.unread = b""
         self._framings: Sequence[str] = ()
         self._parser: ReplyParser | None = None
-        self._need: int | None = _LINE  # what the running parser asked for
         self._searched = 0  # leading bytes of `unread` known to hold no CRLF
-        # Chunks fed since `unread` while the awaited payload is still
-        # `_short` bytes short: joined once it is complete, not per chunk.
-        self._pieces: list[bytes] = []
-        self._short = 0
 
     def expect(self, framings: Sequence[str]) -> None:
         """Start a round trip whose replies arrive framed as ``framings``."""
@@ -678,14 +691,9 @@ class ReplyFramer:
         Only meaningful while a round trip is outstanding: fed after its
         last reply, bytes just pile up in :attr:`unread`.
         """
-        if self._short > 0:
-            self._pieces.append(data)
-            self._short -= len(data)
-            if self._short > 0:
-                return None
-            data = b"".join(self._pieces)
-            self._pieces = []
-        buf = self.unread + data if self.unread else data
+        buf = self._gather(data) if self.unread or self._short > 0 else data
+        if buf is None:
+            return None
         parser, need = self._parser, self._need
         pos, search = 0, self._searched
         try:
@@ -714,8 +722,6 @@ class ReplyFramer:
                 pos = search = end + 2
         except ValueError as exc:  # a size, flag or timestamp that is no number
             raise WireProtocolError(f"malformed reply: {exc}") from exc
-        self.unread = buf[pos:]
-        self._parser, self._need, self._searched = parser, need, search - pos
-        if parser is not None and need is not None:
-            self._short = need + 2 - len(self.unread)
+        self._hold(buf, pos, need)
+        self._parser, self._searched = parser, search - pos
         return self.results if parser is None else None

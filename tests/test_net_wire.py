@@ -31,7 +31,8 @@ from repro.net.client import NodeClient
 from repro.net.server import LiveClusterHarness
 from repro.net.runtime import EventLoopThread
 from repro.obs import create_telemetry
-from repro.wire import TS, ReplyFramer
+from repro.wire import ITEMS, TS, ReplyFramer
+from tests.test_protocol_fuzz import packed_block
 
 
 class Clock:
@@ -158,29 +159,32 @@ class TestMigrationFraming:
         ]
 
     def test_mig_export_fragmented_keys(self, server, clock):
-        """Key lines of an in-flight mig_export may arrive split."""
+        """The key body of a mig_export may arrive split."""
         self.seed(server, clock)
-        wire = b"mig_export 2\r\nkey-1\r\nkey-3\r\n"
+        wire = b"mig_export 11\r\nkey-1 key-3\r\n"
         out = feed_in_chunks(server, wire, 3)
-        assert out == (
-            b"ITEM key-1 1 1.0 16\r\n" + b"x" * 16 + b"\r\n"
-            b"ITEM key-3 3 3.0 16\r\n" + b"x" * 16 + b"\r\n"
-            b"END\r\n"
+        block = packed_block(
+            [("key-1", 1.0, 1, b"x" * 16), ("key-3", 3.0, 3, b"x" * 16)]
         )
+        assert out == b"ITEMS 2 %d\r\n%b\r\nEND\r\n" % (len(block), block)
+        framer = ReplyFramer()
+        framer.expect([ITEMS])
+        assert framer.feed(out) == [[
+            MigratedItem("key-1", (1, b"x" * 16), 16, 1.0),
+            MigratedItem("key-3", (3, b"x" * 16), 16, 3.0),
+        ]]
 
     def test_mig_export_skips_missing_keys(self, server, clock):
         self.seed(server, clock)
-        out = server.feed(b"mig_export 2\r\nghost\r\nkey-0\r\n")
-        assert out.startswith(b"ITEM key-0 ")
+        out = server.feed(b"mig_export 11\r\nghost key-0\r\n")
+        block = packed_block([("key-0", 0.0, 0, b"x" * 16)])
+        assert out == b"ITEMS 1 %d\r\n%b\r\nEND\r\n" % (len(block), block)
         assert b"ghost" not in out
 
     def test_batch_import_fragmented_payload(self, server, clock):
         clock.now = 9.0
-        wire = (
-            b"batch_import merge 2\r\n"
-            b"alpha 1.5 4 11\r\nAAAA\r\n"
-            b"beta 2.5 4 0\r\nBBBB\r\n"
-        )
+        block = packed_block([("alpha", 1.5, 11, b"AAAA"), ("beta", 2.5, 0, b"BBBB")])
+        wire = b"batch_import merge 2 %d\r\n%b\r\n" % (len(block), block)
         out = feed_in_chunks(server, wire, 5)
         assert out == b"IMPORTED 2\r\n"
         assert server.feed(b"get alpha\r\n") == (
@@ -190,20 +194,17 @@ class TestMigrationFraming:
     def test_flags_survive_export_import_hop(self, node, server, clock):
         """flags set on the source come back out of the destination."""
         self.seed(server, clock)
-        exported = server.feed(b"mig_export 1\r\nkey-2\r\n")
-        assert exported.startswith(b"ITEM key-2 2 2.0 16\r\n")
+        exported = server.feed(b"mig_export 5\r\nkey-2\r\n")
+        block = packed_block([("key-2", 2.0, 2, b"x" * 16)])
+        assert exported == b"ITEMS 1 %d\r\n%b\r\nEND\r\n" % (len(block), block)
         dst = TextProtocolServer(
             MemcachedNode("dst", 8 * PAGE_SIZE), clock
         )
-        # Re-frame the export as a batch_import, as LiveCluster does.
-        header = exported.splitlines()[0].split()
-        _, key, flags, last_access, size = header
-        import_wire = (
-            b"batch_import merge 1\r\n"
-            + b" ".join([key, last_access, size, flags])
-            + b"\r\n"
-            + b"x" * 16
-            + b"\r\n"
+        # The export's block is a batch_import body as it stands.
+        header, rest = exported.split(b"\r\n", 1)
+        _, rows, size = header.split()
+        import_wire = b"batch_import merge %b %b\r\n%b" % (
+            rows, size, rest[: -len(b"END\r\n")]
         )
         assert dst.feed(import_wire) == b"IMPORTED 1\r\n"
         assert dst.feed(b"get key-2\r\n") == (
@@ -214,9 +215,10 @@ class TestMigrationFraming:
         """merge-mode installs keep the shipped last_access, which is
         what makes socket and in-process migrations byte-identical."""
         clock.now = 500.0
-        server.feed(
-            b"batch_import merge 1\r\nold 12.25 3 0\r\nabc\r\n"
-        )
+        block = packed_block([("old", 12.25, 0, b"abc")])
+        assert server.feed(
+            b"batch_import merge 1 %d\r\n%b\r\n" % (len(block), block)
+        ) == b"IMPORTED 1\r\n"
         # One row: float64 12.25, int64 3, then the key, little-endian.
         assert server.feed(b"ts_dump 0\r\n") == (
             b"TS 1 19\r\n"
@@ -226,12 +228,12 @@ class TestMigrationFraming:
         )
 
     def test_duplicate_import_keys_rejected(self, server):
+        block = packed_block([("dup", 1.0, 0, b"A"), ("dup", 2.0, 0, b"B")])
         out = server.feed(
-            b"batch_import merge 2\r\n"
-            b"dup 1.0 1 0\r\nA\r\n"
-            b"dup 2.0 1 0\r\nB\r\n"
+            b"batch_import merge 2 %d\r\n%b\r\nversion\r\n" % (len(block), block)
         )
-        assert out.startswith(b"CLIENT_ERROR duplicate key")
+        assert out.startswith(b"CLIENT_ERROR duplicate key in batch: dup\r\nVERSION ")
+        assert len(server.node) == 0
 
 
 # ----------------------------------------------------------------------

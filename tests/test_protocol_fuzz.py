@@ -4,6 +4,8 @@ Random byte chunking and random command streams must never crash the
 server, and every complete command must elicit a well-formed response.
 """
 
+import struct
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -52,8 +54,9 @@ command_lines = st.one_of(
     st.builds(lambda k, t: f"touch {k} {t}", keys, st.integers(0, 50)),
     st.builds(lambda c: f"ts_dump {c}", st.integers(-2, 60)),
     st.builds(
-        lambda m, c: f"batch_import {m} {c}",
+        lambda m, r, c: f"batch_import {m} {r} {c}",
         st.sampled_from(["merge", "prepend", "fresh", "bogus"]),
+        st.integers(-1, 3),
         st.integers(-1, 3),
     ),
     st.just("stats"),
@@ -123,13 +126,28 @@ def test_responses_start_with_known_tokens(lines):
 # ---------------------------------------------------------------------------
 
 
+def packed_block(rows) -> bytes:
+    """A key-value block packed by hand from ``(key, last_access, flags,
+    value)`` rows: float64 stamps, int64 sizes, uint32 flags, the values
+    concatenated, then the keys joined by spaces."""
+    count = len(rows)
+    return (
+        struct.pack(
+            f"<{count}d{count}q{count}I",
+            *(last_access for _, last_access, _, _ in rows),
+            *(len(value) for _, _, _, value in rows),
+            *(flags for _, _, flags, _ in rows),
+        )
+        + b"".join(value for _, _, _, value in rows)
+        + " ".join(key for key, _, _, _ in rows).encode()
+    )
+
+
 def import_wire(mode: str, records) -> bytes:
-    """Encode a batch_import exchange: header line + per-record frames."""
-    wire = f"batch_import {mode} {len(records)}".encode() + b"\r\n"
-    for key, last_access, payload in records:
-        wire += f"{key} {last_access} {len(payload)}".encode() + b"\r\n"
-        wire += payload + b"\r\n"
-    return wire
+    """A ``batch_import`` request of ``(key, last_access, payload)``
+    records: the command line, then one packed block and its CRLF."""
+    block = packed_block([(key, stamp, 0, payload) for key, stamp, payload in records])
+    return f"batch_import {mode} {len(records)} {len(block)}\r\n".encode() + block + b"\r\n"
 
 
 import_records = st.lists(
@@ -175,37 +193,53 @@ def test_batch_import_duplicate_keys_rejected_atomically(records):
 
 def test_batch_import_empty_batch():
     server = make_server()
-    assert server.execute("batch_import merge 0") == b"IMPORTED 0\r\n"
+    assert server.feed(import_wire("merge", [])) == b"IMPORTED 0\r\n"
+    assert server.feed(b"batch_import merge 0 0\r\n\r\n") == b"IMPORTED 0\r\n"
     assert len(server.node) == 0
 
 
 def test_batch_import_rejects_bad_mode_and_count():
     server = make_server()
-    assert b"CLIENT_ERROR" in server.execute("batch_import sideways 2")
-    assert b"CLIENT_ERROR" in server.execute("batch_import merge -3")
-    assert b"CLIENT_ERROR" in server.execute("batch_import merge many")
-    assert b"CLIENT_ERROR" in server.execute("batch_import merge")
-    # None of the malformed headers left the parser in import mode.
+    block = import_wire("merge", [("a", 1.0, b"x")]).split(b"\r\n", 1)[1]
+    size = len(block) - 2
+    # A bad mode or row count is answered once its block is read, so the
+    # connection stays in step.
+    for line, error in [
+        (f"batch_import sideways 1 {size}", b"CLIENT_ERROR unknown import mode"),
+        (f"batch_import merge -3 {size}", b"CLIENT_ERROR bad data block"),
+        (f"batch_import merge many {size}", b"CLIENT_ERROR bad data block"),
+        (f"batch_import merge 2 {size}", b"CLIENT_ERROR bad data block"),
+    ]:
+        out = server.feed(line.encode() + b"\r\n" + block + b"version\r\n")
+        assert out.startswith(error + b"\r\nVERSION "), (line, out)
+    # A bad size or arity is refused before any body is read.
+    assert b"CLIENT_ERROR" in server.execute("batch_import merge 1 -3")
+    assert b"CLIENT_ERROR" in server.execute("batch_import merge 1 many")
+    assert b"CLIENT_ERROR" in server.execute("batch_import merge 1")
     assert server.execute("version").startswith(b"VERSION")
+    assert len(server.node) == 0
 
 
 @given(st.integers(-5, -1))
 @settings(max_examples=20, deadline=None)
 def test_batch_import_malformed_item_size_aborts(bad_size):
     server = make_server()
-    wire = b"batch_import merge 2\r\n"
-    wire += f"alpha 1.0 {bad_size}".encode() + b"\r\n"
-    out = server.feed(wire)
-    assert b"CLIENT_ERROR bad item header" in out
+    wire = import_wire("merge", [("alpha", 1.0, b"abcd"), ("beta", 2.0, b"")])
+    # The second row's int64 size, after the two float64 stamps and the
+    # first size.
+    at = wire.index(b"\r\n") + 2 + 24
+    wire = wire[:at] + struct.pack("<q", bad_size) + wire[at + 8 :]
+    out = server.feed(wire + b"version\r\n")
+    assert out.startswith(b"CLIENT_ERROR bad data block\r\nVERSION ")
     assert len(server.node) == 0
     assert server.execute("version").startswith(b"VERSION")
 
 
 def test_batch_import_bad_data_trailer_aborts():
     server = make_server()
-    wire = b"batch_import merge 1\r\n" + b"alpha 1.0 4\r\n" + b"abcdXY"
-    out = server.feed(wire)
-    assert b"CLIENT_ERROR bad data chunk" in out
+    wire = import_wire("merge", [("alpha", 1.0, b"abcd")])[:-2] + b"XY"
+    out = server.feed(wire + b"version\r\n")
+    assert out.startswith(b"CLIENT_ERROR bad data chunk\r\nVERSION ")
     assert len(server.node) == 0
 
 
@@ -246,10 +280,9 @@ hex_ids = st.text(alphabet="0123456789abcdef", min_size=1, max_size=32)
 span_ids = st.text(alphabet="0123456789abcdef", min_size=1, max_size=16)
 
 
-# batch_import opens a multi-line exchange whose continuation lines are
-# data, not commands -- a trace frame is only recognised at command
-# position, so the transparency property holds per *command*, not per
-# wire line.
+# A batch_import line announces a body that follows it -- a trace frame
+# is only recognised at command position, so the transparency property
+# holds per *command*, not per wire line.
 single_line_commands = command_lines.filter(
     lambda line: not line.startswith("batch_import")
 )

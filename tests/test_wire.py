@@ -23,7 +23,7 @@ import pytest
 from repro import wire
 from repro.errors import WireProtocolError
 from repro.hashing.ketama import ConsistentHashRing
-from repro.memcached.node import MigratedItem
+from repro.memcached.node import MemcachedNode, MigratedItem
 from repro.memcached.protocol import TextProtocolServer
 from repro.memcached.slab import PAGE_SIZE
 from repro.net.client import NodeClient
@@ -88,33 +88,47 @@ def test_max_line_covers_the_longest_line_the_client_emits():
         line = wire.encode_request(verb, keys)
         assert len(line) - len(wire.CRLF) <= MAX_LINE
     assert len(wire.encode_request("gets", keys)) - len(wire.CRLF) == MAX_LINE
-    record = MigratedItem("k" * MAX_KEY_LENGTH, (2**32, b""), 0, 1e300 / 3)
-    header = wire.encode_request("batch_import", ["merge"], [record])
-    assert max(map(len, header.split(wire.CRLF))) <= MAX_LINE
+    # Migration rows travel inside one sized payload, never as lines: a
+    # full batch of the widest rows is one short command line and its body.
+    records = [
+        MigratedItem("k" * MAX_KEY_LENGTH, (2**32 - 1, b""), 0, 1e300 / 3)
+    ] * wire.IMPORT_BATCH_RECORDS
+    export_keys = " ".join(["k" * MAX_KEY_LENGTH] * wire.EXPORT_BATCH_KEYS)
+    for verb, args, body in [
+        ("batch_import", ["merge", f"{len(records)}"], wire.items_payload(records)),
+        ("mig_export", [], export_keys.encode()),
+    ]:
+        line, rest = wire.encode_request(verb, args, body).split(wire.CRLF, 1)
+        assert len(line) <= MAX_LINE
+        assert rest == body + wire.CRLF
 
 
-def sample_request(verb: str) -> tuple[list[str], object]:
-    """Arguments (size/count excluded) and body of a well-formed call."""
+SAMPLE_RECORDS = [
+    MigratedItem("a", (3, b"xy"), 2, 1.5),
+    MigratedItem("b", (0, b""), 0, 2.5),
+]
+
+
+def sample_request(verb: str) -> tuple[list[str], bytes | None]:
+    """Arguments (payload size excluded) and body of a well-formed call."""
+    if verb == "batch_import":
+        return ["merge", "2"], wire.items_payload(SAMPLE_RECORDS)
+    if verb == "mig_export":
+        return [], b"a b"
     command = COMMANDS[verb]
-    body = {
-        "": None,
-        wire.PAYLOAD: b"pay\r\nload",
-        wire.KEY_LINES: ["a", "b"],
-        wire.ITEM_BLOCKS: [
-            MigratedItem("a", (3, b"xy"), 2, 1.5),
-            MigratedItem("b", (0, b""), 0, 2.5),
-        ],
-    }[command.body]
     count = command.min_args - (1 if command.body else 0)
-    args = ["merge" if verb == "batch_import" else "7"] * count
-    return args, body
+    return ["7"] * count, b"pay\r\nload" if command.body else None
+
+
+def test_every_request_body_is_one_sized_payload():
+    assert {command.body for command in COMMANDS.values()} == {"", wire.PAYLOAD}
 
 
 @pytest.mark.parametrize("verb", sorted(ANSWERED))
 @pytest.mark.parametrize("chunk", [1, 7, 1 << 20])
 def test_client_encoder_and_server_framer_agree(verb, chunk):
     args, body = sample_request(verb)
-    data = wire.encode_request(verb, args, body)
+    data = wire.encode_request(verb, args, body or b"")
     framer = RequestFramer()
     requests = []
     for start in range(0, len(data), chunk):
@@ -216,7 +230,7 @@ def converse(endpoint: tuple[str, int], data: bytes, chunk: int) -> bytes:
 LONG_KEY = b"k" * (MAX_KEY_LENGTH + 1)
 
 # (id, request bytes with {k} standing for a key unique to the run,
-#  expected reply or None when only parity is asserted)
+#  expected reply -- {k} alike -- or None when only parity is asserted)
 EDGE_REQUESTS = [
     ("get-no-key", b"get\r\n", b"ERROR\r\n"),
     ("gets-no-key", b"gets\r\n", b"ERROR\r\n"),
@@ -234,6 +248,21 @@ EDGE_REQUESTS = [
     ("set-bad-size", b"set {k} 0 0 abc\r\n", wire.BAD_FORMAT),
     ("set-bad-flags", b"set {k} x 0 1\r\nv\r\nget {k}\r\n", None),
     ("set-bad-exptime", b"set {k} 0 y 1\r\nv\r\nget {k}\r\n", None),
+    (
+        "set-negative-flags",
+        b"set {k} -1 0 1\r\nv\r\nget {k}\r\n",
+        wire.BAD_FORMAT + wire.END,
+    ),
+    (
+        "set-flags-2-to-the-32",
+        b"set {k} 4294967296 0 1\r\nv\r\nget {k}\r\n",
+        wire.BAD_FORMAT + wire.END,
+    ),
+    (
+        "set-flags-2-to-the-32-minus-1",
+        b"set {k} 4294967295 0 1\r\nv\r\nget {k}\r\n",
+        b"STORED\r\nVALUE {k} 4294967295 1\r\nv\r\nEND\r\n",
+    ),
     ("set-bad-trailer", b"set {k} 0 0 1\r\nvXYget {k}\r\n", None),
     ("set-noreply-answered", b"set {k} 0 0 1 noreply\r\nv\r\n", b"STORED\r\n"),
     (
@@ -280,7 +309,7 @@ def test_node_and_proxy_answer_edge_requests_identically(
     assert converse(listeners["proxy"], data, chunk) == node_reply
     assert node_reply.endswith(wire.CRLF)
     if expected is not None:
-        assert node_reply == expected
+        assert node_reply == expected.replace(b"{k}", key)
 
 
 @pytest.mark.parametrize("verb", ["get", "gets"])
@@ -335,8 +364,9 @@ def test_execute_sniffs_every_reply_framing(loop):
             rb"VALUE k 7 5 \d+\r\nhello\r\nEND\r\n", execute("gets k")
         )
         assert re.fullmatch(
-            rb"ITEM k 7 [\d.]+ 5\r\nhello\r\nEND\r\n",
+            rb"ITEMS 1 26\r\n.{8}\x05\x00{7}\x07\x00{3}hellok\r\nEND\r\n",
             execute("mig_export 1", b"k"),
+            re.S,
         )
         dump = execute("ts_dump 0")
         assert re.fullmatch(rb"TS 1 17\r\n.{8}\x05\x00{7}k\r\nEND\r\n", dump, re.S)
@@ -431,11 +461,13 @@ def test_rejected_probe_releases_the_half_open_breaker(loop):
 # Reply codec: differential fuzz against the stream readers it replaced
 # ----------------------------------------------------------------------
 #
-# Reference implementation: the six asyncio-stream readers NodeClient
-# used before the reply half of the codec became sans-IO, verbatim but
-# for taking the StreamReader directly.  They let a non-numeric size
+# Reference implementation: the asyncio-stream readers NodeClient used
+# before the reply half of the codec became sans-IO, verbatim but for
+# taking the StreamReader directly -- except the one packed-block
+# reader, written by hand when `ts_dump` and `mig_export` replies became
+# packed blocks.  They let a non-numeric size or a non-UTF-8 key
 # (ValueError) or a short sniffed header (IndexError) escape as such;
-# the parsers report both as WireProtocolError, so `reference` below
+# the parsers report them as WireProtocolError, so `reference` below
 # counts the three alike.
 
 
@@ -475,51 +507,51 @@ async def _read_values(reader):
         values[key] = (flags, await _ref_payload(reader, size))
 
 
-async def _read_ts(reader):
-    token, width, size_at = wire.BLOCKS[wire.TS]
+async def _read_block(reader, framing: str):
+    """A packed ``TS``/``ITEMS`` block, read by hand: float64 stamps,
+    int64 sizes, then -- with values -- uint32 flags and the values, then
+    the space-joined keys.  Written after the blocks replaced per-row
+    text lines; a non-UTF-8 key escapes as ``UnicodeDecodeError``."""
+    values = framing == wire.ITEMS
     line = _ref_raise_on_error(await _ref_line(reader))
     parts = line.split()
-    if len(parts) != width or parts[0] != token:
-        raise WireProtocolError(f"unexpected ts_dump header: {line!r}")
+    if len(parts) != 3 or parts[0] != wire.BLOCKS[framing].token:
+        raise WireProtocolError(f"unexpected {framing} header: {line!r}")
     rows = int(parts[1])
-    payload = await _ref_payload(reader, int(parts[size_at]))
+    payload = await _ref_payload(reader, int(parts[2]))
     if await _ref_line(reader) != b"END":
-        raise WireProtocolError("ts_dump block without END")
-    keys = payload[16 * rows :].decode("utf-8").split(" ") if rows else []
-    if (
-        rows < 0 or len(payload) < 16 * rows or len(keys) != rows
-        or "" in keys or (rows == 0 and payload)
+        raise WireProtocolError(f"{framing} block without END")
+    fixed = (20 if values else 16) * rows
+    if rows < 0 or len(payload) < fixed:
+        raise WireProtocolError(f"{len(payload)} bytes for {rows} rows")
+    sizes = [struct.unpack_from("<q", payload, 8 * (rows + i))[0] for i in range(rows)]
+    if any(size < 0 for size in sizes):
+        raise WireProtocolError("negative size")
+    at = fixed + (sum(sizes) if values else 0)
+    text = payload[at:].decode("utf-8")
+    keys = text.split(" ") if text else []
+    if len(keys) != rows or any(
+        not 0 < len(key) <= MAX_KEY_LENGTH or len(key.split()) != 1 for key in keys
     ):
-        raise WireProtocolError(f"{len(payload)} bytes for {rows} ts_dump rows")
-    return [
-        (
-            key,
-            struct.unpack_from("<d", payload, 8 * i)[0],
-            struct.unpack_from("<q", payload, 8 * (rows + i))[0],
-        )
-        for i, key in enumerate(keys)
-    ]
+        raise WireProtocolError(f"{len(payload)} bytes for {rows} rows")
+    decoded, at = [], fixed
+    for i, (key, size) in enumerate(zip(keys, sizes)):
+        stamp = struct.unpack_from("<d", payload, 8 * i)[0]
+        if not values:
+            decoded.append((key, stamp, size))
+            continue
+        flags = struct.unpack_from("<I", payload, 16 * rows + 4 * i)[0]
+        decoded.append(MigratedItem(key, (flags, payload[at : at + size]), size, stamp))
+        at += size
+    return decoded
+
+
+async def _read_ts(reader):
+    return await _read_block(reader, wire.TS)
 
 
 async def _read_items(reader):
-    token, width, size_at = wire.BLOCKS[wire.ITEMS]
-    records = []
-    while True:
-        line = _ref_raise_on_error(await _ref_line(reader))
-        if line == b"END":
-            return records
-        parts = line.split()
-        if len(parts) != width or parts[0] != token:
-            raise WireProtocolError(f"unexpected export line: {line!r}")
-        size = int(parts[size_at])
-        records.append(
-            MigratedItem(
-                key=parts[1].decode("utf-8"),
-                value=(int(parts[2]), await _ref_payload(reader, size)),
-                value_size=size,
-                last_access=float(parts[3]),
-            )
-        )
+    return await _read_block(reader, wire.ITEMS)
 
 
 async def _read_stats(reader):
@@ -641,10 +673,10 @@ def random_reply(rng: random.Random) -> tuple[str, bytes]:
         dumped = [(key(), stamp(), rng.randrange(2000)) for _ in range(rows)]
         return kind, wire.ts_reply(*([row[i] for row in dumped] for i in range(3)))
     if kind == wire.ITEMS:
-        return kind, b"".join(
-            wire.item_block(MigratedItem(key(), (rng.randrange(9), payload()), 0, stamp()))
+        return kind, wire.items_reply([
+            MigratedItem(key(), (rng.choice([0, 7, 2**32 - 1]), payload()), 0, stamp())
             for _ in range(rows)
-        ) + wire.END
+        ])
     return kind, wire.stats_reply(
         (rng.choice(["curr_items", "a:b", "pid"]), rng.choice([0, 1.5, "x y z"]))
         for _ in range(rows)
@@ -657,7 +689,7 @@ def corrupt(rng: random.Random, reply: bytes) -> bytes:
     lines = reply.split(wire.CRLF)
     headers = [
         i for i, line in enumerate(lines)
-        if line.split(b" ", 1)[0] in (b"VALUE", b"TS", b"ITEM", b"STAT")
+        if line.split(b" ", 1)[0] in (b"VALUE", b"TS", b"ITEMS", b"STAT")
     ]
     if not headers:
         return reply
@@ -665,7 +697,9 @@ def corrupt(rng: random.Random, reply: bytes) -> bytes:
     parts = lines[at].split()
     how = rng.choice(["token", "short", "size", "negative", "trailer"])
     if how == "token":
-        parts[0] = rng.choice([b"VALUF", b"TS", b"ITEM", b"VALUE", b"STAT", b"value"])
+        parts[0] = rng.choice(
+            [b"VALUF", b"TS", b"ITEM", b"ITEMS", b"VALUE", b"STAT", b"value"]
+        )
     elif how == "short":
         parts.pop()
     elif how == "size":
@@ -778,35 +812,127 @@ def test_a_long_reply_in_small_chunks_is_scanned_once():
     assert len(reply) < CountedBytes.work < 6 * len(reply)
 
 
-def _packed(rows: int, payload: bytes) -> bytes:
-    return b"TS %d %d\r\n%b\r\nEND\r\n" % (rows, len(payload), payload)
+def test_a_long_request_in_small_chunks_is_scanned_once():
+    """A 1 MiB ``batch_import``, 64 bytes at a time: the request framer
+    keeps the chunks of the payload it awaits and joins them once (adding
+    each chunk to the ones before would cost ~8 000x its length)."""
+    records = [
+        MigratedItem(f"key-{i:04d}", (i, bytes([i % 251]) * 1024), 1024, float(i))
+        for i in range(1024)
+    ]
+    body = wire.items_payload(records)
+    request = wire.encode_request("batch_import", ["merge", "1024"], body)
+    request += b"version\r\n"
+    assert len(request) >= 1 << 20
+    framer = RequestFramer()
+    CountedBytes.work = 0
+    requests = []
+    for start in range(0, len(request), 64):
+        requests += framer.feed(CountedBytes(request[start : start + 64]))
+    assert requests == [
+        ("batch_import", ["merge", "1024", f"{len(body)}"], body, None),
+        ("version", [], None, None),
+    ]
+    assert len(request) < CountedBytes.work < 6 * len(request)
+
+
+def _packed(rows: int, payload: bytes, token: bytes = b"TS") -> bytes:
+    return b"%b %d %d\r\n%b\r\nEND\r\n" % (token, rows, len(payload), payload)
+
+
+def _items(rows: int, payload: bytes) -> bytes:
+    return _packed(rows, payload, b"ITEMS")
 
 
 TWO_ROWS = struct.pack("<2d2q", 1.5, 2.5, 3, 4)
+# Two key-value rows holding b"xyz" and b"w" (flags 7 and 0).
+TWO_ITEMS = struct.pack("<2d2q2I", 1.5, 2.5, 3, 1, 7, 0) + b"xyzw"
+LONG_KEY_TEXT = b"k" * (MAX_KEY_LENGTH + 1)
 
 
 @pytest.mark.parametrize(
-    "reply",
+    ("framing", "reply"),
     [
-        pytest.param(_packed(3, TWO_ROWS + b"a b"), id="more-rows-than-bytes"),
-        pytest.param(_packed(1, TWO_ROWS + b"a b"), id="fewer-rows-than-keys"),
-        pytest.param(_packed(0, TWO_ROWS + b"a b"), id="zero-rows-with-bytes"),
-        pytest.param(_packed(-1, b""), id="negative-rows"),
-        pytest.param(_packed(2, TWO_ROWS + b"a "), id="empty-key"),
-        pytest.param(_packed(2, TWO_ROWS + b"a \xff"), id="key-not-utf8"),
+        pytest.param(wire.TS, _packed(3, TWO_ROWS + b"a b"), id="more-rows-than-bytes"),
+        pytest.param(wire.TS, _packed(1, TWO_ROWS + b"a b"), id="fewer-rows-than-keys"),
+        pytest.param(wire.TS, _packed(0, TWO_ROWS + b"a b"), id="zero-rows-with-bytes"),
+        pytest.param(wire.TS, _packed(-1, b""), id="negative-rows"),
+        pytest.param(wire.TS, _packed(2, TWO_ROWS + b"a "), id="empty-key"),
+        pytest.param(wire.TS, _packed(2, TWO_ROWS + b"a \xff"), id="key-not-utf8"),
         pytest.param(
+            wire.TS,
             wire.ts_reply(["a"], [1.5], [3])[: -len(wire.END)] + b"STORED\r\n",
             id="missing-end",
         ),
-        pytest.param(b"TS 1\r\n" + TWO_ROWS[:16] + b"a\r\nEND\r\n", id="short-header"),
+        pytest.param(
+            wire.TS, b"TS 1\r\n" + TWO_ROWS[:16] + b"a\r\nEND\r\n", id="short-header"
+        ),
+        pytest.param(
+            wire.TS,
+            _packed(2, struct.pack("<2d2q", 1.5, 2.5, 3, -4) + b"a b"),
+            id="negative-size",
+        ),
+        pytest.param(wire.TS, _packed(2, TWO_ROWS + b"a " + LONG_KEY_TEXT), id="key-too-long"),
+        pytest.param(wire.TS, _packed(2, TWO_ROWS + b"a b\tc"), id="key-with-whitespace"),
+        pytest.param(wire.ITEMS, _items(3, TWO_ITEMS + b"a b"), id="items-more-rows-than-bytes"),
+        pytest.param(wire.ITEMS, _items(1, TWO_ITEMS + b"a b"), id="items-fewer-rows"),
+        pytest.param(wire.ITEMS, _items(0, TWO_ITEMS + b"a b"), id="items-zero-rows-with-bytes"),
+        pytest.param(wire.ITEMS, _items(2, TWO_ITEMS[:-1] + b"a b"), id="items-sizes-past-bytes"),
+        pytest.param(
+            wire.ITEMS,
+            _items(2, struct.pack("<2d2q2I", 1.5, 2.5, 3, -1, 7, 0) + b"xyza b"),
+            id="items-negative-size",
+        ),
+        pytest.param(wire.ITEMS, _items(2, TWO_ITEMS + b"a "), id="items-empty-key"),
+        pytest.param(wire.ITEMS, _items(2, TWO_ITEMS + b"a \xff"), id="items-key-not-utf8"),
+        pytest.param(
+            wire.ITEMS, _items(2, TWO_ITEMS + b"a " + LONG_KEY_TEXT), id="items-key-too-long"
+        ),
+        pytest.param(
+            wire.ITEMS, _items(2, TWO_ITEMS + b"a\r\n b"), id="items-key-with-whitespace"
+        ),
+        pytest.param(
+            wire.ITEMS,
+            _items(2, TWO_ITEMS + b"a b")[: -len(wire.END)] + b"STORED\r\n",
+            id="items-missing-end",
+        ),
+        pytest.param(wire.ITEMS, b"ITEM a 7 1.5 3\r\nxyz\r\nEND\r\n", id="items-text-row"),
     ],
 )
-def test_a_malformed_ts_block_is_rejected(reply):
+def test_a_malformed_ts_block_is_rejected(framing, reply):
     assert wire.ts_reply(["a", "b"], [1.5, 2.5], [3, 4]) == _packed(2, TWO_ROWS + b"a b")
+    records = [
+        MigratedItem("a", (7, b"xyz"), 3, 1.5), MigratedItem("b", (0, b"w"), 1, 2.5)
+    ]
+    assert wire.items_reply(records) == _items(2, TWO_ITEMS + b"a b")
     framer = wire.ReplyFramer()
-    framer.expect([wire.TS])
+    framer.expect([framing])
     with pytest.raises(WireProtocolError):
         framer.feed(reply)
+
+
+def test_an_export_reply_carries_an_import_body_byte_for_byte():
+    """The block a ``mig_export`` answers with is the ``batch_import``
+    body of the same records, so a relay can forward it as it stands."""
+    records = [
+        MigratedItem("a", (3, b"xy"), 2, 1.5),
+        MigratedItem("key:é", (2**32 - 1, b"\r\nEND\r\n"), 7, 0.25),
+        MigratedItem("c", b"raw", 3, 9.0),
+    ]
+    body = wire.items_payload(records)
+    server = TextProtocolServer(MemcachedNode("n", MEMORY), lambda: 100.0)
+    request = wire.encode_request("batch_import", ["merge", "3"], body)
+    assert server.feed(request) == b"IMPORTED 3\r\n"
+    reply = server.feed(wire.encode_request("mig_export", [], "a key:é c".encode()))
+    assert reply == b"ITEMS 3 %d\r\n%b\r\nEND\r\n" % (len(body), body)
+    framer = wire.ReplyFramer()
+    framer.expect([wire.ITEMS])
+    [exported] = framer.feed(reply)
+    assert exported == [
+        MigratedItem("a", (3, b"xy"), 2, 1.5),
+        MigratedItem("key:é", (2**32 - 1, b"\r\nEND\r\n"), 7, 0.25),
+        MigratedItem("c", (0, b"raw"), 3, 9.0),
+    ]
 
 
 def test_negative_payload_size_is_rejected_not_read_backwards():
