@@ -25,7 +25,9 @@ def measure(factory):
     mapper = factory(NODES)
     before = {key: mapper.node_for_key(key) for key in KEYS}
     # Time the cold path: ``node_for_key`` would answer from the lookup
-    # cache ``before`` just filled, so it would time a dict probe.
+    # cache ``before`` just filled, so it would time a dict probe.  The
+    # hash primitives are not memoised, so each ``uncached_lookup`` is a
+    # full MD5 plus a bisect (ketama) or one MD5 per node (rendezvous).
     start = time.perf_counter()
     for key in KEYS:
         mapper.uncached_lookup(key)

@@ -23,15 +23,13 @@ COLD_TIMESTAMP = float("-inf")
 """Score used for a slab class that holds no items on a node."""
 
 
-def node_score(node: CacheNode, method: str = "timestamp") -> float:
+def node_score(node: CacheNode) -> float:
     """Weighted median-hotness score of one node.
 
-    ``method="timestamp"`` uses the raw median MRU timestamp per slab
-    class (the paper's ``s_{b,i}``); empty classes contribute nothing.
-    Lower scores mean colder data -- cheaper to retire.
+    Uses the raw median MRU timestamp per slab class (the paper's
+    ``s_{b,i}``); empty classes contribute nothing.  Lower scores mean
+    colder data -- cheaper to retire.
     """
-    if method != "timestamp":
-        raise ConfigurationError(f"unknown scoring method {method!r}")
     fractions = node.page_fractions()
     if not fractions:
         return COLD_TIMESTAMP
@@ -48,17 +46,13 @@ def node_score(node: CacheNode, method: str = "timestamp") -> float:
     return score
 
 
-def score_nodes(
-    nodes: Sequence[CacheNode], method: str = "timestamp"
-) -> dict[str, float]:
+def score_nodes(nodes: Sequence[CacheNode]) -> dict[str, float]:
     """Score every node; lower = colder = better to retire."""
-    return {node.name: node_score(node, method) for node in nodes}
+    return {node.name: node_score(node) for node in nodes}
 
 
 def choose_nodes_to_retire(
-    nodes: Sequence[CacheNode],
-    count: int,
-    method: str = "timestamp",
+    nodes: Sequence[CacheNode], count: int
 ) -> list[str]:
     """The ``count`` distinct nodes with the smallest weighted sums.
 
@@ -70,14 +64,13 @@ def choose_nodes_to_retire(
         raise ConfigurationError(
             f"cannot retire {count} of {len(nodes)} nodes"
         )
-    scores = score_nodes(nodes, method)
-    ranked = sorted(scores.items(), key=lambda pair: (pair[1], pair[0]))
-    return [name for name, _ in ranked[:count]]
+    return [name for name, _ in rank_nodes_by_score(nodes)[:count]]
 
 
-def rank_nodes_by_score(
-    nodes: Sequence[CacheNode], method: str = "timestamp"
-) -> list[tuple[str, float]]:
-    """All nodes sorted coldest-first -- the x-axis of the paper's Fig. 7."""
-    scores = score_nodes(nodes, method)
+def rank_nodes_by_score(nodes: Sequence[CacheNode]) -> list[tuple[str, float]]:
+    """All nodes sorted coldest-first -- the x-axis of the paper's Fig. 7.
+
+    Ties break on node name for determinism.
+    """
+    scores = score_nodes(nodes)
     return sorted(scores.items(), key=lambda pair: (pair[1], pair[0]))

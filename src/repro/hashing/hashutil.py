@@ -2,19 +2,13 @@
 
 Python's builtin :func:`hash` is randomised per process, which would make
 simulations non-reproducible, so all key placement goes through MD5-derived
-integers instead.
+integers instead.  Nothing here is memoised: the one routing cache is the
+placements' bounded lookup cache (:class:`repro.hashing.ketama.Placement`).
 """
 
 import hashlib
-from functools import lru_cache
-
-# Key populations are bounded (the simulator's datasets are a few hundred
-# thousand keys) and every request hashes its keys for routing, so the
-# digests are memoised.  2^20 entries comfortably cover the datasets.
-_CACHE_SIZE = 1 << 20
 
 
-@lru_cache(maxsize=_CACHE_SIZE)
 def hash64(data: str | bytes) -> int:
     """Return a stable unsigned 64-bit hash of ``data``.
 
@@ -28,10 +22,11 @@ def hash64(data: str | bytes) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
-@lru_cache(maxsize=_CACHE_SIZE)
 def hash32(data: str | bytes) -> int:
-    """Return a stable unsigned 32-bit hash of ``data`` (MD5 prefix)."""
-    return hash64(data) >> 32
+    """Return a stable unsigned 32-bit hash of ``data``: ``hash64 >> 32``."""
+    if isinstance(data, str):
+        data = data.encode("utf-8")
+    return int.from_bytes(hashlib.md5(data).digest()[:4], "big")
 
 
 def points_for_vnode(label: str, count: int) -> list[int]:

@@ -11,9 +11,11 @@ A membership change builds a new ring and the holder rebinds to it, so a
 batch of lookups that started on one ring finishes on that ring.
 
 Lookups are the hottest operation in the whole simulator (every simulated
-request routes each of its keys), so each ring keeps a bounded **lookup
-cache**: a key -> owner dict that turns the md5 + binary-search lookup into
-a single dict probe.  The cache belongs to one membership by construction.
+request routes each of its keys), so every placement keeps a bounded
+**lookup cache** (:class:`Placement`): a key -> owner dict that turns the
+md5 + binary-search lookup into a single dict probe.  It is the only
+routing cache in the process -- the hash primitives are not memoised -- and
+it belongs to one membership by construction.
 """
 
 from __future__ import annotations
@@ -42,22 +44,16 @@ def distinct_members(nodes: Iterable[str]) -> frozenset[str]:
     return members
 
 
-class ConsistentHashRing:
-    """An immutable consistent-hash ring over a set of named nodes.
+class Placement:
+    """A key-to-node mapping over a fixed member set, behind a lookup cache.
 
-    ``VNODES`` points per node, sorted once; a tied point goes to the
-    lesser name.
+    Subclasses supply :meth:`uncached_lookup`; every cache miss goes
+    through it.  The cache holds at most ``LOOKUP_CACHE`` routes and
+    evicts the oldest insert first.
     """
 
     def __init__(self, nodes: Iterable[str]) -> None:
         self._members = distinct_members(nodes)
-        ring = sorted(
-            (point, name)
-            for name in self._members
-            for point in points_for_vnode(name, VNODES)
-        )
-        self._points = [point for point, _ in ring]
-        self._owners = [name for _, name in ring]
         self._cache: dict[str, str] = {}
         self._cache_max = LOOKUP_CACHE
         self.cache_hits = 0
@@ -65,7 +61,7 @@ class ConsistentHashRing:
 
     @property
     def members(self) -> frozenset[str]:
-        """The node names on the ring."""
+        """The node names."""
         return self._members
 
     def __len__(self) -> int:
@@ -74,65 +70,37 @@ class ConsistentHashRing:
     def __contains__(self, node: str) -> bool:
         return node in self._members
 
-    def iter_points(self) -> Iterator[tuple[int, str]]:
-        """Yield ``(point, owner)`` pairs in ring order.
-
-        Read-only introspection for balance analysis and the
-        :func:`repro.check.invariants.check_ring` validator; the pairs
-        are yielded ascending by point.
-        """
-        return zip(self._points, self._owners)
-
     def uncached_lookup(self, key: str) -> str:
-        """Owner of ``key`` computed from scratch (cache bypassed).
+        """Owner of ``key`` computed from scratch (cache bypassed); raises
+        :class:`MembershipError` when there are no members."""
+        raise NotImplementedError
 
-        The reference slow path: one 32-bit hash plus a binary search over
-        the virtual points.  Used by the invariant checker to audit cache
-        entries and by the hashing ablation to time the cold path.
-        """
-        if not self._points:
-            raise MembershipError("hash ring is empty")
-        point = hash32(key)
-        index = bisect.bisect(self._points, point)
-        if index == len(self._points):
-            index = 0
-        return self._owners[index]
+    def _miss(self, key: str) -> str:
+        owner = self.uncached_lookup(key)
+        self.cache_misses += 1
+        cache = self._cache
+        if len(cache) >= self._cache_max:
+            # Evict the oldest insert: FIFO keeps the hit path free of
+            # any per-hit bookkeeping.
+            del cache[next(iter(cache))]
+        cache[key] = owner
+        return owner
 
     def node_for_key(self, key: str) -> str:
-        """Return the node owning ``key``; raises if the ring is empty.
-
-        Served from the lookup cache when possible; a miss falls back to
-        :meth:`uncached_lookup` and populates the cache.
-        """
-        cache = self._cache
-        owner = cache.get(key)
+        """Return the node owning ``key``; raises if there are no members."""
+        owner = self._cache.get(key)
         if owner is not None:
             self.cache_hits += 1
             return owner
-        if not self._points:
-            raise MembershipError("hash ring is empty")
-        self.cache_misses += 1
-        point = hash32(key)
-        index = bisect.bisect(self._points, point)
-        if index == len(self._points):
-            index = 0
-        owner = self._owners[index]
-        if self._cache_max:
-            if len(cache) >= self._cache_max:
-                # Evict the least recently inserted entry (insertion order
-                # approximates recency: the key population is bounded).
-                del cache[next(iter(cache))]
-            cache[key] = owner
-        return owner
+        return self._miss(key)
 
     def lookup_many(self, keys: Iterable[str]) -> list[str]:
         """Owners for ``keys``, one per key, in order.
 
-        One cache probe per key with a single shared fallback to the
-        cold path.  ``keys`` may be a lazy iterable.
+        One cache probe per key; ``keys`` may be a lazy iterable.
         """
-        if not self._points:
-            raise MembershipError("hash ring is empty")
+        if not self._members:
+            raise MembershipError("no members to place keys on")
         cache = self._cache
         if type(keys) is list:
             # Warm-cache fast path: a pure dict-read comprehension.
@@ -144,36 +112,22 @@ class ConsistentHashRing:
                 self.cache_hits += len(owners)
                 return owners
         cache_get = cache.get
-        points = self._points
-        owners_list = self._owners
-        npoints = len(points)
-        cache_max = self._cache_max
+        miss = self._miss
         owners = []
         append = owners.append
         hits = 0
-        misses = 0
         for key in keys:
             owner = cache_get(key)
             if owner is None:
-                misses += 1
-                point = hash32(key)
-                index = bisect.bisect(points, point)
-                if index == npoints:
-                    index = 0
-                owner = owners_list[index]
-                if cache_max:
-                    if len(cache) >= cache_max:
-                        del cache[next(iter(cache))]
-                    cache[key] = owner
+                owner = miss(key)
             else:
                 hits += 1
             append(owner)
         self.cache_hits += hits
-        self.cache_misses += misses
         return owners
 
     def nodes_for_keys(self, keys: Iterable[str]) -> dict[str, list[str]]:
-        """Group ``keys`` by owning node (one cached ring lookup per key)."""
+        """Group ``keys`` by owning node (one cached lookup per key)."""
         grouped: dict[str, list[str]] = {}
         keys = list(keys)
         for key, owner in zip(keys, self.lookup_many(keys)):
@@ -197,3 +151,38 @@ class ConsistentHashRing:
         cached route against :meth:`uncached_lookup`.
         """
         return dict(self._cache)
+
+
+class ConsistentHashRing(Placement):
+    """An immutable consistent-hash ring over a set of named nodes.
+
+    ``VNODES`` points per node, sorted once; a tied point goes to the
+    lesser name.
+    """
+
+    def __init__(self, nodes: Iterable[str]) -> None:
+        super().__init__(nodes)
+        ring = sorted(
+            (point, name)
+            for name in self._members
+            for point in points_for_vnode(name, VNODES)
+        )
+        self._points = [point for point, _ in ring]
+        self._owners = [name for _, name in ring]
+
+    def iter_points(self) -> Iterator[tuple[int, str]]:
+        """Yield ``(point, owner)`` pairs in ring order.
+
+        Read-only introspection for balance analysis and the
+        :func:`repro.check.invariants.check_ring` validator; the pairs
+        are yielded ascending by point.
+        """
+        return zip(self._points, self._owners)
+
+    def uncached_lookup(self, key: str) -> str:
+        """The owner of the first point clockwise from ``key``'s hash."""
+        points = self._points
+        if not points:
+            raise MembershipError("hash ring is empty")
+        index = bisect.bisect(points, hash32(key))
+        return self._owners[index if index < len(points) else 0]

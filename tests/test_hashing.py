@@ -4,7 +4,9 @@ A ring is a value built once from its members, so a membership change is
 two rings compared key by key.
 """
 
+import gc
 import hashlib
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -12,7 +14,7 @@ from hypothesis import strategies as st
 
 from repro.errors import MembershipError
 from repro.hashing.hashutil import hash32, hash64, points_for_vnode
-from repro.hashing.ketama import ConsistentHashRing
+from repro.hashing.ketama import LOOKUP_CACHE, ConsistentHashRing
 from repro.hashing.rendezvous import RendezvousHash
 
 
@@ -30,6 +32,10 @@ class TestHashUtil:
 
     def test_hash32_range(self):
         assert 0 <= hash32("key") < 2**32
+
+    def test_hash32_is_hash64_prefix(self):
+        for data in ("key", b"key", "", "k\u00e9y"):
+            assert hash32(data) == hash64(data) >> 32
 
     def test_points_for_vnode_count(self):
         assert len(points_for_vnode("node", 7)) == 7
@@ -216,3 +222,22 @@ def test_golden_routes(factory, members, digest):
     for order in (members, members[::-1]):
         routes = "\n".join(factory(order).lookup_many(keys))
         assert hashlib.sha256(routes.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("factory", [ConsistentHashRing, RendezvousHash])
+def test_routing_memory_is_bounded(factory):
+    """An unbounded stream of distinct keys keeps routing memory bounded.
+
+    The placement's lookup cache is the only routing cache: once it is
+    full, routing a new key allocates nothing that outlives the call.
+    """
+    keys = [f"stream-{i:07d}" for i in range(LOOKUP_CACHE + 20_000)]
+    placement = factory(["a", "b", "c"])
+    gc.collect()
+    before = sys.getallocatedblocks()
+    for key in keys:
+        placement.node_for_key(key)
+    gc.collect()
+    grown = sys.getallocatedblocks() - before
+    assert grown / len(keys) < 0.05
+    assert placement.cache_info()["size"] == LOOKUP_CACHE

@@ -32,11 +32,6 @@ class TestNodeScore:
         hot = make_node("hot", start_time=1000.0)
         assert node_score(hot) > node_score(cold)
 
-    def test_unknown_method_rejected(self):
-        node = make_node("n", 0.0)
-        with pytest.raises(ConfigurationError):
-            node_score(node, method="bogus")
-
     def test_score_weighted_by_page_fractions(self):
         """A node whose dominant slab is cold scores colder than one whose
         dominant slab is hot, even with one hot outlier slab."""
